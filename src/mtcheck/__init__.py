@@ -10,9 +10,8 @@ from .divisibility import (ExceptionPair, divisibility_solutions, exception_pair
                            gcd_mod4_check)
 from .exclusion import (CandidatePair, ExclusionVerdict, check_pair,
                         surviving_inners, theorem61_outer_shapes)
-from .monodromy import (Nilpotent, SpecializationInstance, SymplecticSpace,
-                        build_instance, monodromy_log, verify_filtration,
-                        verify_orthogonality)
+from .monodromy import (SpecializationInstance, SymplecticSpace, build_instance,
+                        verify_filtration, verify_orthogonality)
 from .quadratic import (QuadraticRankProfile, RankUnavailableError,
                         quadratic_min_rank, rank2_constraint,
                         transvection_constraint)
@@ -24,11 +23,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AVDescriptor", "CandidatePair", "Conclusion", "EndoType", "ExceptionPair",
     "ExclusionVerdict", "FormClass", "InputInconsistentError", "IrrepDescriptor",
-    "LieType", "Nilpotent", "QuadraticRankProfile", "RankUnavailableError",
+    "LieType", "QuadraticRankProfile", "RankUnavailableError",
     "Reduction", "SpecializationInstance", "SymplecticSpace", "Verdict",
     "Weight", "build_instance", "check_pair", "decide", "divisibility_solutions",
     "duality_involution", "enumerate_minuscule", "exception_pairs", "explain",
-    "form_class", "gcd_mod4_check", "is_minuscule", "monodromy_log",
+    "form_class", "gcd_mod4_check", "is_minuscule",
     "positive_roots", "quadratic_min_rank", "rank2_constraint",
     "surviving_inners", "theorem61_outer_shapes", "transvection_constraint",
     "validate", "verify_filtration", "verify_orthogonality", "weyl_dim",

@@ -85,6 +85,8 @@ def _cmd_exceptions(args) -> int:
 
 
 def _cmd_monodromy(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     counts: dict[str, int] = {}
     for k in range(args.trials):
         inst = build_instance(args.g, args.r, args.seed + k)
@@ -224,7 +226,7 @@ def main(argv=None) -> int:
         if args.command == "monodromy":
             return _cmd_monodromy(args)
         return _cmd_check(args, parser)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,14 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers and the rationals.
 
-Every routine works with ``fractions.Fraction`` (or plain ints, which are
-accepted everywhere and never silently widened to floats).  Matrices are
-immutable tuples of row tuples; vectors are tuples.  Rank uses a
-fraction-free elimination after clearing row denominators, so integer
-input stays integer throughout.
+Matrices are immutable tuples of row tuples; vectors are tuples.  Entries
+are ints or ``fractions.Fraction`` and are never widened to floats.
+
+Products, ``rank`` (fraction-free Bareiss elimination after clearing row
+denominators) and the rank-based span tests keep integer input integer;
+the monodromy layer is integer-only and uses nothing else.  ``det`` is
+Bareiss as well but returns a ``Fraction``.  ``rref``, ``solve``,
+``inverse`` and ``nullspace`` run Gauss-Jordan elimination over
+``Fraction`` and serve the root-system oracle and the tests.
 """
 
 from __future__ import annotations
@@ -15,14 +19,6 @@ from math import gcd
 Scalar = Fraction | int
 Vector = tuple[Scalar, ...]
 Matrix = tuple[Vector, ...]
-
-
-def vector(entries) -> Vector:
-    return tuple(Fraction(x) for x in entries)
-
-
-def matrix(rows) -> Matrix:
-    return tuple(vector(row) for row in rows)
 
 
 def zeros(n_rows: int, n_cols: int) -> Matrix:
@@ -44,10 +40,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Scalar, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
 
 
 def vec_dot(u: Vector, v: Vector) -> Scalar:

@@ -5,7 +5,9 @@ The duality oracle walks a fundamental weight down to the antidominant
 chamber by simple reflections (reaching w0 . w) instead of trusting the
 library's permutation; the minuscule oracle applies the coroot-pairing
 criterion; the transvection oracle brute-forces rank-1 elements of
-orthogonal algebras over a small integer box.
+orthogonal algebras over a small integer box; the monodromy oracles restate
+orthogonality and the filtration by rational nullspaces and span tests, the
+formulation the library's product-and-rank verifiers replaced.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 from itertools import product
 
 from mtcheck import linalg
+from mtcheck.monodromy import SpecializationInstance, SymplecticSpace
 from mtcheck.roots import (LieType, Weight, ambient_weight, coroot_pairings,
                            fundamental_weights, positive_roots, reflect,
                            simple_roots)
@@ -117,3 +120,32 @@ def catalog_dims_by_brute_force(n: int, max_rank: int) -> set[str]:
             if entry.dim == n:
                 labels.add(entry.label)
     return labels
+
+
+def symplectic_complement(space: SymplecticSpace, basis: linalg.Matrix) -> linalg.Matrix:
+    """Basis of the form-orthogonal complement of the row span."""
+    pairing_rows = tuple(linalg.mat_vec(space.form, v) for v in basis)
+    return linalg.nullspace(pairing_rows)
+
+
+def orthogonality_by_nullspace(inst: SpecializationInstance) -> bool:
+    """W equals the complement of V^I, computed as a rational nullspace."""
+    comp = symplectic_complement(inst.space, inst.inertia_invariants)
+    return linalg.same_span(comp, inst.toric_sub)
+
+
+def filtration_by_spans(inst: SpecializationInstance) -> bool:
+    """tau has rank r, kills each V^I vector, sends each basis vector into W
+    and maps T onto W, tested one vector at a time."""
+    tau = inst.log_matrix()
+    r = inst.toric_rank
+    if linalg.rank(tau) != r:
+        return False
+    for v in inst.inertia_invariants:
+        if any(x != 0 for x in linalg.mat_vec(tau, v)):
+            return False
+    for col in linalg.identity(inst.space.dim):
+        if not linalg.row_space_contains(inst.toric_sub, linalg.mat_vec(tau, col)):
+            return False
+    t_images = tuple(linalg.mat_vec(tau, v) for v in inst.lift)
+    return linalg.rank(t_images) == r and linalg.same_span(t_images, inst.toric_sub)

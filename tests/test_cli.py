@@ -112,6 +112,15 @@ def test_monodromy(capsys):
     assert all(line.endswith("2/2 pass") for line in lines)
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_monodromy_rejects_empty_trial_count(capsys, trials):
+    code, out, err = _run(capsys, ["monodromy", "--g", "3", "--r", "2",
+                                   "--seed", "1", "--trials", trials])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "--trials" in err
+
+
 def test_check_text(capsys):
     code, out, _ = _run(capsys, ["check", "--g", "4", "--endo", "Q",
                                  "--toric-rank", "2", "--bad-semistable-split",
@@ -181,6 +190,14 @@ def test_check_batch(tmp_path, capsys):
     assert code == 2  # the worst row wins
     records = [json.loads(line) for line in out.splitlines()]
     assert [r["conclusion"] for r in records] == ["MT", "InputInconsistent"]
+
+
+def test_check_batch_missing_file(tmp_path, capsys):
+    missing = tmp_path / "absent.txt"
+    code, out, err = _run(capsys, ["check", "--file", str(missing)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(missing) in err
 
 
 def test_golden_corpus_is_byte_stable(capsys):

@@ -4,22 +4,25 @@ The builder only guarantees the structural shape of an instance, so the
 positive sweeps assert that every named invariant actually verifies; the
 negative controls construct shape-valid instances that must fail the
 orthogonality and filtration checks, pinning down that the verifiers test
-the theorems and not the construction path.
+the theorems and not the construction path.  The product-and-rank verifiers
+are compared against the nullspace and span formulations kept in
+helpers_oracles, and a digest pins every seeded instance bit for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import replace
 
 import pytest
 
+from helpers_oracles import (filtration_by_spans, orthogonality_by_nullspace,
+                             symplectic_complement)
 from mtcheck import linalg
-from mtcheck.monodromy import (Nilpotent, SpecializationInstance,
-                               SymplecticSpace, build_instance,
-                               is_form_compatible, log_of_unipotent,
-                               monodromy_log, random_symplectic,
-                               standard_symplectic_form, symplectic_complement,
+from mtcheck.monodromy import (SpecializationInstance, SymplecticSpace,
+                               build_instance, is_form_compatible,
+                               random_symplectic, standard_symplectic_form,
                                verify_filtration, verify_instance,
                                verify_orthogonality)
 
@@ -48,13 +51,6 @@ def test_symplectic_space_validation():
         SymplecticSpace(4, degenerate)
 
 
-def test_nilpotent_validation():
-    n = Nilpotent(((0, 1), (0, 0)))
-    assert n.rank == 1
-    with pytest.raises(ValueError, match="square to zero"):
-        Nilpotent(((0, 1), (1, 0)))
-
-
 def test_random_symplectic_preserves_form():
     for g in (1, 2, 4):
         rng = random.Random(2024 + g)
@@ -75,7 +71,6 @@ def test_build_instance_examples(g, r, seed):
         "filtration", "form_compatible", "monodromy_symplectic",
     }
     assert all(results.values()), results
-    assert monodromy_log(inst).rank == r
 
 
 def test_build_instance_sweep():
@@ -88,6 +83,19 @@ def test_build_instance_sweep():
 def test_build_instance_is_deterministic():
     assert build_instance(4, 2, 7) == build_instance(4, 2, 7)
     assert build_instance(4, 2, 0).monodromy != build_instance(4, 2, 1).monodromy
+
+
+def test_build_instance_digest():
+    # pins every entry (and its int type, through repr) of these instances
+    h = hashlib.sha256()
+    for g in range(1, 7):
+        for r in range(1, g + 1):
+            for seed in range(5):
+                inst = build_instance(g, r, seed)
+                h.update(repr((g, r, seed, inst.inertia_invariants, inst.toric_sub,
+                               inst.lift, inst.monodromy)).encode())
+    assert h.hexdigest() == (
+        "2f8f7c111735780d492706c1334902eafc909d95aa1098eb041703f67737d6df")
 
 
 def test_build_instance_bounds():
@@ -108,6 +116,38 @@ def _perturb_toric(inst: SpecializationInstance) -> SpecializationInstance:
     outside = inst.inertia_invariants[-1]
     first = tuple(a + b for a, b in zip(inst.toric_sub[0], outside))
     return replace(inst, toric_sub=(first,) + inst.toric_sub[1:])
+
+
+def _leak_invariants(inst: SpecializationInstance) -> SpecializationInstance:
+    """Add w_1 (x) Theta(u, .) to tau, u the last V^I basis vector.
+
+    u lies in V^I = W-perp, so Theta(u, .) vanishes on W and on the image
+    of tau: the new log still squares to zero and maps into W.  It no longer
+    kills the V^I vectors that pair with u, so the filtration must fail.
+    Requires r < g.
+    """
+    phi = linalg.mat_vec(linalg.transpose(inst.space.form), inst.inertia_invariants[-1])
+    leaked = tuple(tuple(x + w * p for x, p in zip(row, phi))
+                   for row, w in zip(inst.monodromy, inst.toric_sub[0]))
+    return replace(inst, monodromy=leaked)
+
+
+def test_verifiers_agree_with_span_oracles():
+    for g in range(1, 7):
+        for r in range(1, g + 1):
+            for seed in range(3):
+                inst = build_instance(g, r, seed)
+                trivial = replace(inst, monodromy=linalg.identity(2 * g))
+                cases = [(inst, True, True), (trivial, True, False)]
+                if r < g:
+                    cases.append((_perturb_toric(inst), False, False))
+                    cases.append((_leak_invariants(inst), True, False))
+                for case, orthogonal, filtered in cases:
+                    label = (g, r, seed, orthogonal, filtered)
+                    assert verify_orthogonality(case) is orthogonal, label
+                    assert orthogonality_by_nullspace(case) is orthogonal, label
+                    assert verify_filtration(case) is filtered, label
+                    assert filtration_by_spans(case) is filtered, label
 
 
 def test_perturbed_toric_subspace_fails_orthogonality():
@@ -165,21 +205,15 @@ def test_instance_validation_errors():
     with pytest.raises(ValueError, match="square to zero"):
         replace(inst, monodromy=tuple(tuple(2 * x for x in row)
                                       for row in linalg.identity(4)))
+    jordan4 = tuple(tuple(1 if j in (i, i + 1) else 0 for j in range(4))
+                    for i in range(4))  # unipotent, but (N - I)^2 != 0
+    with pytest.raises(ValueError, match="square to zero"):
+        replace(inst, monodromy=jordan4)
     dependent = (inst.inertia_invariants[0],) * 2 + inst.inertia_invariants[2:]
     with pytest.raises(ValueError, match="not independent"):
         replace(inst, inertia_invariants=dependent)
     with pytest.raises(ValueError, match="dimension 2g - r"):
         replace(inst, inertia_invariants=inst.inertia_invariants[:2])
-
-
-def test_log_of_unipotent():
-    assert log_of_unipotent(linalg.identity(3)) == linalg.zeros(3, 3)
-    assert log_of_unipotent(((1, 1), (0, 1))) == ((0, 1), (0, 0))
-    with pytest.raises(ValueError, match="not unipotent"):
-        log_of_unipotent(((2, 0), (0, 2)))
-    jordan3 = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
-    with pytest.raises(ValueError, match="not unipotent"):
-        log_of_unipotent(jordan3)
 
 
 def test_symplectic_complement_dimensions():
