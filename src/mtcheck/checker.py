@@ -8,10 +8,12 @@ type IV.  The dimension/rank bookkeeping differs per route: the imaginary
 quadratic case works with modules of dimension g and half the toric rank,
 the rational case with dimension 2g and the full toric rank.
 
-Rules fire independently; the verdict keeps the citation tags of every
-fired rule in order and reports the strongest conclusion
-(MT_and_divisorial > MT > MT_or_HodgeDivisorial > ExceptionPairHit >
-NotCovered).
+The rules form one ordered table, `_RULES`, walked once per descriptor.
+The verdict keeps the citation tags of every fired rule in order and
+reports the strongest conclusion (MT_and_divisorial > MT >
+MT_or_HodgeDivisorial > ExceptionPairHit > NotCovered).  Thm 6.4 takes its
+conclusion from the exclusion engine: a surviving proper inclusion is an
+exception-pair hit.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .divisibility import is_exception_pair
 from .exclusion import surviving_inners
 from .roots import FormClass
 
@@ -117,154 +118,152 @@ def validate(d: AVDescriptor) -> None:
             f"{d.toric_rank} for a simple variety")
 
 
-_RULE_DESCRIPTIONS = {
-    "Thm 1.2": "imaginary quadratic multiplication with coprime signature: "
-               "all Hodge and Tate classes are divisorial",
-    "Thm 2.4": "fourfold with extra endomorphisms",
-    "Thm 5.1": "bad semistable reduction of minimal toric rank",
-    "Thm 5.2": "fourfold, endomorphisms Q, bad but not purely multiplicative reduction",
-    "Thm 6.4": "imaginary quadratic case with toric rank 2r, gcd(r, g) = 1",
-    "Thm 6.5": "endomorphisms Q, toric rank prime to 2g",
-    "Thm 6.6": "endomorphisms Q, simple, bad reduction of toric rank 2",
-    "Thm 7.1": "simple Lie parts: MT group or Hodge classes divisorial",
-}
+def _thm64_hypothesis(d: AVDescriptor) -> bool:
+    """Imaginary quadratic multiplication, bad reduction, toric rank 2r with
+    gcd(r, g) = 1."""
+    return (d.endo_type is EndoType.IV_IMAG_QUAD and d.bad
+            and d.toric_rank % 2 == 0 and d.toric_rank >= 2
+            and gcd(d.toric_rank // 2, d.g) == 1)
 
 
-def _exclusion_note(tag: str, n: int, form: FormClass, r: int) -> str:
+def _thm65_hypothesis(d: AVDescriptor) -> bool:
+    """Endomorphisms Q, bad reduction, toric rank prime to 2g."""
+    return d.endo_type is EndoType.RATIONAL and d.bad and gcd(d.toric_rank, 2 * d.g) == 1
+
+
+def _exclusion(tag: str, n: int, form: FormClass, r: int) -> tuple[bool, str]:
+    """Whether a proper inclusion survives at (n, form, r), and the note
+    saying which."""
     if n <= 4:
-        return (f"{tag}: ambient dimension {n} <= 4 handled by the "
-                "small-dimension results; exclusion engine not consulted")
+        return False, (f"{tag}: ambient dimension {n} <= 4 handled by the "
+                       "small-dimension results; exclusion engine not consulted")
     survivors = surviving_inners(n, form, r)
     if not survivors:
-        return f"{tag}: survivors: none (dim {n}, {form.value}, rank {r})"
+        return False, f"{tag}: survivors: none (dim {n}, {form.value}, rank {r})"
     names = ", ".join(s.label for s in survivors)
-    return f"{tag}: surviving proper inclusions: {names} (dim {n}, {form.value}, rank {r})"
+    return True, (f"{tag}: surviving proper inclusions: {names} "
+                  f"(dim {n}, {form.value}, rank {r})")
 
 
-def _evaluate_rules(d: AVDescriptor):
-    """Yields (rule_id, tag, fired, conclusion, note, why_not)."""
-    results = []
+# An evaluation returns (conclusion, note) when its rule fires and the reason
+# it did not fire otherwise; it also sees the strongest conclusion so far.
+_Outcome = tuple[Conclusion, str | None] | str
 
-    def add(rule_id, tag, fired, conclusion=None, note=None, why_not=None):
-        results.append((rule_id, tag, fired, conclusion, note, why_not))
 
-    # R1: imaginary quadratic multiplication, coprime signature
+def _coprime_signature(d: AVDescriptor, _: Conclusion) -> _Outcome:
     if d.endo_type is not EndoType.IV_IMAG_QUAD:
-        add("R1", "Thm 1.2", False, why_not="endo type is not an imaginary quadratic field")
-    elif d.signature is None or gcd(*d.signature) != 1:
-        add("R1", "Thm 1.2", False, why_not="signature entries are not coprime")
-    else:
-        add("R1", "Thm 1.2", True, Conclusion.MT_AND_DIVISORIAL)
+        return "endo type is not an imaginary quadratic field"
+    if gcd(*d.signature) != 1:
+        return "signature entries are not coprime"
+    return Conclusion.MT_AND_DIVISORIAL, None
 
-    # R2: fourfold with extra endomorphisms
+
+def _extra_endo_fourfold(d: AVDescriptor, _: Conclusion) -> _Outcome:
     if d.g == 4 and d.simple and d.endo_type is not EndoType.RATIONAL:
-        add("R2", "Thm 2.4", True, Conclusion.MT)
-    else:
-        add("R2", "Thm 2.4", False,
-            why_not="needs g = 4, simple, and endomorphisms beyond Q")
+        return Conclusion.MT, None
+    return "needs g = 4, simple, and endomorphisms beyond Q"
 
-    # R3: minimal toric rank
-    if d.bad and d.simple and d.endo_type is EndoType.RATIONAL and d.toric_rank == 1:
-        add("R3", "Thm 5.1", True, Conclusion.MT_AND_DIVISORIAL)
-    elif d.bad and d.simple and d.endo_type is EndoType.IV_IMAG_QUAD and d.toric_rank == 2:
-        add("R3", "Thm 5.1", True, Conclusion.MT)
-    else:
-        add("R3", "Thm 5.1", False,
-            why_not="needs bad reduction at the minimal toric rank (1 over Q, "
-                    "2 over an imaginary quadratic field) and simplicity")
 
-    # R4: fourfold, Q, bad not purely multiplicative
+def _minimal_toric_rank(d: AVDescriptor, _: Conclusion) -> _Outcome:
+    if d.bad and d.simple:
+        if d.endo_type is EndoType.RATIONAL and d.toric_rank == 1:
+            return Conclusion.MT_AND_DIVISORIAL, None
+        if d.endo_type is EndoType.IV_IMAG_QUAD and d.toric_rank == 2:
+            return Conclusion.MT, None
+    return ("needs bad reduction at the minimal toric rank (1 over Q, "
+            "2 over an imaginary quadratic field) and simplicity")
+
+
+def _fourfold_not_purely_multiplicative(d: AVDescriptor, _: Conclusion) -> _Outcome:
     if (d.g == 4 and d.simple and d.endo_type is EndoType.RATIONAL and d.bad
             and d.toric_rank in (1, 2, 3)):
-        add("R4", "Thm 5.2", True, Conclusion.MT_AND_DIVISORIAL)
-    else:
-        add("R4", "Thm 5.2", False,
-            why_not="needs g = 4, simple, endomorphisms Q, bad reduction of "
-                    "toric rank 1, 2 or 3")
+        return Conclusion.MT_AND_DIVISORIAL, None
+    return ("needs g = 4, simple, endomorphisms Q, bad reduction of "
+            "toric rank 1, 2 or 3")
 
-    # R5: imaginary quadratic, even toric rank 2r with gcd(r, g) = 1
-    if (d.endo_type is EndoType.IV_IMAG_QUAD and d.bad
-            and d.toric_rank % 2 == 0 and d.toric_rank >= 2
-            and gcd(d.toric_rank // 2, d.g) == 1):
-        r_half = d.toric_rank // 2
-        if is_exception_pair(d.g, r_half):
-            add("R5", "Thm 6.4", True, Conclusion.EXCEPTION_PAIR_HIT,
-                note=_exclusion_note("Thm 6.4", d.g, FormClass.NON_SELF_DUAL, r_half))
-        else:
-            add("R5", "Thm 6.4", True, Conclusion.MT,
-                note=_exclusion_note("Thm 6.4", d.g, FormClass.NON_SELF_DUAL, r_half))
-    else:
-        add("R5", "Thm 6.4", False,
-            why_not="needs imaginary quadratic multiplication, bad reduction, "
-                    "toric rank 2r with gcd(r, g) = 1")
 
-    # R6: Q, toric rank prime to 2g
-    if d.endo_type is EndoType.RATIONAL and d.bad and gcd(d.toric_rank, 2 * d.g) == 1:
-        add("R6", "Thm 6.5", True, Conclusion.MT,
-            note=_exclusion_note("Thm 6.5", 2 * d.g, FormClass.SYMPLECTIC, d.toric_rank))
-    else:
-        add("R6", "Thm 6.5", False,
-            why_not="needs endomorphisms Q, bad reduction, toric rank prime to 2g")
+def _quadratic_coprime_half_rank(d: AVDescriptor, _: Conclusion) -> _Outcome:
+    if not _thm64_hypothesis(d):
+        return ("needs imaginary quadratic multiplication, bad reduction, "
+                "toric rank 2r with gcd(r, g) = 1")
+    hit, note = _exclusion("Thm 6.4", d.g, FormClass.NON_SELF_DUAL, d.toric_rank // 2)
+    return (Conclusion.EXCEPTION_PAIR_HIT if hit else Conclusion.MT), note
 
-    # R7: Q, simple, toric rank exactly 2
+
+def _rational_coprime_rank(d: AVDescriptor, _: Conclusion) -> _Outcome:
+    if not _thm65_hypothesis(d):
+        return "needs endomorphisms Q, bad reduction, toric rank prime to 2g"
+    _, note = _exclusion("Thm 6.5", 2 * d.g, FormClass.SYMPLECTIC, d.toric_rank)
+    return Conclusion.MT, note
+
+
+def _rational_simple_rank_two(d: AVDescriptor, _: Conclusion) -> _Outcome:
     if d.endo_type is EndoType.RATIONAL and d.simple and d.bad and d.toric_rank == 2:
-        add("R7", "Thm 6.6", True, Conclusion.MT)
-    else:
-        add("R7", "Thm 6.6", False,
-            why_not="needs endomorphisms Q, simple, bad reduction of toric rank 2")
+        return Conclusion.MT, None
+    return "needs endomorphisms Q, simple, bad reduction of toric rank 2"
 
-    # R8: disjunction for simple Lie parts (fires only if nothing stronger did)
-    non_weil = (d.endo_type is EndoType.IV_IMAG_QUAD and d.signature is not None
+
+def _simple_lie_parts(d: AVDescriptor, strongest: Conclusion) -> _Outcome:
+    non_weil = (d.endo_type is EndoType.IV_IMAG_QUAD
                 and d.signature[0] != d.signature[1])
-    type_ok = d.endo_type in (EndoType.TYPE_I, EndoType.TYPE_II, EndoType.RATIONAL) or non_weil
-    gcd_route = d.bad and (
-        (d.endo_type is EndoType.RATIONAL and gcd(d.toric_rank, 2 * d.g) == 1)
-        or (d.endo_type is EndoType.IV_IMAG_QUAD and d.toric_rank % 2 == 0
-            and d.toric_rank >= 2 and gcd(d.toric_rank // 2, d.g) == 1)
-    )
-    strongest_so_far = max(
-        (_STRENGTH[c] for (_, _, fired, c, _, _) in results if fired),
-        default=-1,
-    )
-    if not (d.simple and type_ok):
-        add("R8", "Thm 7.1", False,
-            why_not="needs simplicity and type I, II, Q, or imaginary quadratic "
-                    "with unbalanced signature")
-    elif not (d.lie_parts_simple or gcd_route):
-        add("R8", "Thm 7.1", False,
-            why_not="simplicity of the Lie parts is not inferable (no coprime "
-                    "toric rank and no explicit flag)")
-    elif strongest_so_far >= _STRENGTH[Conclusion.MT_OR_HODGE_DIVISORIAL]:
-        add("R8", "Thm 7.1", False,
-            why_not="a stronger conclusion already fired")
-    else:
-        add("R8", "Thm 7.1", True, Conclusion.MT_OR_HODGE_DIVISORIAL)
+    if not (d.simple and (non_weil or d.endo_type in (
+            EndoType.TYPE_I, EndoType.TYPE_II, EndoType.RATIONAL))):
+        return ("needs simplicity and type I, II, Q, or imaginary quadratic "
+                "with unbalanced signature")
+    if not (d.lie_parts_simple or _thm64_hypothesis(d) or _thm65_hypothesis(d)):
+        return ("simplicity of the Lie parts is not inferable (no coprime "
+                "toric rank and no explicit flag)")
+    if _STRENGTH[strongest] >= _STRENGTH[Conclusion.MT_OR_HODGE_DIVISORIAL]:
+        return "a stronger conclusion already fired"
+    return Conclusion.MT_OR_HODGE_DIVISORIAL, None
 
-    return results
+
+# (rule id, citation tag, description, evaluation), in citation order
+_RULES = (
+    ("R1", "Thm 1.2", "imaginary quadratic multiplication with coprime signature: "
+                      "all Hodge and Tate classes are divisorial", _coprime_signature),
+    ("R2", "Thm 2.4", "fourfold with extra endomorphisms", _extra_endo_fourfold),
+    ("R3", "Thm 5.1", "bad semistable reduction of minimal toric rank",
+     _minimal_toric_rank),
+    ("R4", "Thm 5.2", "fourfold, endomorphisms Q, bad but not purely "
+                      "multiplicative reduction", _fourfold_not_purely_multiplicative),
+    ("R5", "Thm 6.4", "imaginary quadratic case with toric rank 2r, gcd(r, g) = 1",
+     _quadratic_coprime_half_rank),
+    ("R6", "Thm 6.5", "endomorphisms Q, toric rank prime to 2g", _rational_coprime_rank),
+    ("R7", "Thm 6.6", "endomorphisms Q, simple, bad reduction of toric rank 2",
+     _rational_simple_rank_two),
+    ("R8", "Thm 7.1", "simple Lie parts: MT group or Hodge classes divisorial",
+     _simple_lie_parts),
+)
+
+_DESCRIPTIONS = {tag: description for _, tag, description, _ in _RULES}
 
 
 def decide(d: AVDescriptor) -> Verdict:
-    """Validate, evaluate every rule, and return the strongest conclusion."""
+    """Validate, evaluate every rule once in table order, and return the
+    strongest conclusion."""
     validate(d)
-    results = _evaluate_rules(d)
-    fired = [(rid, tag, c, note) for (rid, tag, f, c, note, _) in results if f]
+    strongest = Conclusion.NOT_COVERED
+    citations: list[str] = []
     notes: list[str] = []
-    if fired:
-        conclusion = max((c for (_, _, c, _) in fired), key=_STRENGTH.get)
-        citations = tuple(tag for (_, tag, _, _) in fired)
-        notes.extend(note for (_, _, _, note) in fired if note)
-    else:
-        conclusion = Conclusion.NOT_COVERED
-        citations = ()
-        notes.extend(
-            f"{rid} ({tag}) did not fire: {why}"
-            for (rid, tag, f, _, _, why) in results if not f
-        )
-    if (d.endo_type is EndoType.IV_IMAG_QUAD and d.signature is not None
-            and 0 in d.signature and d.g >= 2):
+    misses: list[tuple[str, str, str]] = []
+    for rule_id, tag, _, evaluate in _RULES:
+        outcome = evaluate(d, strongest)
+        if isinstance(outcome, str):
+            misses.append((rule_id, tag, outcome))
+            continue
+        conclusion, note = outcome
+        citations.append(tag)
+        if note:
+            notes.append(note)
+        if _STRENGTH[conclusion] > _STRENGTH[strongest]:
+            strongest = conclusion
+    if not citations:
+        notes = [f"{rule_id} ({tag}) did not fire: {why}" for rule_id, tag, why in misses]
+    if (d.endo_type is EndoType.IV_IMAG_QUAD and 0 in d.signature and d.g >= 2):
         notes.append("signature has a zero entry: CM type, settled classically "
                      "outside this rule set")
-    return Verdict(conclusion, citations, tuple(notes))
+    return Verdict(strongest, tuple(citations), tuple(notes))
 
 
 def explain(v: Verdict) -> str:
@@ -273,7 +272,7 @@ def explain(v: Verdict) -> str:
     if v.citations:
         lines.append("fired rules:")
         for tag in v.citations:
-            lines.append(f"  {tag}: {_RULE_DESCRIPTIONS[tag]}")
+            lines.append(f"  {tag}: {_DESCRIPTIONS[tag]}")
     else:
         lines.append("fired rules: none")
     if v.notes:

@@ -33,7 +33,7 @@ def _parse_irrep(text: str) -> IrrepDescriptor:
         family, rank, weight = text.split(":")
         return descriptor(LieType(family, int(rank)), int(weight))
     except ValueError as exc:
-        raise SystemExit(f"bad module spec {text!r}: {exc}")
+        raise ValueError(f"bad module spec {text!r}: {exc}") from exc
 
 
 def _catalog_line(entry: IrrepDescriptor, machine: bool) -> str:
@@ -170,28 +170,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=list("ABCDE"))
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--format", choices=["text", "machine"], default="text")
+    p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("pair", help="check one candidate proper inclusion")
     p.add_argument("--inner", required=True, metavar="FAM:RANK:WEIGHT")
     p.add_argument("--outer", required=True, metavar="FAM:RANK:WEIGHT")
     p.add_argument("--rank-tau", required=True, type=int)
+    p.set_defaults(func=_cmd_pair)
 
     p = sub.add_parser("survivors", help="admissible proper-inclusion inners")
     p.add_argument("--dim", required=True, type=int)
     p.add_argument("--form", required=True, choices=sorted(_FORMS))
     p.add_argument("--rank-tau", required=True, type=int)
+    p.set_defaults(func=_cmd_survivors)
 
     p = sub.add_parser("lemma", help="binomial divisibility solutions")
     p.add_argument("--mmax", required=True, type=int)
+    p.set_defaults(func=_cmd_lemma)
 
     p = sub.add_parser("exceptions", help="exception pairs (g, r)")
     p.add_argument("--gmax", required=True, type=int)
+    p.set_defaults(func=_cmd_exceptions)
 
     p = sub.add_parser("monodromy", help="build and verify seeded instances")
     p.add_argument("--g", required=True, type=int)
     p.add_argument("--r", required=True, type=int)
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--trials", type=int, default=1)
+    p.set_defaults(func=_cmd_monodromy)
 
     p = sub.add_parser("check", help="decide a descriptor (or a batch file)")
     p.add_argument("--g", type=int, default=1)
@@ -206,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "machine"], default="text")
     p.add_argument("--file", default=None,
                    help="batch mode: one flag set per line")
+    p.set_defaults(func=lambda args: _cmd_check(args, parser))
     return parser
 
 
@@ -213,19 +220,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "catalog":
-            return _cmd_catalog(args)
-        if args.command == "pair":
-            return _cmd_pair(args)
-        if args.command == "survivors":
-            return _cmd_survivors(args)
-        if args.command == "lemma":
-            return _cmd_lemma(args)
-        if args.command == "exceptions":
-            return _cmd_exceptions(args)
-        if args.command == "monodromy":
-            return _cmd_monodromy(args)
-        return _cmd_check(args, parser)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

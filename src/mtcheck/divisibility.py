@@ -11,7 +11,7 @@ gcd(r, g) = 1 already fails for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd, isqrt
+from math import comb, gcd
 
 
 @dataclass(frozen=True)
@@ -54,21 +54,6 @@ def gcd_mod4_check(m_max: int) -> tuple[int, ...]:
     return tuple(
         m for m in range(4, m_max + 1) if gcd(m - 1, m * (m + 1) // 2) == 1
     )
-
-
-def triangular_m(g: int) -> int | None:
-    """The m >= 4 with g = m(m+1)/2, if any."""
-    m = (isqrt(8 * g + 1) - 1) // 2
-    if m >= 4 and m * (m + 1) // 2 == g:
-        return m
-    return None
-
-
-def is_exception_pair(g: int, r: int) -> bool:
-    if (g, r) == (56, 15):
-        return True
-    m = triangular_m(g)
-    return m is not None and m % 4 != 3 and r == m - 1
 
 
 def exception_pairs(g_max: int) -> tuple[ExceptionPair, ...]:

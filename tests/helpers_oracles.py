@@ -7,13 +7,17 @@ library's permutation; the minuscule oracle applies the coroot-pairing
 criterion; the transvection oracle brute-forces rank-1 elements of
 orthogonal algebras over a small integer box; the monodromy oracles restate
 orthogonality and the filtration by rational nullspaces and span tests, the
-formulation the library's product-and-rank verifiers replaced.
+formulation the library's product-and-rank verifiers replaced; the
+exception-pair oracle is the closed form (56, 15) plus the triangular family
+(m(m+1)/2, m-1), m != 3 mod 4, that the verdict engine's exclusion sweep
+must reproduce.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 from mtcheck import linalg
 from mtcheck.monodromy import SpecializationInstance, SymplecticSpace
@@ -149,3 +153,18 @@ def filtration_by_spans(inst: SpecializationInstance) -> bool:
             return False
     t_images = tuple(linalg.mat_vec(tau, v) for v in inst.lift)
     return linalg.rank(t_images) == r and linalg.same_span(t_images, inst.toric_sub)
+
+
+def triangular_m(g: int) -> int | None:
+    """The m >= 4 with g = m(m+1)/2, if any."""
+    m = (isqrt(8 * g + 1) - 1) // 2
+    if m >= 4 and m * (m + 1) // 2 == g:
+        return m
+    return None
+
+
+def is_exception_pair(g: int, r: int) -> bool:
+    if (g, r) == (56, 15):
+        return True
+    m = triangular_m(g)
+    return m is not None and m % 4 != 3 and r == m - 1

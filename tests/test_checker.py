@@ -1,15 +1,22 @@
 """Verdict-engine tests: descriptor validation, the four reference verdicts,
 rule coverage, purely-multiplicative fall-through, consistency with the
-exclusion engine, and the reporting helpers."""
+exclusion engine and the exception-pair closed form, the reporting helpers,
+a digest of every verdict over a bounded descriptor box, and the README's
+rule table."""
 
 from __future__ import annotations
 
+import hashlib
+import re
 from dataclasses import replace
+from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 
-from mtcheck.checker import (AVDescriptor, Conclusion, EndoType,
+from helpers_oracles import is_exception_pair
+from mtcheck.checker import (_RULES, AVDescriptor, Conclusion, EndoType,
                              InputInconsistentError, Reduction, Verdict,
                              decide, explain, validate)
 from mtcheck.exclusion import surviving_inners
@@ -175,6 +182,7 @@ def test_r5_exclusion_consistency():
             survivors = surviving_inners(g, FormClass.NON_SELF_DUAL, r)
             hit = verdict.conclusion is Conclusion.EXCEPTION_PAIR_HIT
             assert hit == bool(survivors), (g, r)
+            assert hit == is_exception_pair(g, r), (g, r)
 
 
 def test_r6_exclusion_consistency():
@@ -210,3 +218,53 @@ def test_explain_output():
     assert "conclusion: NotCovered" in text
     assert "fired rules: none" in text
     assert "did not fire" in text
+
+
+# sha256 of the box report below, computed on the engine before its rules
+# became one table; any change to a verdict, note or message shows here
+_BOX_DIGEST = "0ced7acf7d5ca2c0bbe3c768c8d0c41c74a5fba87619b5f0e713cd364c4bfbe1"
+
+
+def _descriptor_box():
+    """Every endo type, degree 1-3, signature, toric rank, reduction and flag
+    pair for g <= 8; for the exception-pair dimensions 10, 56, 66 and a few
+    more, the consistent descriptors of every toric rank."""
+    flags = tuple(product((False, True), repeat=2))
+    for g in range(1, 9):
+        signatures = [None] + [(a, g - a) for a in range(g + 1)]
+        for endo, degree, sig, toric, red, (simple, lie) in product(
+                EndoType, (1, 2, 3), signatures, range(g + 1), Reduction, flags):
+            yield AVDescriptor(g, endo, degree, sig, toric, red, simple, lie)
+    for g in (10, 15, 21, 28, 36, 45, 55, 56, 66):
+        kinds = ((EndoType.RATIONAL, 1, (None,)), (EndoType.TYPE_I, 2, (None,)),
+                 (EndoType.IV_OTHER, 3, (None,)),
+                 (EndoType.IV_IMAG_QUAD, 2, ((0, g), (1, g - 1), (g // 2, g - g // 2))))
+        for (endo, degree, signatures), toric, (simple, lie) in product(
+                kinds, range(g + 1), flags):
+            red = Reduction.BAD_SEMISTABLE_SPLIT if toric else Reduction.GOOD_OR_UNKNOWN
+            for sig in signatures:
+                yield AVDescriptor(g, endo, degree, sig, toric, red, simple, lie)
+
+
+def test_descriptor_box_digest():
+    digest = hashlib.sha256()
+    cited, concluded = set(), set()
+    for d in _descriptor_box():
+        try:
+            verdict = decide(d)
+        except InputInconsistentError as exc:
+            text = f"InputInconsistent: {exc}"
+        else:
+            text = explain(verdict)
+            cited.update(verdict.citations)
+            concluded.add(verdict.conclusion)
+        digest.update(text.encode() + b"\n\n")
+    assert cited == {tag for _, tag, _, _ in _RULES}
+    assert concluded == set(Conclusion) - {Conclusion.INPUT_INCONSISTENT}
+    assert digest.hexdigest() == _BOX_DIGEST
+
+
+def test_readme_rule_table_matches_rules():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(Thm [\d.]+)` \| (.+) \|$", readme, re.MULTILINE)
+    assert rows == [(tag, description) for _, tag, description, _ in _RULES]

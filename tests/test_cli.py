@@ -65,10 +65,12 @@ def test_pair_excluded(capsys):
     assert "no proper overalgebra" in out
 
 
-def test_pair_bad_module_spec():
-    with pytest.raises(SystemExit):
-        main(["pair", "--inner", "X:2:1", "--outer", "A:55:1",
-              "--rank-tau", "3"])
+def test_pair_bad_module_spec(capsys):
+    code, out, err = _run(capsys, ["pair", "--inner", "X:2:1",
+                                   "--outer", "A:55:1", "--rank-tau", "3"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad module spec 'X:2:1'")
 
 
 def test_survivors(capsys):

@@ -7,9 +7,9 @@ from math import comb, gcd
 
 import pytest
 
+from helpers_oracles import is_exception_pair, triangular_m
 from mtcheck.divisibility import (ExceptionPair, divisibility_solutions,
-                                  exception_pairs, gcd_mod4_check,
-                                  is_exception_pair, triangular_m)
+                                  exception_pairs, gcd_mod4_check)
 
 
 def test_divisibility_solutions_frozen_prefix():
