@@ -16,40 +16,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .roots import FormClass, LieType, Weight
+from .roots import FormClass, LieType, Weight, _check_weight
 
 
 @dataclass(frozen=True)
 class IrrepDescriptor:
-    """One cataloged module: type, highest weight, dimension, duality class."""
+    """One cataloged module: type, index s of its highest weight ws, dimension, form."""
 
     lie_type: LieType
-    weight: Weight
+    weight_index: int
     dim: int
     form: FormClass
 
+    def __post_init__(self):
+        if not 1 <= self.weight_index <= self.lie_type.rank:
+            raise ValueError(f"cataloged weights are fundamental: {self.lie_type} has no "
+                             f"w{self.weight_index}")
+
     @property
-    def weight_index(self) -> int:
-        nonzero = [i + 1 for i, c in enumerate(self.weight.coords) if c != 0]
-        if len(nonzero) != 1 or self.weight.coords[nonzero[0] - 1] != 1:
-            raise ValueError("cataloged weights are fundamental")
-        return nonzero[0]
+    def weight(self) -> Weight:
+        """The highest weight ws in coordinates, built on demand."""
+        return Weight.fundamental(self.lie_type.rank, self.weight_index)
 
     @property
     def label(self) -> str:
-        return f"{self.lie_type}:{self.weight}"
+        return f"{self.lie_type}:w{self.weight_index}"
 
     def sort_key(self):
         return (self.lie_type.family, self.lie_type.rank, self.weight_index)
 
     def __str__(self) -> str:
-        return f"({self.lie_type}, {self.weight})"
+        return f"({self.lie_type}, w{self.weight_index})"
 
 
-def minuscule_weight_indices(t: LieType) -> tuple[int, ...]:
+def minuscule_weight_indices(t: LieType) -> range | tuple[int, ...]:
     f, m = t.family, t.rank
     if f == "A":
-        return tuple(range(1, m + 1))
+        return range(1, m + 1)
     if f in ("B", "C"):
         return (1,)
     if f == "D":
@@ -100,7 +103,7 @@ def descriptor(t: LieType, s: int) -> IrrepDescriptor:
     """The catalog entry for fundamental weight index s; raises if absent."""
     if s not in minuscule_weight_indices(t):
         raise ValueError(f"{t} carries no cataloged module at w{s}")
-    return IrrepDescriptor(t, Weight.fundamental(t.rank, s), table_dim(t, s), table_form(t, s))
+    return IrrepDescriptor(t, s, table_dim(t, s), table_form(t, s))
 
 
 def enumerate_minuscule(t: LieType) -> tuple[IrrepDescriptor, ...]:
@@ -109,8 +112,5 @@ def enumerate_minuscule(t: LieType) -> tuple[IrrepDescriptor, ...]:
 
 def is_minuscule(t: LieType, w: Weight) -> bool:
     """Whether w is one of the cataloged weights of t (dominance required)."""
-    if len(w.coords) != t.rank:
-        raise ValueError(f"weight has {len(w.coords)} coordinates, {t} has rank {t.rank}")
-    if not w.is_dominant:
-        raise ValueError(f"weight {w} is not dominant")
+    _check_weight(t, w)
     return any(w == e.weight for e in enumerate_minuscule(t))

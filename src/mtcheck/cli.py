@@ -3,7 +3,8 @@
 Subcommands: catalog, pair, survivors, lemma, exceptions, monodromy, check.
 ``check`` exits 0 on any verdict and 2 on inconsistent input; its machine
 format emits one JSON object per descriptor with keys "conclusion",
-"citations" and "notes".
+"citations" and "notes".  Usage errors and bad values, also in one batch
+row, print ``error: ...`` and count as status 1.
 """
 
 from __future__ import annotations
@@ -92,13 +93,9 @@ def _cmd_monodromy(args) -> int:
         inst = build_instance(args.g, args.r, args.seed + k)
         for name, ok in verify_instance(inst).items():
             counts[name] = counts.get(name, 0) + (1 if ok else 0)
-    failed = False
     for name, good in counts.items():
-        status = "pass" if good == args.trials else "FAIL"
-        if good != args.trials:
-            failed = True
-        print(f"{name}: {good}/{args.trials} {status}")
-    return 1 if failed else 0
+        print(f"{name}: {good}/{args.trials} {'pass' if good == args.trials else 'FAIL'}")
+    return 0 if all(good == args.trials for good in counts.values()) else 1
 
 
 def _descriptor_from_args(args) -> AVDescriptor:
@@ -129,22 +126,13 @@ def _machine_record(v: Verdict) -> str:
     })
 
 
-def _emit_verdict(v: Verdict, fmt: str) -> None:
-    if fmt == "machine":
-        print(_machine_record(v))
-    else:
-        print(explain(v))
-
-
 def _check_one(args) -> int:
     try:
-        verdict = decide(_descriptor_from_args(args))
+        verdict, status = decide(_descriptor_from_args(args)), 0
     except InputInconsistentError as exc:
-        bad = Verdict(Conclusion.INPUT_INCONSISTENT, (), (str(exc),))
-        _emit_verdict(bad, args.format)
-        return 2
-    _emit_verdict(verdict, args.format)
-    return 0
+        verdict, status = Verdict(Conclusion.INPUT_INCONSISTENT, (), (str(exc),)), 2
+    print(_machine_record(verdict) if args.format == "machine" else explain(verdict))
+    return status
 
 
 def _cmd_check(args, parser) -> int:
@@ -152,18 +140,30 @@ def _cmd_check(args, parser) -> int:
         return _check_one(args)
     status = 0
     with open(args.file, encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            sub = parser.parse_args(["check", "--format", args.format]
-                                    + shlex.split(line))
-            status = max(status, _check_one(sub))
+            try:
+                sub = parser.parse_args(["check", "--format", args.format]
+                                        + shlex.split(line))
+                row_status = _check_one(sub)
+            except ValueError as exc:
+                print(f"error: line {number}: {exc}", file=sys.stderr)
+                row_status = 1
+            status = max(status, row_status)
     return status
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError: ``error: ...`` and 1, not exit 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mtcheck")
+    parser = _Parser(prog="mtcheck")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="list the cataloged modules of one type")
@@ -217,9 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

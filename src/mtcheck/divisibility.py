@@ -36,14 +36,26 @@ class ExceptionPair:
 
 def divisibility_solutions(m_max: int) -> tuple[tuple[int, int], ...]:
     """All (m, s) with 5 <= m <= m_max, 2 <= s < (m+1)/2 and
-    binom(m-1, s-1) | s(m+1-s)."""
+    binom(m-1, s-1) | s(m+1-s).
+
+    For each m the scan stops at the first s whose binomial exceeds
+    s(m+1-s): it cannot divide there, and no later s can, because from s to
+    s+1 the ratio binom(m-1, s-1) / (s(m+1-s)) grows by the factor
+    (m+1-s)/(s+1) >= 1 while s <= m/2.  The binomial is carried along
+    exactly: binom(m-1, s) = binom(m-1, s-1) (m-s)/s.
+    """
     if m_max < 5:
         raise ValueError("m_max must be >= 5")
     out = []
     for m in range(5, m_max + 1):
+        binom = comb(m - 1, 1)  # binom(m-1, s-1) at s = 2
         for s in range(2, m // 2 + 1):
-            if s * (m + 1 - s) % comb(m - 1, s - 1) == 0:
+            product = s * (m + 1 - s)
+            if binom > product:
+                break
+            if product % binom == 0:
                 out.append((m, s))
+            binom = binom * (m - s) // s
     return tuple(out)
 
 

@@ -170,12 +170,6 @@ def surviving_inners(n: int, form: FormClass, r: int) -> tuple[IrrepDescriptor, 
     if gcd(r, n) != 1:
         raise ValueError(f"gcd({r}, {n}) != 1 violates the coprimality hypothesis")
     outers = theorem61_outer_shapes(n, form)
-    survivors = []
-    for inner in minuscule_candidates(n):
-        for outer in outers:
-            if inner == outer:
-                continue
-            if check_pair(CandidatePair(inner, outer), r).admissible:
-                survivors.append(inner)
-                break
-    return tuple(sorted(survivors, key=IrrepDescriptor.sort_key))
+    return tuple(inner for inner in minuscule_candidates(n) if any(
+        inner != outer and check_pair(CandidatePair(inner, outer), r).admissible
+        for outer in outers))

@@ -308,11 +308,3 @@ def coroot_pairings(t: LieType, w: Weight) -> tuple[Fraction, ...]:
     """<w, alpha-check> over all positive roots, in enumeration order."""
     v = ambient_weight(t, w)
     return tuple(_pair_with_coroot(v, a) for a in positive_roots(t))
-
-
-def roots_as_text(t: LieType) -> str:
-    """One positive root per line, integer coordinates."""
-    lines = []
-    for root in positive_roots(t):
-        lines.append(" ".join(str(int(x)) for x in root))
-    return "\n".join(lines)

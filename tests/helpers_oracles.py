@@ -10,14 +10,17 @@ orthogonality and the filtration by rational nullspaces and span tests, the
 formulation the library's product-and-rank verifiers replaced; the
 exception-pair oracle is the closed form (56, 15) plus the triangular family
 (m(m+1)/2, m-1), m != 3 mod 4, that the verdict engine's exclusion sweep
-must reproduce.
+must reproduce; the lemma oracle tests every s with a fresh binomial,
+without the early stop; the weight oracles read a descriptor's index and
+label off the coordinates of its weight, as the catalog did before it
+stored the index.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import comb, isqrt
 
 from mtcheck import linalg
 from mtcheck.monodromy import SpecializationInstance, SymplecticSpace
@@ -168,3 +171,22 @@ def is_exception_pair(g: int, r: int) -> bool:
         return True
     m = triangular_m(g)
     return m is not None and m % 4 != 3 and r == m - 1
+
+
+def divisibility_solutions_unpruned(m_max: int) -> tuple[tuple[int, int], ...]:
+    """The lemma scan over every 2 <= s <= m/2, one comb per s."""
+    return tuple((m, s) for m in range(5, m_max + 1) for s in range(2, m // 2 + 1)
+                 if s * (m + 1 - s) % comb(m - 1, s - 1) == 0)
+
+
+def fundamental_index_by_scan(w: Weight) -> int:
+    """The s with w = ws, read off the coordinates; raises unless w is
+    fundamental."""
+    nonzero = [i + 1 for i, c in enumerate(w.coords) if c != 0]
+    if len(nonzero) != 1 or w.coords[nonzero[0] - 1] != 1:
+        raise ValueError(f"{w} is not a fundamental weight")
+    return nonzero[0]
+
+
+def label_by_weight(t: LieType, w: Weight) -> str:
+    return f"{t}:{w}"

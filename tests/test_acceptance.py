@@ -69,10 +69,10 @@ def test_criterion_1_minuscule_table_fidelity():
 
 def test_criterion_2_divisibility_lemma():
     expected = tuple(
-        sorted({(m, 2) for m in range(5, 501)} | {(7, 3)})
+        sorted({(m, 2) for m in range(5, 100_001)} | {(7, 3)})
     )
-    assert tuple(sorted(divisibility_solutions(500))) == expected
-    _passed("criterion 2: divisibility solutions over m <= 500 are exactly "
+    assert tuple(sorted(divisibility_solutions(100_000))) == expected
+    _passed("criterion 2: divisibility solutions over m <= 10^5 are exactly "
             "{(m, 2)} plus (7, 3)")
 
 
@@ -100,7 +100,7 @@ def test_criterion_4_exception_closure():
     assert quadratic_min_rank(a7w3) == 15
 
     survivors_at = {}
-    for n in range(5, 2001):
+    for n in range(5, 20_001):
         for r in sorted(_candidate_min_ranks(n)):
             if gcd(r, n) != 1:
                 continue
@@ -109,26 +109,26 @@ def test_criterion_4_exception_closure():
                 survivors_at[(n, r)] = [e.label for e in found]
     expected = {(56, 15): ["A7:w3"]}
     m = 4
-    while m * (m + 1) // 2 <= 2000:
+    while m * (m + 1) // 2 <= 20_000:
         if m % 4 != 3:
             expected[(m * (m + 1) // 2, m - 1)] = [f"A{m}:w2"]
         m += 1
     assert survivors_at == expected
-    _passed(f"criterion 4: non-self-dual survivors over n <= 2000 occur "
+    _passed(f"criterion 4: non-self-dual survivors over n <= 20000 occur "
             f"exactly at (56, 15) and the triangular family "
             f"({len(expected)} pairs)")
 
 
 def test_criterion_5_symplectic_closure():
     checked = 0
-    for n in range(6, 2001, 2):
+    for n in range(6, 20_001, 2):
         for r in sorted(_candidate_min_ranks(n) | {1, n - 1}):
             if gcd(r, n) != 1:
                 continue
             assert surviving_inners(n, FormClass.SYMPLECTIC, r) == (), (n, r)
             checked += 1
     _passed(f"criterion 5: symplectic survivors are empty for every even "
-            f"n <= 2000 ({checked} (n, r) queries)")
+            f"n <= 20000 ({checked} (n, r) queries)")
 
 
 def test_criterion_6_rank2_closure():

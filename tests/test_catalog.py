@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from helpers_oracles import orbit_size, pairing_minuscule
+from helpers_oracles import (fundamental_index_by_scan, label_by_weight, orbit_size,
+                             pairing_minuscule)
 from mtcheck.catalog import (IrrepDescriptor, descriptor, enumerate_minuscule,
                              is_minuscule, minuscule_weight_indices, table_dim)
 from mtcheck.roots import FormClass, LieType, Weight, form_class, weyl_dim
@@ -153,10 +154,22 @@ def test_descriptor_label_and_index():
     assert e.form is FormClass.NON_SELF_DUAL
 
 
+def test_descriptor_fields_match_weight_coordinates():
+    types = [LieType(f, m) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+             for m in range(lo, 41)] + [LieType("E", 6), LieType("E", 7)]
+    for t in types:
+        for e in enumerate_minuscule(t):
+            w = e.weight
+            assert len(w.coords) == t.rank, e
+            assert fundamental_index_by_scan(w) == e.weight_index, e
+            assert e.label == label_by_weight(t, w)
+            assert str(e) == f"({t}, {w})"
+
+
 def test_weight_index_requires_fundamental():
-    bad = IrrepDescriptor(LieType("A", 2), Weight((1, 1)), 8, FormClass.ORTHOGONAL)
-    with pytest.raises(ValueError, match="fundamental"):
-        bad.weight_index
+    for s in (0, 3, -1):
+        with pytest.raises(ValueError, match="fundamental"):
+            IrrepDescriptor(LieType("A", 2), s, 3, FormClass.NON_SELF_DUAL)
 
 
 @pytest.mark.parametrize(

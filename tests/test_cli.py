@@ -194,6 +194,36 @@ def test_check_batch(tmp_path, capsys):
     assert [r["conclusion"] for r in records] == ["MT", "InputInconsistent"]
 
 
+def test_check_batch_malformed_row_keeps_going(tmp_path, capsys):
+    batch = tmp_path / "batch.txt"
+    batch.write_text(
+        "--g 5 --endo Q --toric-rank 3 --bad-semistable-split\n"
+        "--g abc\n"
+        "--g 4 --endo Q --toric-rank 2 --bad-semistable-split --simple\n",
+        encoding="utf-8",
+    )
+    code, out, err = _run(capsys, ["check", "--file", str(batch),
+                                   "--format", "machine"])
+    assert code == 1  # the malformed row counts as status 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["conclusion"] for r in records] == ["MT", "MT_and_divisorial"]
+    assert err.splitlines() == [
+        "error: line 2: mtcheck check: argument --g: invalid int value: 'abc'"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma", "--mmax", "8", "--format", "machine"],
+    ["catalog", "--family", "A", "--rank", "3", "--bogus"],
+    ["lemma"],
+    ["nosuchcommand"],
+], ids=["unsupported-format", "unknown-flag", "missing-required", "unknown-command"])
+def test_usage_errors_exit_one(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_check_batch_missing_file(tmp_path, capsys):
     missing = tmp_path / "absent.txt"
     code, out, err = _run(capsys, ["check", "--file", str(missing)])

@@ -7,7 +7,8 @@ from math import comb, gcd
 
 import pytest
 
-from helpers_oracles import is_exception_pair, triangular_m
+from helpers_oracles import (divisibility_solutions_unpruned, is_exception_pair,
+                             triangular_m)
 from mtcheck.divisibility import (ExceptionPair, divisibility_solutions,
                                   exception_pairs, gcd_mod4_check)
 
@@ -21,6 +22,13 @@ def test_divisibility_solutions_frozen_prefix():
 def test_divisibility_solutions_structure():
     expected = {(m, 2) for m in range(5, 201)} | {(7, 3)}
     assert set(divisibility_solutions(200)) == expected
+
+
+def test_divisibility_solutions_match_unpruned_scan():
+    unpruned = divisibility_solutions_unpruned(400)
+    for m_max in range(5, 401):
+        assert divisibility_solutions(m_max) == tuple(
+            p for p in unpruned if p[0] <= m_max), m_max
 
 
 def test_divisibility_solutions_requires_m_max():

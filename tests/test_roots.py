@@ -11,7 +11,7 @@ from helpers_oracles import descent_dual_index, orbit_size
 from mtcheck import linalg
 from mtcheck.roots import (FormClass, LieType, Weight, ambient_weight,
                            duality_involution, dual_weight, form_class,
-                           positive_roots, roots_as_text, simple_roots,
+                           positive_roots, simple_roots,
                            two_rho_coroot_pairing, weyl_dim)
 
 ALL_SMALL = (
@@ -151,14 +151,6 @@ def test_orbit_size_spot_check():
     # |W(A7) . w3| = 8! / (3! 5!) = 56, the weights of a minuscule module
     assert orbit_size(LieType("A", 7), 3) == 56
     assert orbit_size(LieType("E", 6), 1) == 27
-
-
-def test_roots_serialization_roundtrip():
-    t = LieType("E", 6)
-    lines = roots_as_text(t).splitlines()
-    assert len(lines) == 36
-    parsed = {tuple(int(x) for x in line.split()) for line in lines}
-    assert parsed == {tuple(int(x) for x in r) for r in positive_roots(t)}
 
 
 def test_ambient_weight_is_rational_exact():
