@@ -13,6 +13,7 @@ import argparse
 import json
 import shlex
 import sys
+from contextlib import redirect_stdout
 
 from .catalog import IrrepDescriptor, descriptor, enumerate_minuscule
 from .checker import (AVDescriptor, Conclusion, EndoType, InputInconsistentError,
@@ -135,6 +136,16 @@ def _check_one(args) -> int:
     return status
 
 
+def _parse_row(parser, fmt: str, line: str):
+    """One batch row's flags.  A help flag prints the usage to stderr, so
+    stdout keeps one record per row, and rejects the row."""
+    try:
+        with redirect_stdout(sys.stderr):
+            return parser.parse_args(["check", "--format", fmt] + shlex.split(line))
+    except SystemExit:
+        raise ValueError("a help flag is not a descriptor") from None
+
+
 def _cmd_check(args, parser) -> int:
     if args.file is None:
         return _check_one(args)
@@ -145,9 +156,7 @@ def _cmd_check(args, parser) -> int:
             if not line or line.startswith("#"):
                 continue
             try:
-                sub = parser.parse_args(["check", "--format", args.format]
-                                        + shlex.split(line))
-                row_status = _check_one(sub)
+                row_status = _check_one(_parse_row(parser, args.format, line))
             except ValueError as exc:
                 print(f"error: line {number}: {exc}", file=sys.stderr)
                 row_status = 1

@@ -3,9 +3,13 @@
 Matrices are immutable tuples of row tuples; vectors are tuples.  Entries
 are ints or ``fractions.Fraction`` and are never widened to floats.
 
-Products, ``rank`` (fraction-free Bareiss elimination after clearing row
-denominators) and the rank-based span tests keep integer input integer;
-the monodromy layer is integer-only and uses nothing else.  ``det`` is
+Products, ``rank`` and the rank-based span tests keep integer input
+integer; the monodromy layer is integer-only and uses nothing else.
+``mat_mul`` checks the shapes once, transposes ``b`` once and sums each
+cell as ``sum(map(mul, row, col))``, so the per-cell work runs at C level.
+``rank`` clears each row's denominators with one ``lcm`` (an all-integer
+row is copied as it is) and runs fraction-free Bareiss elimination,
+updating each trailing row by zipping it with the pivot row.  ``det`` is
 Bareiss as well but returns a ``Fraction``.  ``rref``, ``solve``,
 ``inverse`` and ``nullspace`` run Gauss-Jordan elimination over
 ``Fraction`` and serve the root-system oracle and the tests.
@@ -14,7 +18,8 @@ Bareiss as well but returns a ``Fraction``.  ``rref``, ``solve``,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
+from operator import mul
 
 Scalar = Fraction | int
 Vector = tuple[Scalar, ...]
@@ -51,12 +56,11 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    inner = len(b)
+    if any(len(row) != inner for row in a):
+        raise ValueError("matrix product needs len(row of a) == rows of b")
     bt = transpose(b)
-    return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_add(r, s) for r, s in zip(a, b, strict=True))
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -67,24 +71,24 @@ def is_zero_matrix(m: Matrix) -> bool:
     return all(x == 0 for row in m for x in row)
 
 
-def _int_rows(m: Matrix) -> list[list[int]]:
-    """Scale each row to integer entries (rank and det are row-scale robust
-    only for rank; det callers clear denominators themselves)."""
+def _int_rows(m: Matrix) -> tuple[list[list[int]], int]:
+    """Each row scaled by the lcm of its denominators, and the product of
+    those scales (rank ignores it; det divides by it).  An int has
+    denominator 1, so an all-integer row is copied unchanged."""
     out = []
+    scales = 1
     for row in m:
-        denom = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-        out.append([int(x * denom) for x in row])
-    return out
+        scale = lcm(*(x.denominator for x in row))
+        out.append(list(row) if scale == 1 else [int(x * scale) for x in row])
+        scales *= scale
+    return out, scales
 
 
 def rank(m: Matrix) -> int:
     """Rank by fraction-free (Bareiss-style) elimination."""
     if not m or not m[0]:
         return 0
-    rows = _int_rows(m)
+    rows, _ = _int_rows(m)
     n_rows, n_cols = len(rows), len(rows[0])
     r = 0
     prev = 1
@@ -93,13 +97,14 @@ def rank(m: Matrix) -> int:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        piv = rows[r][c]
+        top = rows[r]
+        piv = top[c]
         # every trailing row must be updated, even with a zero in the pivot
         # column, or the later exact divisions by prev lose their guarantee
         for i in range(r + 1, n_rows):
-            factor = rows[i][c]
-            rows[i] = [(piv * rows[i][k] - factor * rows[r][k]) // prev
-                       for k in range(n_cols)]
+            row = rows[i]
+            factor = row[c]
+            rows[i] = [(piv * x - factor * y) // prev for x, y in zip(row, top)]
         prev = piv
         r += 1
         if r == n_rows:
@@ -139,15 +144,7 @@ def det(m: Matrix) -> Fraction:
         return Fraction(1)
     if any(len(row) != n for row in m):
         raise ValueError("determinant requires a square matrix")
-    denom = Fraction(1)
-    rows = []
-    for row in m:
-        scale = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                scale = scale * x.denominator // gcd(scale, x.denominator)
-        denom *= scale
-        rows.append([int(x * scale) for x in row])
+    rows, denom = _int_rows(m)
     sign = 1
     prev = 1
     for c in range(n - 1):
@@ -157,10 +154,13 @@ def det(m: Matrix) -> Fraction:
         if pivot != c:
             rows[c], rows[pivot] = rows[pivot], rows[c]
             sign = -sign
+        top = rows[c]
+        piv = top[c]
         for i in range(c + 1, n):
-            rows[i] = [(rows[c][c] * rows[i][k] - rows[i][c] * rows[c][k]) // prev
-                       for k in range(n)]
-        prev = rows[c][c]
+            row = rows[i]
+            factor = row[c]
+            rows[i] = [(piv * x - factor * y) // prev for x, y in zip(row, top)]
+        prev = piv
     return Fraction(sign * rows[n - 1][n - 1], 1) / denom
 
 

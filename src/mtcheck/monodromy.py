@@ -71,13 +71,18 @@ class SpecializationInstance:
             raise ValueError("V^I must have dimension 2g - r")
         if len(self.toric_sub) != r or len(self.lift) != r:
             raise ValueError("W and T must have dimension r")
-        for name, basis in (("V^I", self.inertia_invariants),
-                            ("W", self.toric_sub), ("T", self.lift)):
+        # 2g - r rows of V^I and r rows of T of rank 2g are independent, so
+        # a complementary pair needs only W's rank; the checks keep their order
+        complementary = linalg.rank(self.inertia_invariants + self.lift) == n
+        bases = ((("W", self.toric_sub),) if complementary else
+                 (("V^I", self.inertia_invariants), ("W", self.toric_sub),
+                  ("T", self.lift)))
+        for name, basis in bases:
             if linalg.rank(basis) != len(basis):
                 raise ValueError(f"basis of {name} is not independent")
         if linalg.rank(self.inertia_invariants + self.toric_sub) != n - r:
             raise ValueError("W must lie inside V^I")
-        if linalg.rank(self.inertia_invariants + self.lift) != n:
+        if not complementary:
             raise ValueError("V^I and T must be complementary")
         if not _squares_to_zero(self.log_matrix()):
             raise ValueError("N - I must square to zero")
@@ -236,13 +241,13 @@ def verify_filtration(inst: SpecializationInstance) -> bool:
 
 
 def is_form_compatible(inst: SpecializationInstance) -> bool:
-    """tau lies in the symplectic algebra: tau^T Theta + Theta tau = 0."""
-    tau = inst.log_matrix()
-    lhs = linalg.mat_add(
-        linalg.mat_mul(linalg.transpose(tau), inst.space.form),
-        linalg.mat_mul(inst.space.form, tau),
-    )
-    return linalg.is_zero_matrix(lhs)
+    """tau lies in the symplectic algebra: tau^T Theta + Theta tau = 0.
+
+    Theta^T = -Theta (SymplecticSpace enforces it) makes tau^T Theta equal
+    to -(Theta tau)^T, so the condition says Theta tau is symmetric.
+    """
+    theta_tau = linalg.mat_mul(inst.space.form, inst.log_matrix())
+    return theta_tau == linalg.transpose(theta_tau)
 
 
 def verify_instance(inst: SpecializationInstance) -> dict[str, bool]:

@@ -13,7 +13,7 @@ exception-pair oracle is the closed form (56, 15) plus the triangular family
 must reproduce; the lemma oracle tests every s with a fresh binomial,
 without the early stop; the weight oracles read a descriptor's index and
 label off the coordinates of its weight, as the catalog did before it
-stored the index.
+stored the index.  ``mat_add`` is a plain matrix sum that only tests use.
 """
 
 from __future__ import annotations
@@ -80,10 +80,12 @@ def split_orthogonal_form(n: int) -> linalg.Matrix:
     return tuple(tuple(1 if i + j == n - 1 else 0 for j in range(n)) for i in range(n))
 
 
+def mat_add(a: linalg.Matrix, b: linalg.Matrix) -> linalg.Matrix:
+    return tuple(linalg.vec_add(r, s) for r, s in zip(a, b, strict=True))
+
+
 def in_orthogonal_algebra(m: linalg.Matrix, g: linalg.Matrix) -> bool:
-    lhs = linalg.mat_add(
-        linalg.mat_mul(linalg.transpose(m), g), linalg.mat_mul(g, m)
-    )
+    lhs = mat_add(linalg.mat_mul(linalg.transpose(m), g), linalg.mat_mul(g, m))
     return linalg.is_zero_matrix(lhs)
 
 

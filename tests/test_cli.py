@@ -211,6 +211,23 @@ def test_check_batch_malformed_row_keeps_going(tmp_path, capsys):
         "error: line 2: mtcheck check: argument --g: invalid int value: 'abc'"]
 
 
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_check_batch_help_row_keeps_going(tmp_path, capsys, flag):
+    batch = tmp_path / "batch.txt"
+    batch.write_text(
+        f"{flag}\n"
+        "--g 4 --endo Q --toric-rank 2 --bad-semistable-split --simple\n",
+        encoding="utf-8",
+    )
+    code, out, err = _run(capsys, ["check", "--file", str(batch),
+                                   "--format", "machine"])
+    assert code == 1  # the help row counts as status 1, not a clean exit 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["conclusion"] for r in records] == ["MT_and_divisorial"]
+    assert err.startswith("usage: mtcheck check")
+    assert err.splitlines()[-1] == "error: line 1: a help flag is not a descriptor"
+
+
 @pytest.mark.parametrize("argv", [
     ["lemma", "--mmax", "8", "--format", "machine"],
     ["catalog", "--family", "A", "--rank", "3", "--bogus"],

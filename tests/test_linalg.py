@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtcheck import linalg
 
@@ -121,3 +123,95 @@ def test_rank_additivity_of_row_sums(seed):
     m = _random_matrix(rng, rng.randint(2, 6), rng.randint(2, 6))
     summed = m + (linalg.vec_add(m[0], m[-1]),)
     assert linalg.rank(summed) == linalg.rank(m)
+
+
+# Hypothesis properties: the integer kernels (row-lcm scaling, zipped
+# Bareiss updates, C-level products) against plain Fraction references.
+
+_PROPERTY = settings(derandomize=True, database=None, max_examples=100,
+                     deadline=None)
+# zeros are drawn often, so zero pivot columns and dependent rows are common
+_ENTRY = st.one_of(st.just(0), st.integers(-5, 5),
+                   st.fractions(min_value=-5, max_value=5, max_denominator=6))
+_INT_ENTRY = st.one_of(st.just(0), st.integers(-9, 9))
+
+
+def _matrices(rows, cols, entry=_ENTRY):
+    return st.lists(entry, min_size=rows * cols, max_size=rows * cols).map(
+        lambda flat: tuple(tuple(flat[i:i + cols])
+                           for i in range(0, rows * cols, cols)))
+
+
+@st.composite
+def _any_matrix(draw):
+    if draw(st.booleans()):
+        return draw(_matrices(draw(st.integers(1, 6)), draw(st.integers(1, 6))))
+    # one rank short of full: a dependent row must cancel exactly, after
+    # pivots larger than 1 and rows with zeros in a pivot column, which is
+    # where a skipped Bareiss update loses the exact division
+    rows = draw(st.integers(2, 6))
+    cols = draw(st.integers(rows, 6))
+    return linalg.mat_mul(draw(_matrices(rows, rows - 1, _INT_ENTRY)),
+                          draw(_matrices(rows - 1, cols, _INT_ENTRY)))
+
+
+def _fraction_rank_det(m):
+    """Rank and (for square m) determinant by textbook Gaussian elimination
+    over Fraction."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    n_rows, n_cols = len(rows), len(rows[0])
+    r, d = 0, Fraction(1)
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if pivot is None:
+            d = Fraction(0)
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            d = -d
+        d *= rows[r][c]
+        for i in range(r + 1, n_rows):
+            f = rows[i][c] / rows[r][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+        if r == n_rows:
+            break
+    return r, d
+
+
+@_PROPERTY
+@given(_any_matrix())
+def test_rank_matches_fraction_elimination(m):
+    assert linalg.rank(m) == _fraction_rank_det(m)[0]
+    assert linalg.rank(linalg.transpose(m)) == linalg.rank(m)
+
+
+@_PROPERTY
+@given(st.integers(1, 6).flatmap(lambda n: _matrices(n, n)))
+def test_det_matches_fraction_elimination(m):
+    d = linalg.det(m)
+    assert isinstance(d, Fraction)
+    assert d == _fraction_rank_det(m)[1]
+
+
+@_PROPERTY
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda nkp: st.tuples(_matrices(*nkp[:2]), _matrices(*nkp[1:]))))
+def test_mat_mul_matches_triple_loop(factors):
+    a, b = factors
+    n, k, p = len(a), len(b), len(b[0])
+    expected = tuple(tuple(sum((a[i][j] * b[j][q] for j in range(k)), 0)
+                           for q in range(p)) for i in range(n))
+    assert linalg.mat_mul(a, b) == expected
+
+
+@_PROPERTY
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
+       st.integers(-3, 3).filter(bool))
+def test_mat_mul_rejects_mismatched_shapes(n, k, p, skew):
+    a = ((1,) * k,) * n
+    with pytest.raises(ValueError):
+        linalg.mat_mul(a, ((1,) * p,) * max(k + skew, 0))
+    ragged = a[:-1] + ((1,) * (k + 1),)  # one row of a too long for b
+    with pytest.raises(ValueError):
+        linalg.mat_mul(ragged, ((1,) * p,) * k)

@@ -3,8 +3,10 @@
 The builder only guarantees the structural shape of an instance, so the
 positive sweeps assert that every named invariant actually verifies; the
 negative controls construct shape-valid instances that must fail the
-orthogonality and filtration checks, pinning down that the verifiers test
-the theorems and not the construction path.  The product-and-rank verifiers
+orthogonality and filtration checks, and one targeted defect per remaining
+verifier (form compatibility, N in Sp, filtration, rank of tau) must turn
+that verifier's key False, pinning down that the verifiers test the
+theorems and not the construction path.  The product-and-rank verifiers
 are compared against the nullspace and span formulations kept in
 helpers_oracles, and a digest pins every seeded instance bit for bit.
 """
@@ -17,8 +19,8 @@ from dataclasses import replace
 
 import pytest
 
-from helpers_oracles import (filtration_by_spans, orthogonality_by_nullspace,
-                             symplectic_complement)
+from helpers_oracles import (filtration_by_spans, mat_add,
+                             orthogonality_by_nullspace, symplectic_complement)
 from mtcheck import linalg
 from mtcheck.monodromy import (SpecializationInstance, SymplecticSpace,
                                build_instance, is_form_compatible,
@@ -130,6 +132,70 @@ def _leak_invariants(inst: SpecializationInstance) -> SpecializationInstance:
     leaked = tuple(tuple(x + w * p for x, p in zip(row, phi))
                    for row, w in zip(inst.monodromy, inst.toric_sub[0]))
     return replace(inst, monodromy=leaked)
+
+
+def _log_on(inst: SpecializationInstance, basis, block) -> SpecializationInstance:
+    """Replace tau by sum_ij block[i][j] b_i (x) Theta(b_j, .) over the rows b
+    of an isotropic basis (W or T).
+
+    The basis is isotropic, so Theta(b_j, .) kills every b_i: the new log
+    squares to zero and has image span(b).  For W it also kills V^I, the
+    complement of W, and a symmetric invertible block then gives an honest
+    monodromy; the defects below vary the block or the basis.
+    """
+    # as a matrix, tau = B^T . block . B . Theta
+    tau = linalg.mat_mul(linalg.transpose(basis), linalg.mat_mul(
+        block, linalg.mat_mul(basis, inst.space.form)))
+    return replace(inst, monodromy=mat_add(linalg.identity(inst.space.dim), tau))
+
+
+def _unit_block(r: int, extra: dict) -> tuple:
+    return tuple(tuple(extra.get((i, j), 1 if i == j else 0) for j in range(r))
+                 for i in range(r))
+
+
+# Each defect passes __post_init__ (bases and tau^2 = 0) and must turn its
+# own verify_instance key False.  Every other key named False as well is
+# forced: N = I + tau with tau^2 = 0 has N^-1 = I - tau, so N preserves the
+# form exactly when tau lies in sp, and form_compatible and
+# monodromy_symplectic agree on every instance.
+_DEFECTS = {
+    # non-symmetric invertible block on W: tau leaves sp
+    "form_compatible": (
+        lambda inst: _log_on(inst, inst.toric_sub,
+                             _unit_block(inst.toric_rank, {(0, 1): 1})),
+        {"form_compatible", "monodromy_symplectic"}),
+    # the leak adds w_1 (x) Theta(u, .), u in V^I outside W: N leaves Sp and
+    # tau no longer kills V^I
+    "monodromy_symplectic": (
+        _leak_invariants,
+        {"monodromy_symplectic", "form_compatible", "filtration"}),
+    # an honest log on T instead of W: in sp, rank r, but tau(V^I) != 0 and
+    # its image is T, not W
+    "filtration": (
+        lambda inst: _log_on(inst, inst.lift, _unit_block(inst.toric_rank, {})),
+        {"filtration"}),
+    # symmetric block of rank r - 1 on W: T no longer maps onto W
+    "tau_rank_r": (
+        lambda inst: _log_on(inst, inst.toric_sub,
+                             _unit_block(inst.toric_rank, {(0, 0): 0})),
+        {"tau_rank_r", "filtration"}),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_DEFECTS))
+def test_targeted_defects_fail_their_own_check(defect):
+    build, failing = _DEFECTS[defect]
+    for g in range(3, 7):
+        for r in range(2, g):
+            for seed in range(3):
+                inst = build_instance(g, r, seed)
+                # the honest log on W with the same block shape verifies
+                honest = _log_on(inst, inst.toric_sub, _unit_block(r, {}))
+                assert all(verify_instance(honest).values()), (g, r, seed)
+                results = verify_instance(build(inst))
+                assert {k for k, ok in results.items() if not ok} == failing, (
+                    defect, g, r, seed, results)
 
 
 def test_verifiers_agree_with_span_oracles():
