@@ -12,7 +12,8 @@ Rule order: exceptional inner [0.5.1]; non-classical or non-standard outer
 classical-w1 rigidity [Prop 6.3]; duality-class mismatch [6.2]; and for
 (A_m, ws) inners duality normalization, the self-dual middle weight
 [Prop 6.3], rank realizability [PS], and the closing binomial divisibility
-which only (m, s) = (7, 3) and s = 2 survive [Prop 6.3].
+binom(m-1, s-1) | s(m+1-s), which by the lemma only s = 2 and
+(m, s) = (7, 3) pass [Prop 6.3].
 """
 
 from __future__ import annotations
@@ -112,7 +113,17 @@ def _excluded(reason: str) -> ExclusionVerdict:
 
 
 def check_pair(pair: CandidatePair, r: int) -> ExclusionVerdict:
-    """Verdict on one candidate proper inclusion, given the quadratic rank r."""
+    """Verdict on one candidate proper inclusion, given the quadratic rank r.
+
+    For an (A_m, ws) inner the last rung tests the divisibility lemma's
+    condition binom(m-1, s-1) | s(m+1-s) directly.  Its "does not divide"
+    branch cannot fire once the gcd rung has passed: with n = binom(m+1, s)
+    and r = binom(m-1, s-1),
+
+        binom(m+1, s) * s(m+1-s) = binom(m-1, s-1) * m(m+1),
+
+    so r divides n * s(m+1-s), and gcd(r, n) = 1 leaves r | s(m+1-s).
+    """
     n = pair.ambient_dim
     if n <= 4:
         raise ValueError("the exclusion engine assumes ambient dimension > 4")
@@ -153,7 +164,7 @@ def check_pair(pair: CandidatePair, r: int) -> ExclusionVerdict:
     if r != rank_a:
         return _excluded(f"(A_{m}, w{s_norm}) forces quadratic rank {rank_a}, "
                          f"not {r} [PS]")
-    if (m, s_norm) == (7, 3) or s_norm == 2:
+    if s_norm * (m + 1 - s_norm) % rank_a == 0:
         return ExclusionVerdict(
             ExclusionStatus.ADMISSIBLE,
             f"binom({m - 1}, {s_norm - 1}) divides {s_norm}({m + 1}-{s_norm}) "

@@ -26,11 +26,6 @@ Vector = tuple[Scalar, ...]
 Matrix = tuple[Vector, ...]
 
 
-def zeros(n_rows: int, n_cols: int) -> Matrix:
-    row = (0,) * n_cols
-    return tuple(row for _ in range(n_rows))
-
-
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -49,10 +44,6 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
 
 def vec_dot(u: Vector, v: Vector) -> Scalar:
     return sum(a * b for a, b in zip(u, v, strict=True))
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(vec_dot(row, v) for row in m)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

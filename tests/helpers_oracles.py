@@ -7,13 +7,16 @@ library's permutation; the minuscule oracle applies the coroot-pairing
 criterion; the transvection oracle brute-forces rank-1 elements of
 orthogonal algebras over a small integer box; the monodromy oracles restate
 orthogonality and the filtration by rational nullspaces and span tests, the
-formulation the library's product-and-rank verifiers replaced; the
+formulation the library's product-and-rank verifiers replaced, and
+``preserves_form`` tests N^T Theta N = Theta by full products, the check
+``verify_instance`` reads off form compatibility instead; the
 exception-pair oracle is the closed form (56, 15) plus the triangular family
 (m(m+1)/2, m-1), m != 3 mod 4, that the verdict engine's exclusion sweep
 must reproduce; the lemma oracle tests every s with a fresh binomial,
 without the early stop; the weight oracles read a descriptor's index and
 label off the coordinates of its weight, as the catalog did before it
-stored the index.  ``mat_add`` is a plain matrix sum that only tests use.
+stored the index.  ``mat_add`` and ``mat_vec`` are a plain matrix sum
+and matrix-vector product that only tests use.
 """
 
 from __future__ import annotations
@@ -84,6 +87,10 @@ def mat_add(a: linalg.Matrix, b: linalg.Matrix) -> linalg.Matrix:
     return tuple(linalg.vec_add(r, s) for r, s in zip(a, b, strict=True))
 
 
+def mat_vec(m: linalg.Matrix, v: linalg.Vector) -> linalg.Vector:
+    return tuple(linalg.vec_dot(row, v) for row in m)
+
+
 def in_orthogonal_algebra(m: linalg.Matrix, g: linalg.Matrix) -> bool:
     lhs = mat_add(linalg.mat_mul(linalg.transpose(m), g), linalg.mat_mul(g, m))
     return linalg.is_zero_matrix(lhs)
@@ -101,7 +108,7 @@ def rank_one_search_orthogonal(n: int, bound: int = 2) -> list[linalg.Matrix]:
     # normalize u so its first nonzero entry is positive
     unormed = [v for v in box if v[next(i for i, x in enumerate(v) if x)] > 0]
     for u in unormed:
-        a = linalg.mat_vec(g, tuple(Fraction(x) for x in u))
+        a = mat_vec(g, tuple(Fraction(x) for x in u))
         system = tuple(
             tuple((a[j] if k == i else 0) + (a[i] if k == j else 0) for k in range(n))
             for i in range(n) for j in range(i, n)
@@ -133,7 +140,7 @@ def catalog_dims_by_brute_force(n: int, max_rank: int) -> set[str]:
 
 def symplectic_complement(space: SymplecticSpace, basis: linalg.Matrix) -> linalg.Matrix:
     """Basis of the form-orthogonal complement of the row span."""
-    pairing_rows = tuple(linalg.mat_vec(space.form, v) for v in basis)
+    pairing_rows = tuple(mat_vec(space.form, v) for v in basis)
     return linalg.nullspace(pairing_rows)
 
 
@@ -141,6 +148,13 @@ def orthogonality_by_nullspace(inst: SpecializationInstance) -> bool:
     """W equals the complement of V^I, computed as a rational nullspace."""
     comp = symplectic_complement(inst.space, inst.inertia_invariants)
     return linalg.same_span(comp, inst.toric_sub)
+
+
+def preserves_form(inst: SpecializationInstance) -> bool:
+    """N^T Theta N = Theta, computed as two full products."""
+    n_mat = inst.monodromy
+    lhs = linalg.mat_mul(linalg.transpose(n_mat), linalg.mat_mul(inst.space.form, n_mat))
+    return linalg.is_zero_matrix(linalg.mat_sub(lhs, inst.space.form))
 
 
 def filtration_by_spans(inst: SpecializationInstance) -> bool:
@@ -151,12 +165,12 @@ def filtration_by_spans(inst: SpecializationInstance) -> bool:
     if linalg.rank(tau) != r:
         return False
     for v in inst.inertia_invariants:
-        if any(x != 0 for x in linalg.mat_vec(tau, v)):
+        if any(x != 0 for x in mat_vec(tau, v)):
             return False
     for col in linalg.identity(inst.space.dim):
-        if not linalg.row_space_contains(inst.toric_sub, linalg.mat_vec(tau, col)):
+        if not linalg.row_space_contains(inst.toric_sub, mat_vec(tau, col)):
             return False
-    t_images = tuple(linalg.mat_vec(tau, v) for v in inst.lift)
+    t_images = tuple(mat_vec(tau, v) for v in inst.lift)
     return linalg.rank(t_images) == r and linalg.same_span(t_images, inst.toric_sub)
 
 

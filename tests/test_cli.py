@@ -8,6 +8,8 @@ byte-stability of the golden descriptor corpus.
 from __future__ import annotations
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,20 @@ import pytest
 from mtcheck.cli import main
 
 DATA = Path(__file__).parent / "data"
+
+
+def _readme_examples():
+    """(command, output) for every ``$ mtcheck ...`` line in the README's sh
+    blocks; a backslash continues a command, and its output runs to the
+    next ``$`` line or the end of the block."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.MULTILINE | re.DOTALL):
+        for chunk in re.split(r"^\$ ", block, flags=re.MULTILINE)[1:]:
+            command, _, output = re.sub(r"\\\n\s*", "", chunk).partition("\n")
+            examples.append(pytest.param(command, output.rstrip("\n") + "\n",
+                                         id=command))
+    return examples
 
 
 def _run(capsys, argv):
@@ -112,6 +128,16 @@ def test_monodromy(capsys):
     lines = out.splitlines()
     assert len(lines) == 7
     assert all(line.endswith("2/2 pass") for line in lines)
+
+
+@pytest.mark.parametrize("command, output", _readme_examples())
+def test_readme_example(capsys, command, output):
+    # byte for byte, so the monodromy example pins its key names and order
+    program, *argv = shlex.split(command)
+    assert program == "mtcheck"
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert out == output
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

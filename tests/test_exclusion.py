@@ -176,13 +176,14 @@ def test_admissible_survivors():
 
 
 def test_gcd_hypothesis_subsumes_divisibility_failure():
-    """With the true rank r = binom(m-1, s-1) the identity
-    n * s(m+1-s) = r * m(m+1) makes gcd(r, n) = 1 imply r | s(m+1-s), so
+    """The identity in check_pair's docstring, n * s(m+1-s) = r * m(m+1)
+    with r = binom(m-1, s-1), makes gcd(r, n) = 1 imply r | s(m+1-s), so
     every non-solution pair is already stopped by the gcd rule and the
     closing divisibility exclusion is purely defensive."""
     solutions = divisibility_solutions(60)
     for m in range(5, 61):
         for s in range(2, m // 2 + 1):
+            assert comb(m + 1, s) * s * (m + 1 - s) == comb(m - 1, s - 1) * m * (m + 1)
             if (m, s) not in solutions:
                 assert gcd(comb(m - 1, s - 1), comb(m + 1, s)) != 1, (m, s)
 

@@ -8,7 +8,9 @@ verifier (form compatibility, N in Sp, filtration, rank of tau) must turn
 that verifier's key False, pinning down that the verifiers test the
 theorems and not the construction path.  The product-and-rank verifiers
 are compared against the nullspace and span formulations kept in
-helpers_oracles, and a digest pins every seeded instance bit for bit.
+helpers_oracles, the N-in-Sp key (read off form compatibility) against
+N^T Theta N = Theta by full products, and a digest pins every seeded
+instance bit for bit.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from dataclasses import replace
 
 import pytest
 
-from helpers_oracles import (filtration_by_spans, mat_add,
-                             orthogonality_by_nullspace, symplectic_complement)
+from helpers_oracles import (filtration_by_spans, mat_add, mat_vec,
+                             orthogonality_by_nullspace, preserves_form,
+                             symplectic_complement)
 from mtcheck import linalg
 from mtcheck.monodromy import (SpecializationInstance, SymplecticSpace,
                                build_instance, is_form_compatible,
@@ -30,15 +33,15 @@ from mtcheck.monodromy import (SpecializationInstance, SymplecticSpace,
 
 
 def test_standard_form_pairing():
+    # form[i][j] is Theta(b_i, b_j) on the basis e_1..e_g, f_1..f_g
     g = 3
-    space = SymplecticSpace(2 * g, standard_symplectic_form(g))
-    basis = linalg.identity(2 * g)
+    form = SymplecticSpace(2 * g, standard_symplectic_form(g)).form
     for i in range(g):
         for j in range(g):
-            assert space.pair(basis[i], basis[g + j]) == (1 if i == j else 0)
-            assert space.pair(basis[g + j], basis[i]) == (-1 if i == j else 0)
-            assert space.pair(basis[i], basis[j]) == 0
-            assert space.pair(basis[g + i], basis[g + j]) == 0
+            assert form[i][g + j] == (1 if i == j else 0)
+            assert form[g + j][i] == (-1 if i == j else 0)
+            assert form[i][j] == 0
+            assert form[g + i][g + j] == 0
 
 
 def test_symplectic_space_validation():
@@ -54,7 +57,9 @@ def test_symplectic_space_validation():
 
 
 def test_random_symplectic_preserves_form():
-    for g in (1, 2, 4):
+    # g = 7 and 12 reach criterion-7 sizes, where the g x g block product
+    # and the signed-transpose inverse meet generic entries
+    for g in (1, 2, 4, 7, 12):
         rng = random.Random(2024 + g)
         theta = standard_symplectic_form(g)
         m, m_inv = random_symplectic(g, rng)
@@ -128,7 +133,7 @@ def _leak_invariants(inst: SpecializationInstance) -> SpecializationInstance:
     kills the V^I vectors that pair with u, so the filtration must fail.
     Requires r < g.
     """
-    phi = linalg.mat_vec(linalg.transpose(inst.space.form), inst.inertia_invariants[-1])
+    phi = mat_vec(linalg.transpose(inst.space.form), inst.inertia_invariants[-1])
     leaked = tuple(tuple(x + w * p for x, p in zip(row, phi))
                    for row, w in zip(inst.monodromy, inst.toric_sub[0]))
     return replace(inst, monodromy=leaked)
@@ -193,9 +198,14 @@ def test_targeted_defects_fail_their_own_check(defect):
                 # the honest log on W with the same block shape verifies
                 honest = _log_on(inst, inst.toric_sub, _unit_block(r, {}))
                 assert all(verify_instance(honest).values()), (g, r, seed)
-                results = verify_instance(build(inst))
+                assert preserves_form(honest), (g, r, seed)
+                bad = build(inst)
+                results = verify_instance(bad)
                 assert {k for k, ok in results.items() if not ok} == failing, (
                     defect, g, r, seed, results)
+                # the key read off form_compatible agrees with N^T Theta N
+                assert preserves_form(bad) is results["monodromy_symplectic"], (
+                    defect, g, r, seed)
 
 
 def test_verifiers_agree_with_span_oracles():
@@ -237,12 +247,13 @@ def test_trivial_monodromy_fails_filtration():
 
 def test_log_bridges_algebra_and_group():
     # For these instances tau^T Theta tau = 0, so tau in sp and N in Sp
-    # are equivalent statements; assert both and the bridge identity.
+    # are equivalent statements; assert both, N in Sp by the full product,
+    # and the bridge identity.
     inst = build_instance(4, 3, 99)
     tau = inst.log_matrix()
     theta = inst.space.form
     assert is_form_compatible(inst)
-    assert verify_instance(inst)["monodromy_symplectic"]
+    assert preserves_form(inst)
     middle = linalg.mat_mul(linalg.transpose(tau), linalg.mat_mul(theta, tau))
     assert linalg.is_zero_matrix(middle)
 
@@ -253,9 +264,9 @@ def test_conjugation_invariance():
     m, m_inv = random_symplectic(3, rng)
     moved = SpecializationInstance(
         space=inst.space,
-        inertia_invariants=tuple(linalg.mat_vec(m, v) for v in inst.inertia_invariants),
-        toric_sub=tuple(linalg.mat_vec(m, v) for v in inst.toric_sub),
-        lift=tuple(linalg.mat_vec(m, v) for v in inst.lift),
+        inertia_invariants=tuple(mat_vec(m, v) for v in inst.inertia_invariants),
+        toric_sub=tuple(mat_vec(m, v) for v in inst.toric_sub),
+        lift=tuple(mat_vec(m, v) for v in inst.lift),
         monodromy=linalg.mat_mul(m, linalg.mat_mul(inst.monodromy, m_inv)),
         toric_rank=inst.toric_rank,
     )
