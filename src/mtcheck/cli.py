@@ -4,7 +4,9 @@ Subcommands: catalog, pair, survivors, lemma, exceptions, monodromy, check.
 ``check`` exits 0 on any verdict and 2 on inconsistent input; its machine
 format emits one JSON object per descriptor with keys "conclusion",
 "citations" and "notes".  Usage errors and bad values, also in one batch
-row, print ``error: ...`` and count as status 1.
+row, print ``error: ...`` and count as status 1.  ``check --file`` splits
+each row by POSIX shell quoting (``shlex``); a row may not set ``--format``
+or ``--file``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import shlex
 import sys
 from contextlib import redirect_stdout
+from functools import cache, partial
 
 from .catalog import IrrepDescriptor, descriptor, enumerate_minuscule
 from .checker import (AVDescriptor, Conclusion, EndoType, InputInconsistentError,
@@ -136,17 +139,28 @@ def _check_one(args) -> int:
     return status
 
 
-def _parse_row(parser, fmt: str, line: str):
-    """One batch row's flags.  A help flag prints the usage to stderr, so
-    stdout keeps one record per row, and rejects the row."""
+def _parse_row(parser, check, fmt: str, line: str):
+    """One batch row's flags, parsed by the ``check`` subparser alone.
+    Leftover tokens get the top-level parser's "unrecognized arguments"
+    error, the text a whole ``mtcheck check ...`` parse gives.  A help flag
+    prints the usage to stderr, so stdout keeps one record per row, and
+    rejects the row; so does a row that sets ``--file`` or another
+    ``--format``."""
     try:
         with redirect_stdout(sys.stderr):
-            return parser.parse_args(["check", "--format", fmt] + shlex.split(line))
+            args, extras = check.parse_known_args(["--format", fmt] + shlex.split(line))
     except SystemExit:
         raise ValueError("a help flag is not a descriptor") from None
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    if args.file is not None:
+        raise ValueError("a batch row may not set --file")
+    if args.format != fmt:
+        raise ValueError(f"a batch row may not set --format {args.format} in a {fmt} batch")
+    return args
 
 
-def _cmd_check(args, parser) -> int:
+def _cmd_check(args, parser, check) -> int:
     if args.file is None:
         return _check_one(args)
     status = 0
@@ -156,7 +170,7 @@ def _cmd_check(args, parser) -> int:
             if not line or line.startswith("#"):
                 continue
             try:
-                row_status = _check_one(_parse_row(parser, args.format, line))
+                row_status = _check_one(_parse_row(parser, check, args.format, line))
             except ValueError as exc:
                 print(f"error: line {number}: {exc}", file=sys.stderr)
                 row_status = 1
@@ -171,7 +185,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     parser = _Parser(prog="mtcheck")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -221,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "machine"], default="text")
     p.add_argument("--file", default=None,
                    help="batch mode: one flag set per line")
-    p.set_defaults(func=lambda args: _cmd_check(args, parser))
+    p.set_defaults(func=partial(_cmd_check, parser=parser, check=p))
     return parser
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 from .catalog import IrrepDescriptor, descriptor
 from .quadratic import quadratic_ranks
@@ -81,7 +81,10 @@ def minuscule_candidates(n: int) -> tuple[IrrepDescriptor, ...]:
     if n < 2:
         raise ValueError("dimension must be >= 2")
     out = [descriptor(LieType("A", n - 1), 1)]
-    s = 2
+    root = isqrt(8 * n + 1)  # n = binom(m+1, 2) exactly when 8n + 1 = (2m+1)^2
+    if n >= 6 and root * root == 8 * n + 1:
+        out.append(descriptor(LieType("A", (root - 1) // 2), 2))
+    s = 3
     while comb(2 * s, s) <= n:
         m = 2 * s - 1
         while comb(m + 1, s) < n:

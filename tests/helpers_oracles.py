@@ -15,8 +15,10 @@ exception-pair oracle is the closed form (56, 15) plus the triangular family
 must reproduce; the lemma oracle tests every s with a fresh binomial,
 without the early stop; the weight oracles read a descriptor's index and
 label off the coordinates of its weight, as the catalog did before it
-stored the index.  ``mat_add`` and ``mat_vec`` are a plain matrix sum
-and matrix-vector product that only tests use.
+stored the index; the candidate oracle finds the A-family entries of a
+dimension by stepping m one at a time for every s, as the exclusion engine
+did before it read s = 2 off ``isqrt``.  ``mat_add`` and ``mat_vec`` are a
+plain matrix sum and matrix-vector product that only tests use.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from itertools import product
 from math import comb, isqrt
 
 from mtcheck import linalg
+from mtcheck.catalog import IrrepDescriptor, descriptor
 from mtcheck.monodromy import SpecializationInstance, SymplecticSpace
 from mtcheck.roots import (LieType, Weight, ambient_weight, coroot_pairings,
                            fundamental_weights, positive_roots, reflect,
@@ -187,6 +190,36 @@ def is_exception_pair(g: int, r: int) -> bool:
         return True
     m = triangular_m(g)
     return m is not None and m % 4 != 3 and r == m - 1
+
+
+def minuscule_candidates_by_scan(n: int) -> tuple[IrrepDescriptor, ...]:
+    """``exclusion.minuscule_candidates`` with a stepping scan for every s."""
+    out = [descriptor(LieType("A", n - 1), 1)]
+    s = 2
+    while comb(2 * s, s) <= n:
+        m = 2 * s - 1
+        while comb(m + 1, s) < n:
+            m += 1
+        if comb(m + 1, s) == n:
+            out.append(descriptor(LieType("A", m), s))
+        s += 1
+    if n % 2 == 1 and n >= 5:
+        out.append(descriptor(LieType("B", (n - 1) // 2), 1))
+    if n % 2 == 0:
+        if n >= 4:
+            out.append(descriptor(LieType("C", n // 2), 1))
+        if n >= 6:
+            out.append(descriptor(LieType("D", n // 2), 1))
+    spin_m = n.bit_length()
+    if spin_m >= 3 and 2 ** (spin_m - 1) == n:
+        out.append(descriptor(LieType("D", spin_m), spin_m - 1))
+        out.append(descriptor(LieType("D", spin_m), spin_m))
+    if n == 27:
+        out.append(descriptor(LieType("E", 6), 1))
+        out.append(descriptor(LieType("E", 6), 6))
+    if n == 56:
+        out.append(descriptor(LieType("E", 7), 7))
+    return tuple(sorted(out, key=IrrepDescriptor.sort_key))
 
 
 def divisibility_solutions_unpruned(m_max: int) -> tuple[tuple[int, int], ...]:

@@ -10,11 +10,13 @@ from __future__ import annotations
 import json
 import re
 import shlex
+import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from mtcheck.cli import main
+from mtcheck.cli import _descriptor_from_args, _parse_row, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -252,6 +254,101 @@ def test_check_batch_help_row_keeps_going(tmp_path, capsys, flag):
     assert [r["conclusion"] for r in records] == ["MT_and_divisorial"]
     assert err.startswith("usage: mtcheck check")
     assert err.splitlines()[-1] == "error: line 1: a help flag is not a descriptor"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("--g 5 --endo Q --toric-rank 3 --bad-semistable-split --format text",
+     "a batch row may not set --format text in a machine batch"),
+    ("--g 5 --endo Q --toric-rank 3 --bad-semistable-split --file other.txt",
+     "a batch row may not set --file"),
+], ids=["format", "file"])
+def test_check_batch_row_may_not_set_format_or_file(tmp_path, capsys, row, message):
+    batch = tmp_path / "batch.txt"
+    batch.write_text(
+        f"{row}\n"
+        "--g 4 --endo Q --toric-rank 2 --bad-semistable-split --simple\n",
+        encoding="utf-8",
+    )
+    code, out, err = _run(capsys, ["check", "--file", str(batch),
+                                   "--format", "machine"])
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["conclusion"] for r in records] == ["MT_and_divisorial"]
+    assert err.splitlines() == [f"error: line 1: {message}"]
+
+
+def _whole_command_parse(fmt, line):
+    """A batch row parsed as the whole command line ``mtcheck check
+    --format FMT ROW``, the way batch rows were parsed before the ``check``
+    subparser took them alone."""
+    try:
+        with redirect_stdout(sys.stderr):
+            return build_parser().parse_args(["check", "--format", fmt] + shlex.split(line))
+    except SystemExit:
+        raise ValueError("a help flag is not a descriptor") from None
+
+
+def _parse_outcome(parse, fmt, line, capsys):
+    try:
+        args = parse(fmt, line)
+    except ValueError as exc:
+        outcome = ("error", str(exc))
+    else:
+        outcome = ("descriptor", _descriptor_from_args(args), args.format)
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+MALFORMED_ROWS = [
+    "--g 3 --bogus 1", "--g 3 stray", "check --g 3", "--g 3 -- --simple",
+    "--g 3 --", "-h", "--help", "--g 3 --help", "--g abc", "--endo X",
+    "--toric 2 --g 4 --bad-semistable-split", "--f x", '--signature "2,3" --g 5',
+    "--g 3 --bogus=1 extra --simple",
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_row_parse_matches_whole_command_parse(capsys, fmt):
+    corpus = (DATA / "golden_descriptors.txt").read_text(encoding="utf-8")
+    rows = [line.strip() for line in corpus.splitlines()
+            if line.strip() and not line.startswith("#")]
+    parser = build_parser()
+    check = parser.parse_args(["check"]).func.keywords["check"]
+    for line in rows + MALFORMED_ROWS:
+        new = _parse_outcome(lambda f, row: _parse_row(parser, check, f, row),
+                             fmt, line, capsys)
+        old = _parse_outcome(_whole_command_parse, fmt, line, capsys)
+        assert new == old, line
+
+
+def _calls(tmp_path):
+    machine = tmp_path / "machine.txt"
+    machine.write_text("--g 5 --endo Q --toric-rank 3 --bad-semistable-split\n"
+                       "--g abc\n--g 3 --endo Q --toric-rank 4 --bad-semistable-split\n",
+                       encoding="utf-8")
+    text = tmp_path / "text.txt"
+    text.write_text("--g 4 --endo Q --toric-rank 2 --bad-semistable-split --simple\n"
+                    "--g 3 --bogus\n", encoding="utf-8")
+    helped = tmp_path / "help.txt"
+    helped.write_text("--help\n--g 7 --endo k --degree 2 --signature 3,4\n",
+                      encoding="utf-8")
+    return [["check", "--file", str(machine), "--format", "machine"],
+            ["check", "--file", str(text)],
+            ["check", "--g", "56", "--endo", "k", "--degree", "2",
+             "--signature", "28,28", "--toric-rank", "30",
+             "--bad-semistable-split", "--simple"],
+            ["check", "--file", str(helped), "--format", "machine"]]
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    calls = _calls(tmp_path)
+    first = []
+    for argv in calls:
+        build_parser.cache_clear()  # as if this call were the first of the process
+        first.append(_run(capsys, argv))
+    build_parser.cache_clear()
+    assert [_run(capsys, argv) for argv in calls] == first
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize("argv", [

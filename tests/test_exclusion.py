@@ -16,6 +16,8 @@ from mtcheck.exclusion import (CandidatePair, ExclusionStatus,
                                theorem61_outer_shapes)
 from mtcheck.roots import FormClass, LieType
 
+from helpers_oracles import minuscule_candidates_by_scan
+
 
 def _labels(entries) -> list[str]:
     return [e.label for e in entries]
@@ -78,6 +80,12 @@ def test_candidates_match_brute_force_scan():
     for n in range(2, max_n + 1):
         got = set(_labels(minuscule_candidates(n)))
         assert got == _canonical(by_dim.get(n, set())), f"dimension {n}"
+
+
+def test_candidates_match_stepping_scan():
+    # s = 2 is read off isqrt(8n + 1); the scan steps m for every s
+    for n in range(2, 10**4 + 1):
+        assert minuscule_candidates(n) == minuscule_candidates_by_scan(n), n
 
 
 def _pair(inner_args, outer_args) -> CandidatePair:
