@@ -7,12 +7,14 @@ Products, ``rank`` and the rank-based span tests keep integer input
 integer; the monodromy layer is integer-only and uses nothing else.
 ``mat_mul`` checks the shapes once, transposes ``b`` once and sums each
 cell as ``sum(map(mul, row, col))``, so the per-cell work runs at C level.
-``rank`` clears each row's denominators with one ``lcm`` (an all-integer
-row is copied as it is) and runs fraction-free Bareiss elimination,
-updating each trailing row by zipping it with the pivot row.  ``det`` is
-Bareiss as well but returns a ``Fraction``.  ``rref``, ``solve``,
-``inverse`` and ``nullspace`` run Gauss-Jordan elimination over
-``Fraction`` and serve the root-system oracle and the tests.
+``prefix_ranks`` clears each row's denominators with one ``lcm`` (an
+all-integer row is copied as it is) and runs fraction-free Bareiss
+elimination row by row: each new row is zipped with every earlier pivot
+row in order, so one pass gives the rank of every leading block of rows.
+``rank`` is its last entry.  ``det`` is Bareiss by columns and returns a
+``Fraction``.  ``rref``, ``solve``, ``inverse`` and ``nullspace`` run
+Gauss-Jordan elimination over ``Fraction`` and serve the root-system
+oracle and the tests.
 """
 
 from __future__ import annotations
@@ -75,32 +77,36 @@ def _int_rows(m: Matrix) -> tuple[list[list[int]], int]:
     return out, scales
 
 
-def rank(m: Matrix) -> int:
-    """Rank by fraction-free (Bareiss-style) elimination."""
-    if not m or not m[0]:
-        return 0
+def prefix_ranks(m: Matrix) -> tuple[int, ...]:
+    """Rank of each leading block of rows: entry k - 1 is rank(m[:k]).
+
+    Row-ordered fraction-free (Bareiss-style) elimination.  Each new row
+    receives every earlier pivot step in order, so after step j its entries
+    are (j + 1)-minors of m and the division by the pivot of step j - 1 is
+    exact.  A row left nonzero becomes the next pivot row, at its first
+    nonzero column.
+    """
     rows, _ = _int_rows(m)
-    n_rows, n_cols = len(rows), len(rows[0])
-    r = 0
+    steps: list[tuple[list[int], int, int, int]] = []  # row, column, pivot, divisor
+    ranks = []
     prev = 1
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        top = rows[r]
-        piv = top[c]
-        # every trailing row must be updated, even with a zero in the pivot
-        # column, or the later exact divisions by prev lose their guarantee
-        for i in range(r + 1, n_rows):
-            row = rows[i]
+    for row in rows:
+        # every step must be applied, even with a zero in its pivot column,
+        # or the later exact divisions lose their guarantee
+        for top, c, piv, div in steps:
             factor = row[c]
-            rows[i] = [(piv * x - factor * y) // prev for x, y in zip(row, top)]
-        prev = piv
-        r += 1
-        if r == n_rows:
-            break
-    return r
+            row = [(piv * x - factor * y) // div for x, y in zip(row, top)]
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is not None:
+            steps.append((row, c, row[c], prev))
+            prev = row[c]
+        ranks.append(len(steps))
+    return tuple(ranks)
+
+
+def rank(m: Matrix) -> int:
+    """Rank by fraction-free elimination: the last of the prefix ranks."""
+    return prefix_ranks(m)[-1] if m else 0
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:

@@ -10,10 +10,12 @@ exact integer and runs reproduce bit for bit.
 
 Each invariant is stated once.  SpecializationInstance enforces the shape
 on construction: the dimensions 2g - r and r, independent bases, W inside
-V^I, V = V^I + T and tau^2 = 0.  The named theorems are *verified*, not
-assumed: verify_orthogonality (W = (V^I)-perp), verify_filtration (tau
-kills V^I, maps into W, T -> W onto), is_form_compatible (tau in sp, which
-with tau^2 = 0 is N in Sp) and the rank of tau in verify_instance.  The
+V^I, V = V^I + T and tau^2 = 0; the ranks of V^I, V^I + W and
+V^I + W + T come from one prefix-rank pass, and tau is computed once per
+instance.  The named theorems are *verified*, not assumed:
+verify_orthogonality (W = (V^I)-perp), verify_filtration (tau kills V^I,
+maps into W, T -> W onto), is_form_compatible (tau in sp, which with
+tau^2 = 0 is N in Sp) and the rank of tau in verify_instance.  The
 verifiers take any SymplecticSpace form and never read the construction,
 so a construction shortcut cannot vouch for itself.  Every check is a
 statement about integer products and Bareiss ranks, so nothing here needs
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 from . import linalg
 from .linalg import Matrix, Vector
@@ -73,24 +76,34 @@ class SpecializationInstance:
             raise ValueError("V^I must have dimension 2g - r")
         if len(self.toric_sub) != r or len(self.lift) != r:
             raise ValueError("W and T must have dimension r")
-        # 2g - r rows of V^I and r rows of T of rank 2g are independent, so
-        # a complementary pair needs only W's rank; the checks keep their order
-        complementary = linalg.rank(self.inertia_invariants + self.lift) == n
-        bases = ((("W", self.toric_sub),) if complementary else
-                 (("V^I", self.inertia_invariants), ("W", self.toric_sub),
-                  ("T", self.lift)))
+        vi, w, t = self.inertia_invariants, self.toric_sub, self.lift
+        # rank V^I, rank V^I + W and rank V^I + W + T from one elimination
+        ranks = linalg.prefix_ranks(vi + w + t)
+        # with W in the span of V^I the full rank is rank(V^I + T); otherwise
+        # an error is raised below and rank(V^I + T) picks which one.  2g - r
+        # rows of V^I and r rows of T of rank 2g are independent, so a
+        # complementary pair needs only W's rank; the checks keep their order
+        complementary = (ranks[-1] if ranks[n - 1] == ranks[n - r - 1]
+                         else linalg.rank(vi + t)) == n
+        bases = ((("W", w),) if complementary else
+                 (("V^I", vi), ("W", w), ("T", t)))
         for name, basis in bases:
             if linalg.rank(basis) != len(basis):
                 raise ValueError(f"basis of {name} is not independent")
-        if linalg.rank(self.inertia_invariants + self.toric_sub) != n - r:
+        if ranks[n - 1] != n - r:
             raise ValueError("W must lie inside V^I")
         if not complementary:
             raise ValueError("V^I and T must be complementary")
         if not _squares_to_zero(self.log_matrix()):
             raise ValueError("N - I must square to zero")
 
-    def log_matrix(self) -> Matrix:
+    @cached_property
+    def _log(self) -> Matrix:
         return linalg.mat_sub(self.monodromy, linalg.identity(self.space.dim))
+
+    def log_matrix(self) -> Matrix:
+        """tau = N - I, computed once per instance."""
+        return self._log
 
 
 def standard_symplectic_form(g: int) -> Matrix:
@@ -105,6 +118,13 @@ def standard_symplectic_form(g: int) -> Matrix:
             row[i - g] = -1
         rows.append(tuple(row))
     return tuple(rows)
+
+
+@cache
+def _standard_space(g: int) -> SymplecticSpace:
+    """The standard space of genus g, validated once and shared by every
+    instance of that genus."""
+    return SymplecticSpace(2 * g, standard_symplectic_form(g))
 
 
 def _random_unit_triangular(n: int, rng: random.Random, upper: bool) -> Matrix:
@@ -182,7 +202,7 @@ def build_instance(g: int, r: int, seed: int) -> SpecializationInstance:
     if not 1 <= r <= g:
         raise ValueError("need 1 <= r <= g")
     rng = random.Random(seed)
-    space = SymplecticSpace(2 * g, standard_symplectic_form(g))
+    space = _standard_space(g)
 
     # adapted picture: W = <e_1..e_r>, V^I = <e_1..e_g, f_{r+1}..f_g>,
     # T = <f_1..f_r>, tau(f_j) = sum_i S_ij e_i with S symmetric invertible
@@ -224,16 +244,20 @@ def verify_orthogonality(inst: SpecializationInstance) -> bool:
 def verify_filtration(inst: SpecializationInstance) -> bool:
     """tau kills V^I, maps into W, and restricts to an iso T -> W of rank r.
 
-    The rows of tau^T span the image of tau.  The instance invariants make
-    the rows of W an independent basis of size r, so dim W = r; W and the
-    image together have rank r, so the image lies in W; tau(T) has rank r,
-    so T maps onto W and tau itself has rank r.
+    The rows of T tau^T are the images tau(t) of the T basis.  Once tau
+    kills V^I, the instance invariant V = V^I + T makes them span the image
+    of tau.  The instance invariants make the rows of W an independent
+    basis of size r, so dim W = r; W and tau(T) together have rank r, so
+    the image lies in W; tau(T) has rank r, so T maps onto W and tau itself
+    has rank r.
     """
     tau_t = linalg.transpose(inst.log_matrix())
+    if not linalg.is_zero_matrix(linalg.mat_mul(inst.inertia_invariants, tau_t)):
+        return False
+    t_images = linalg.mat_mul(inst.lift, tau_t)
     r = inst.toric_rank
-    return (linalg.is_zero_matrix(linalg.mat_mul(inst.inertia_invariants, tau_t))
-            and linalg.rank(inst.toric_sub + tau_t) == r
-            and linalg.rank(linalg.mat_mul(inst.lift, tau_t)) == r)
+    return (linalg.rank(inst.toric_sub + t_images) == r
+            and linalg.rank(t_images) == r)
 
 
 def is_form_compatible(inst: SpecializationInstance) -> bool:
@@ -251,19 +275,23 @@ def verify_instance(inst: SpecializationInstance) -> dict[str, bool]:
 
     tau_square_zero and invariant_dim (dim V^I = 2g - r) are enforced by
     SpecializationInstance on construction, so they read True on every
-    instance; they are reported with the rest.  monodromy_symplectic
-    (N^T Theta N = Theta) is form_compatible restated: tau^2 = 0 gives
-    N^-1 = I - tau, so N^T Theta N = Theta, i.e. N^T Theta = Theta N^-1,
-    reads Theta + tau^T Theta = Theta - Theta tau, which is
+    instance; they are reported with the rest.  tau_rank_r needs its own
+    rank only when the filtration fails: the filtration gives image tau =
+    tau(T) of rank r.  monodromy_symplectic (N^T Theta N = Theta) is
+    form_compatible restated: tau^2 = 0 gives N^-1 = I - tau, so
+    N^T Theta N = Theta, i.e. N^T Theta = Theta N^-1, reads
+    Theta + tau^T Theta = Theta - Theta tau, which is
     tau^T Theta + Theta tau = 0.
     """
+    filtration = verify_filtration(inst)
     form_compatible = is_form_compatible(inst)
     return {
         "tau_square_zero": True,
-        "tau_rank_r": linalg.rank(inst.log_matrix()) == inst.toric_rank,
+        "tau_rank_r": (filtration
+                       or linalg.rank(inst.log_matrix()) == inst.toric_rank),
         "invariant_dim": True,
         "orthogonality": verify_orthogonality(inst),
-        "filtration": verify_filtration(inst),
+        "filtration": filtration,
         "form_compatible": form_compatible,
         "monodromy_symplectic": form_compatible,
     }

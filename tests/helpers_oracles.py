@@ -7,9 +7,12 @@ library's permutation; the minuscule oracle applies the coroot-pairing
 criterion; the transvection oracle brute-forces rank-1 elements of
 orthogonal algebras over a small integer box; the monodromy oracles restate
 orthogonality and the filtration by rational nullspaces and span tests, the
-formulation the library's product-and-rank verifiers replaced, and
+formulation the library's product-and-rank verifiers replaced,
 ``preserves_form`` tests N^T Theta N = Theta by full products, the check
-``verify_instance`` reads off form compatibility instead; the
+``verify_instance`` reads off form compatibility instead, and
+``instance_error_by_ranks`` runs the instance checks in their order with
+the separate ranks of V^I + T and V^I + W that one prefix-rank pass
+replaced; the
 exception-pair oracle is the closed form (56, 15) plus the triangular family
 (m(m+1)/2, m-1), m != 3 mod 4, that the verdict engine's exclusion sweep
 must reproduce; the lemma oracle tests every s with a fresh binomial,
@@ -175,6 +178,35 @@ def filtration_by_spans(inst: SpecializationInstance) -> bool:
             return False
     t_images = tuple(mat_vec(tau, v) for v in inst.lift)
     return linalg.rank(t_images) == r and linalg.same_span(t_images, inst.toric_sub)
+
+
+def instance_error_by_ranks(space: SymplecticSpace, inertia_invariants,
+                            toric_sub, lift, monodromy, toric_rank) -> str | None:
+    """The ValueError text SpecializationInstance must raise on these
+    fields, or None: rank(V^I + T) decides complementarity and
+    rank(V^I + W) the inclusion of W."""
+    n, r = space.dim, toric_rank
+    vi, w, t = inertia_invariants, toric_sub, lift
+    if not 1 <= r <= n // 2:
+        return "toric rank must satisfy 1 <= r <= g"
+    if len(vi) != n - r:
+        return "V^I must have dimension 2g - r"
+    if len(w) != r or len(t) != r:
+        return "W and T must have dimension r"
+    complementary = linalg.rank(vi + t) == n
+    bases = ((("W", w),) if complementary else
+             (("V^I", vi), ("W", w), ("T", t)))
+    for name, basis in bases:
+        if linalg.rank(basis) != len(basis):
+            return f"basis of {name} is not independent"
+    if linalg.rank(vi + w) != n - r:
+        return "W must lie inside V^I"
+    if not complementary:
+        return "V^I and T must be complementary"
+    tau = linalg.mat_sub(monodromy, linalg.identity(n))
+    if not linalg.is_zero_matrix(linalg.mat_mul(tau, tau)):
+        return "N - I must square to zero"
+    return None
 
 
 def triangular_m(g: int) -> int | None:

@@ -188,6 +188,27 @@ def test_rank_matches_fraction_elimination(m):
 
 
 @_PROPERTY
+@given(_any_matrix())
+def test_prefix_ranks_match_fraction_elimination(m):
+    ranks = linalg.prefix_ranks(m)
+    assert ranks == tuple(_fraction_rank_det(m[:k])[0] for k in range(1, len(m) + 1))
+    # a row adds at most one to the rank
+    assert all(b - a in (0, 1) for a, b in zip((0,) + ranks, ranks))
+    assert linalg.rank(m) == ranks[-1]
+
+
+def test_prefix_ranks_edge_cases():
+    assert linalg.prefix_ranks(()) == ()
+    assert linalg.prefix_ranks(((0, 0, 0),) * 3) == (0, 0, 0)
+    assert linalg.prefix_ranks(((),) * 2) == (0, 0)
+    assert linalg.rank(((),) * 2) == 0
+    # Fraction rows: the second is twice the first and leaves the rank as it is
+    third = Fraction(1, 3)
+    assert linalg.prefix_ranks(((1, Fraction(1, 2), 0), (2, 1, 0),
+                                (0, third, 1), (third, 0, 0))) == (1, 1, 2, 3)
+
+
+@_PROPERTY
 @given(st.integers(1, 6).flatmap(lambda n: _matrices(n, n)))
 def test_det_matches_fraction_elimination(m):
     d = linalg.det(m)

@@ -4,26 +4,27 @@ The builder only guarantees the structural shape of an instance, so the
 positive sweeps assert that every named invariant actually verifies; the
 negative controls construct shape-valid instances that must fail the
 orthogonality and filtration checks, and one targeted defect per remaining
-verifier (form compatibility, N in Sp, filtration, rank of tau) must turn
-that verifier's key False, pinning down that the verifiers test the
-theorems and not the construction path.  The product-and-rank verifiers
-are compared against the nullspace and span formulations kept in
-helpers_oracles, the N-in-Sp key (read off form compatibility) against
-N^T Theta N = Theta by full products, and a digest pins every seeded
-instance bit for bit.
+verifier (form compatibility, N in Sp, filtration, the image clause of the
+filtration, rank of tau) must turn that verifier's key False, pinning down
+that the verifiers test the theorems and not the construction path.  The
+product-and-rank verifiers are compared against the nullspace and span
+formulations kept in helpers_oracles, the N-in-Sp key (read off form
+compatibility) against N^T Theta N = Theta by full products, the
+construction errors against their old rank-based order, and a digest pins
+every seeded instance bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from helpers_oracles import (filtration_by_spans, mat_add, mat_vec,
-                             orthogonality_by_nullspace, preserves_form,
-                             symplectic_complement)
+from helpers_oracles import (filtration_by_spans, instance_error_by_ranks,
+                             mat_add, mat_vec, orthogonality_by_nullspace,
+                             preserves_form, symplectic_complement)
 from mtcheck import linalg
 from mtcheck.monodromy import (SpecializationInstance, SymplecticSpace,
                                build_instance, is_form_compatible,
@@ -154,6 +155,20 @@ def _log_on(inst: SpecializationInstance, basis, block) -> SpecializationInstanc
     return replace(inst, monodromy=mat_add(linalg.identity(inst.space.dim), tau))
 
 
+def _log_leaving_toric(inst: SpecializationInstance) -> SpecializationInstance:
+    """Replace tau by sum_i u_i (x) Theta(w_i, .) with u_1 = w_1 + v, v the
+    last V^I basis vector (outside W), and u_i = w_i otherwise.
+
+    Theta(w_i, .) kills V^I = W-perp, which holds every u_j, so the new log
+    squares to zero, kills V^I and maps T onto span(u) with rank r; only
+    its image leaves W.  Requires r < g.
+    """
+    w = inst.toric_sub
+    u = (linalg.vec_add(w[0], inst.inertia_invariants[-1]),) + w[1:]
+    tau = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(w, inst.space.form))
+    return replace(inst, monodromy=mat_add(linalg.identity(inst.space.dim), tau))
+
+
 def _unit_block(r: int, extra: dict) -> tuple:
     return tuple(tuple(extra.get((i, j), 1 if i == j else 0) for j in range(r))
                  for i in range(r))
@@ -180,6 +195,11 @@ _DEFECTS = {
     "filtration": (
         lambda inst: _log_on(inst, inst.lift, _unit_block(inst.toric_rank, {})),
         {"filtration"}),
+    # an image outside W, with V^I killed and T -> span(u) of rank r: only
+    # the image clause of the filtration can see it, and tau leaves sp
+    "filtration_image": (
+        _log_leaving_toric,
+        {"filtration", "form_compatible", "monodromy_symplectic"}),
     # symmetric block of rank r - 1 on W: T no longer maps onto W
     "tau_rank_r": (
         lambda inst: _log_on(inst, inst.toric_sub,
@@ -206,6 +226,23 @@ def test_targeted_defects_fail_their_own_check(defect):
                 # the key read off form_compatible agrees with N^T Theta N
                 assert preserves_form(bad) is results["monodromy_symplectic"], (
                     defect, g, r, seed)
+
+
+def test_image_defect_fails_only_the_image_clause():
+    for g in range(2, 8):
+        for r in range(1, g):
+            for seed in range(2):
+                bad = _log_leaving_toric(build_instance(g, r, seed))
+                tau_t = linalg.transpose(bad.log_matrix())
+                label = (g, r, seed)
+                # tau kills V^I and T maps onto an r-dimensional image ...
+                assert linalg.is_zero_matrix(
+                    linalg.mat_mul(bad.inertia_invariants, tau_t)), label
+                assert linalg.rank(linalg.mat_mul(bad.lift, tau_t)) == r, label
+                # ... which is not W
+                assert linalg.rank(bad.toric_sub + tau_t) > r, label
+                assert not verify_filtration(bad), label
+                assert not filtration_by_spans(bad), label
 
 
 def test_verifiers_agree_with_span_oracles():
@@ -303,3 +340,85 @@ def test_symplectic_complement_dimensions():
     assert linalg.row_space_contains(comp, basis[0])
     assert linalg.row_space_contains(comp, basis[1])
     assert not linalg.row_space_contains(comp, basis[g])
+
+
+def _construction_cases(inst: SpecializationInstance) -> dict:
+    """Field changes with one or more construction defects each."""
+    vi, w, t = inst.inertia_invariants, inst.toric_sub, inst.lift
+    n, r = inst.space.dim, inst.toric_rank
+    doubled = tuple(tuple(2 * x for x in row) for row in linalg.identity(n))
+    cases = {
+        "honest": {},
+        "W = T, outside V^I": {"toric_sub": t},
+        "W partly outside V^I": {"toric_sub": (linalg.vec_add(w[0], t[0]),) + w[1:]},
+        "W zero": {"toric_sub": ((0,) * n,) * r},
+        "T = W, inside V^I": {"lift": w},
+        "T inside V^I": {"lift": vi[:r]},
+        "V^I dependent, W outside": {"inertia_invariants": vi[:-1] + (vi[0],),
+                                     "toric_sub": t},
+        "V^I dependent, T inside": {"inertia_invariants": vi[:-1] + (vi[0],),
+                                    "lift": vi[:r]},
+        "V^I holds t_1": {"inertia_invariants": vi[:-1] + (t[0],)},
+        "V^I holds t_1, W outside": {"inertia_invariants": vi[:-1] + (t[0],),
+                                     "toric_sub": t},
+        "W outside, N - I not square zero": {"toric_sub": t, "monodromy": doubled},
+        "N - I not square zero": {"monodromy": doubled},
+    }
+    if r >= 2:
+        cases.update({
+            "W dependent, inside V^I": {"toric_sub": (w[0],) * 2 + w[2:]},
+            "W dependent, outside V^I": {"toric_sub": (t[0],) * 2 + t[2:]},
+            "W outside V^I, T dependent": {"toric_sub": t,
+                                           "lift": (t[0],) * 2 + t[2:]},
+            "T dependent": {"lift": (t[0],) * 2 + t[2:]},
+            "T inside V^I, W dependent": {"lift": vi[:r],
+                                          "toric_sub": (w[0],) * 2 + w[2:]},
+        })
+    return cases
+
+
+def test_construction_errors_match_rank_order():
+    seen = set()
+    for g in range(1, 6):
+        for r in range(1, g + 1):
+            for seed in range(2):
+                inst = build_instance(g, r, seed)
+                base = {f.name: getattr(inst, f.name) for f in fields(inst)}
+                for name, changes in _construction_cases(inst).items():
+                    expected = instance_error_by_ranks(**{**base, **changes})
+                    try:
+                        replace(inst, **changes)
+                        got = None
+                    except ValueError as exc:
+                        got = str(exc)
+                    assert got == expected, (g, r, seed, name)
+                    seen.add(got)
+    # the table reaches every check after the shape checks
+    assert seen == {None, "basis of V^I is not independent",
+                    "basis of W is not independent",
+                    "basis of T is not independent", "W must lie inside V^I",
+                    "V^I and T must be complementary",
+                    "N - I must square to zero"}
+
+
+def test_log_and_space_caches():
+    inst = build_instance(4, 2, 7)
+    identity = linalg.identity(8)
+    assert inst.log_matrix() == linalg.mat_sub(inst.monodromy, identity)
+    # a replaced monodromy gets its own tau, and the verifiers read it
+    leaked = _leak_invariants(inst)
+    assert leaked.log_matrix() == linalg.mat_sub(leaked.monodromy, identity)
+    assert leaked.log_matrix() != inst.log_matrix()
+    assert not verify_instance(leaked)["filtration"]
+    assert verify_instance(inst)["filtration"]
+    # one validated space per genus
+    assert build_instance(4, 1, 3).space is inst.space
+    assert build_instance(3, 1, 3).space is not inst.space
+    # and a space built directly is still validated
+    with pytest.raises(ValueError, match="alternating"):
+        SymplecticSpace(8, identity)
+    # the standard form of genus 4 with the pair e_4, f_4 cut out
+    degenerate = tuple(tuple(0 if {i, j} & {3, 7} else x for j, x in enumerate(row))
+                       for i, row in enumerate(standard_symplectic_form(4)))
+    with pytest.raises(ValueError, match="nondegenerate"):
+        SymplecticSpace(8, degenerate)
