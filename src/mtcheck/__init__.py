@@ -1,7 +1,9 @@
 """Exact-arithmetic case analysis for Mumford-Tate verdicts under
-reduction constraints: root systems, the minuscule module table, quadratic
-nilpotent ranks, the proper-inclusion exclusion engine, seeded monodromy
-models, and the theorem-citing verdict rules."""
+reduction constraints: Lie types and weights, the closed-form minuscule
+module table, quadratic nilpotent ranks, the proper-inclusion exclusion
+engine, seeded monodromy models, and the theorem-citing verdict rules.
+The root-system derivation that cross-checks the table is a test oracle,
+not part of the package."""
 
 from .catalog import IrrepDescriptor, enumerate_minuscule, is_minuscule
 from .checker import (AVDescriptor, Conclusion, EndoType, InputInconsistentError,
@@ -15,8 +17,7 @@ from .monodromy import (SpecializationInstance, SymplecticSpace, build_instance,
 from .quadratic import (QuadraticRankProfile, RankUnavailableError,
                         quadratic_min_rank, rank2_constraint,
                         transvection_constraint)
-from .roots import (FormClass, LieType, Weight, duality_involution, form_class,
-                    positive_roots, weyl_dim)
+from .roots import FormClass, LieType, Weight
 
 __version__ = "0.1.0"
 
@@ -26,9 +27,8 @@ __all__ = [
     "LieType", "QuadraticRankProfile", "RankUnavailableError",
     "Reduction", "SpecializationInstance", "SymplecticSpace", "Verdict",
     "Weight", "build_instance", "check_pair", "decide", "divisibility_solutions",
-    "duality_involution", "enumerate_minuscule", "exception_pairs", "explain",
-    "form_class", "gcd_mod4_check", "is_minuscule",
-    "positive_roots", "quadratic_min_rank", "rank2_constraint",
+    "enumerate_minuscule", "exception_pairs", "explain", "gcd_mod4_check",
+    "is_minuscule", "quadratic_min_rank", "rank2_constraint",
     "surviving_inners", "theorem61_outer_shapes", "transvection_constraint",
-    "validate", "verify_filtration", "verify_orthogonality", "weyl_dim",
+    "validate", "verify_filtration", "verify_orthogonality",
 ]

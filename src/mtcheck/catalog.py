@@ -6,9 +6,11 @@ groups); C_m the standard w1 (dim 2m); D_m the vector w1 (dim 2m) and the
 two half-spin modules (dim 2^(m-1)); E6 carries w1 and w6 (dim 27) and E7
 carries w7 (dim 56).  E8 carries nothing.
 
-Dimensions and duality classes are closed-form here and cross-validated in
-the tests against the Weyl dimension formula and the parity criterion, so
-the table and the general machinery stay independent of each other.
+Dimensions and duality classes are closed-form here.  The tests
+cross-validate them against the Weyl dimension formula and the parity
+criterion of the root-system oracle ``tests/helpers_roots.py``; the
+package carries no root system, so the table and the derivation stay
+independent of each other.
 """
 
 from __future__ import annotations

@@ -75,6 +75,21 @@ def theorem61_outer_shapes(n: int, form: FormClass) -> tuple[IrrepDescriptor, ..
     return (descriptor(LieType("B", (n - 1) // 2), 1),)
 
 
+def _least_m(n: int, s: int) -> int:
+    """The least m >= 2s - 1 with binom(m + 1, s) >= n: double an upper
+    bound, then bisect, so the search takes O(log m) binomials."""
+    lo = hi = 2 * s - 1
+    while comb(hi + 1, s) < n:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if comb(mid + 1, s) < n:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def minuscule_candidates(n: int) -> tuple[IrrepDescriptor, ...]:
     """All cataloged modules of dimension n, A-family entries reported once
     up to duality (s <= (m+1)/2)."""
@@ -86,9 +101,7 @@ def minuscule_candidates(n: int) -> tuple[IrrepDescriptor, ...]:
         out.append(descriptor(LieType("A", (root - 1) // 2), 2))
     s = 3
     while comb(2 * s, s) <= n:
-        m = 2 * s - 1
-        while comb(m + 1, s) < n:
-            m += 1
+        m = _least_m(n, s)
         if comb(m + 1, s) == n:
             out.append(descriptor(LieType("A", m), s))
         s += 1

@@ -12,9 +12,14 @@ all-integer row is copied as it is) and runs fraction-free Bareiss
 elimination row by row: each new row is zipped with every earlier pivot
 row in order, so one pass gives the rank of every leading block of rows.
 ``rank`` is its last entry.  ``det`` is Bareiss by columns and returns a
-``Fraction``.  ``rref``, ``solve``, ``inverse`` and ``nullspace`` run
-Gauss-Jordan elimination over ``Fraction`` and serve the root-system
-oracle and the tests.
+``Fraction``.  ``rref``, ``inverse`` and ``nullspace`` run Gauss-Jordan
+elimination over ``Fraction``.
+
+No runtime module calls ``rref``, ``inverse``, ``nullspace``, ``det``,
+``same_span`` or ``row_space_contains``; the root-system oracle and the
+tests do.  They stay in the package because the benchmark's traced run
+binds each of them by name on this module, so moving them out needs a
+benchmark change first.
 """
 
 from __future__ import annotations
@@ -42,10 +47,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_dot(u: Vector, v: Vector) -> Scalar:
-    return sum(a * b for a, b in zip(u, v, strict=True))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -169,20 +170,6 @@ def inverse(m: Matrix) -> Matrix:
     if pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
     return tuple(row[n:] for row in red[:n])
-
-
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One solution of a x = b, or None when inconsistent."""
-    n_rows = len(a)
-    n_cols = len(a[0]) if a else 0
-    aug = tuple(tuple(row) + (b[i],) for i, row in enumerate(a))
-    red, pivots = rref(aug)
-    if n_cols in pivots:
-        return None
-    x = [Fraction(0)] * n_cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][-1]
-    return tuple(x)
 
 
 def nullspace(m: Matrix) -> tuple[Vector, ...]:

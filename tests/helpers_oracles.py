@@ -3,25 +3,26 @@ library's own closed forms against them.
 
 The duality oracle walks a fundamental weight down to the antidominant
 chamber by simple reflections (reaching w0 . w) instead of trusting the
-library's permutation; the minuscule oracle applies the coroot-pairing
-criterion; the transvection oracle brute-forces rank-1 elements of
-orthogonal algebras over a small integer box; the monodromy oracles restate
-orthogonality and the filtration by rational nullspaces and span tests, the
-formulation the library's product-and-rank verifiers replaced,
-``preserves_form`` tests N^T Theta N = Theta by full products, the check
-``verify_instance`` reads off form compatibility instead, and
-``instance_error_by_ranks`` runs the instance checks in their order with
-the separate ranks of V^I + T and V^I + W that one prefix-rank pass
-replaced; the
-exception-pair oracle is the closed form (56, 15) plus the triangular family
-(m(m+1)/2, m-1), m != 3 mod 4, that the verdict engine's exclusion sweep
-must reproduce; the lemma oracle tests every s with a fresh binomial,
-without the early stop; the weight oracles read a descriptor's index and
-label off the coordinates of its weight, as the catalog did before it
-stored the index; the candidate oracle finds the A-family entries of a
-dimension by stepping m one at a time for every s, as the exclusion engine
-did before it read s = 2 off ``isqrt``.  ``mat_add`` and ``mat_vec`` are a
-plain matrix sum and matrix-vector product that only tests use.
+permutation of the root-system oracle ``helpers_roots``; the minuscule
+oracle applies the coroot-pairing criterion; the transvection oracle
+brute-forces rank-1 elements of orthogonal algebras over a small integer
+box; the monodromy oracles restate orthogonality and the filtration by
+rational nullspaces and span tests, the formulation the library's
+product-and-rank verifiers replaced, ``preserves_form`` tests
+N^T Theta N = Theta by full products, the check ``verify_instance`` reads
+off form compatibility instead, and ``instance_error_by_ranks`` runs the
+instance checks in their order with the separate ranks of V^I + T and
+V^I + W that one prefix-rank pass replaced; the exception-pair oracle is
+the closed form (56, 15) plus the triangular family (m(m+1)/2, m-1),
+m != 3 mod 4, that the verdict engine's exclusion sweep must reproduce;
+the lemma oracle tests every s with a fresh binomial, without the early
+stop; the weight oracles read a descriptor's index and label off the
+coordinates of its weight, as the catalog did before it stored the index;
+the candidate oracle finds the A-family entries of a dimension by stepping
+m one at a time for every s, as the exclusion engine did before it read
+s = 2 off ``isqrt`` and bisected m for s >= 3.  ``mat_add`` and
+``mat_vec`` are a plain matrix sum and matrix-vector product that only
+tests use.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from fractions import Fraction
 from itertools import product
 from math import comb, isqrt
 
+from helpers_roots import (ambient_weight, coroot_pairings, fundamental_weights,
+                           reflect, simple_roots, vec_dot)
 from mtcheck import linalg
 from mtcheck.catalog import IrrepDescriptor, descriptor
 from mtcheck.monodromy import SpecializationInstance, SymplecticSpace
-from mtcheck.roots import (LieType, Weight, ambient_weight, coroot_pairings,
-                           fundamental_weights, positive_roots, reflect,
-                           simple_roots)
+from mtcheck.roots import LieType, Weight
 
 
 def descent_dual_index(t: LieType, s: int) -> int:
@@ -47,7 +48,7 @@ def descent_dual_index(t: LieType, s: int) -> int:
     while True:
         for i in range(1, t.rank + 1):
             alpha = alphas[i - 1]
-            if 2 * linalg.vec_dot(v, alpha) > 0:
+            if 2 * vec_dot(v, alpha) > 0:
                 v = reflect(t, v, i)
                 break
         else:
@@ -94,7 +95,7 @@ def mat_add(a: linalg.Matrix, b: linalg.Matrix) -> linalg.Matrix:
 
 
 def mat_vec(m: linalg.Matrix, v: linalg.Vector) -> linalg.Vector:
-    return tuple(linalg.vec_dot(row, v) for row in m)
+    return tuple(vec_dot(row, v) for row in m)
 
 
 def in_orthogonal_algebra(m: linalg.Matrix, g: linalg.Matrix) -> bool:

@@ -10,6 +10,7 @@ import json
 from math import comb, gcd
 from pathlib import Path
 
+from helpers_roots import weyl_dim
 from mtcheck.catalog import descriptor, enumerate_minuscule
 from mtcheck.checker import (AVDescriptor, Conclusion, EndoType, Reduction,
                              decide)
@@ -19,7 +20,7 @@ from mtcheck.exclusion import minuscule_candidates, surviving_inners
 from mtcheck.monodromy import build_instance, verify_instance, verify_orthogonality
 from mtcheck.quadratic import (RankUnavailableError, quadratic_min_rank,
                                rank2_constraint, transvection_constraint)
-from mtcheck.roots import FormClass, LieType, weyl_dim
+from mtcheck.roots import FormClass, LieType
 
 DATA = Path(__file__).parent / "data"
 

@@ -15,9 +15,10 @@ import pytest
 
 from helpers_oracles import (fundamental_index_by_scan, label_by_weight, orbit_size,
                              pairing_minuscule)
+from helpers_roots import form_class, weyl_dim
 from mtcheck.catalog import (IrrepDescriptor, descriptor, enumerate_minuscule,
                              is_minuscule, minuscule_weight_indices, table_dim)
-from mtcheck.roots import FormClass, LieType, Weight, form_class, weyl_dim
+from mtcheck.roots import FormClass, LieType, Weight
 
 
 def _small_types() -> list[LieType]:

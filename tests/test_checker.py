@@ -14,6 +14,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers_oracles import is_exception_pair
 from mtcheck.checker import (_RULES, AVDescriptor, Conclusion, EndoType,
@@ -262,6 +264,49 @@ def test_descriptor_box_digest():
     assert cited == {tag for _, tag, _, _ in _RULES}
     assert concluded == set(Conclusion) - {Conclusion.INPUT_INCONSISTENT}
     assert digest.hexdigest() == _BOX_DIGEST
+
+
+_EXPECTED_DEGREE = {EndoType.RATIONAL: 1, EndoType.IV_IMAG_QUAD: 2}
+
+
+@st.composite
+def _any_descriptor(draw):
+    """A descriptor with g up to 10^30: a consistent one, or one with a
+    single field replaced by an arbitrary value from a box around it."""
+    g = draw(st.one_of(st.integers(1, 60), st.integers(1, 10**30),
+                       st.integers(10**29, 10**30)))
+    endo = draw(st.sampled_from(EndoType))
+    a = draw(st.integers(0, g))
+    signature = draw(st.sampled_from(
+        ((a, g - a),) if endo is EndoType.IV_IMAG_QUAD else (None, (a, g - a))))
+    toric = min(draw(st.sampled_from((0, 1, 2)) | st.integers(0, 7) | st.integers(0, g)), g)
+    d = AVDescriptor(g, endo, _EXPECTED_DEGREE.get(endo) or draw(st.integers(1, 4)),
+                     signature, toric, BAD if toric else GOOD,
+                     draw(st.booleans()), draw(st.booleans()))
+    box = {"g": st.integers(-1, 10**30), "endo_degree": st.integers(-1, 4),
+           "signature": st.none() | st.tuples(st.integers(-1, g + 1), st.integers(-1, g + 1)),
+           "toric_rank": st.integers(-1, g + 1), "reduction": st.sampled_from(Reduction)}
+    field = draw(st.sampled_from((None, None) + tuple(box)))
+    return replace(d, **{field: draw(box[field])}) if field else d
+
+
+# The deadline is hypothesis's default, kept on purpose: at g near 10^30 the
+# Thm 6.4 and 6.5 rules ask the exclusion engine for the candidates of that
+# dimension, which must take milliseconds, not hours.
+@settings(derandomize=True, database=None, max_examples=300, deadline=200)
+@given(_any_descriptor())
+@example(_k(10**24 + 1, (1, 10**24), toric=2, reduction=BAD))
+@example(_k(10**30 + 1, (1, 10**30), toric=2, reduction=BAD))
+@example(_q(10**30, toric=1, reduction=BAD))
+def test_decide_is_total(d):
+    try:
+        verdict = decide(d)
+    except InputInconsistentError:
+        return
+    assert isinstance(verdict, Verdict)
+    assert verdict.conclusion is not Conclusion.INPUT_INCONSISTENT
+    assert set(verdict.citations) <= {tag for _, tag, _, _ in _RULES}
+    assert explain(verdict).startswith(f"conclusion: {verdict.conclusion.value}\n")
 
 
 def test_readme_rule_table_matches_rules():

@@ -11,6 +11,7 @@ import json
 import re
 import shlex
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -100,6 +101,16 @@ def test_survivors(capsys):
                                  "--rank-tau", "15"])
     assert code == 0
     assert out.strip() == "none"
+
+
+def test_survivors_at_extreme_dimension_fails_fast(capsys):
+    # the candidate search bisects m for each s, so 10^30 + 1 costs a few
+    # hundred binomials instead of about 10^10 steps
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["survivors", "--dim", str(10**30 + 1),
+                                   "--form", "nsd", "--rank-tau", "1"])
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, "none\n", "")
 
 
 def test_survivors_gcd_violation_is_an_error(capsys):

@@ -83,9 +83,22 @@ def test_candidates_match_brute_force_scan():
 
 
 def test_candidates_match_stepping_scan():
-    # s = 2 is read off isqrt(8n + 1); the scan steps m for every s
+    # s = 2 is read off isqrt(8n + 1) and m is bisected for s >= 3; the
+    # scan steps m for every s
     for n in range(2, 10**4 + 1):
         assert minuscule_candidates(n) == minuscule_candidates_by_scan(n), n
+
+
+def test_candidates_at_extreme_dimensions():
+    # the stepping scan would take about 10^8 binomials for s = 3 here
+    n = comb(10**8 + 1, 3)
+    assert _labels(minuscule_candidates(n)) == [
+        "A100000000:w3", f"A{n - 1}:w1", f"C{n // 2}:w1", f"D{n // 2}:w1"]
+    # binom(2s, s) = n needs m = 2s - 1, the start of the search
+    n = comb(40, 20)
+    assert _labels(minuscule_candidates(n))[:2] == ["A39:w20", f"A{n - 1}:w1"]
+    for n in (10**30 + 1, 10**100):
+        assert all(e.weight_index == 1 for e in minuscule_candidates(n))
 
 
 def _pair(inner_args, outer_args) -> CandidatePair:

@@ -1,18 +1,19 @@
-"""Root systems: positive-root counts, the Weyl dimension formula, the
-duality involution, and the parity form criterion, each pinned against an
-independent oracle (explicit enumeration, reflection descent, or frozen
-hand values)."""
+"""Root systems: the runtime ``LieType`` validation, and the root-system
+oracle of ``helpers_roots`` (positive-root counts, the Weyl dimension
+formula, the duality involution and the parity form criterion), each pinned
+against an independent oracle (explicit enumeration, reflection descent, or
+frozen hand values)."""
 
 from fractions import Fraction
 
 import pytest
 
 from helpers_oracles import descent_dual_index, orbit_size
+from helpers_roots import (ambient_weight, duality_involution, dual_weight,
+                           form_class, positive_roots, simple_roots,
+                           two_rho_coroot_pairing, vec_dot, weyl_dim)
 from mtcheck import linalg
-from mtcheck.roots import (FormClass, LieType, Weight, ambient_weight,
-                           duality_involution, dual_weight, form_class,
-                           positive_roots, simple_roots,
-                           two_rho_coroot_pairing, weyl_dim)
+from mtcheck.roots import FormClass, LieType, Weight
 
 ALL_SMALL = (
     [LieType("A", m) for m in range(1, 9)]
@@ -51,7 +52,7 @@ def test_e7_structural_checks():
     roots = positive_roots(LieType("E", 7))
     assert len(roots) == 63
     # simply laced after the uniform doubling: every root has norm 8
-    assert {linalg.vec_dot(r, r) for r in roots} == {8}
+    assert {vec_dot(r, r) for r in roots} == {8}
     assert linalg.rank(roots) == 7
     assert len(set(roots)) == 63
 
