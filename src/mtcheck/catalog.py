@@ -6,11 +6,13 @@ groups); C_m the standard w1 (dim 2m); D_m the vector w1 (dim 2m) and the
 two half-spin modules (dim 2^(m-1)); E6 carries w1 and w6 (dim 27) and E7
 carries w7 (dim 56).  E8 carries nothing.
 
-Dimensions and duality classes are closed-form here.  The tests
-cross-validate them against the Weyl dimension formula and the parity
-criterion of the root-system oracle ``tests/helpers_roots.py``; the
-package carries no root system, so the table and the derivation stay
-independent of each other.
+A module is named by the index s of its highest weight ws.  ``descriptor``
+is the one constructor: it admits exactly the indices
+``minuscule_weight_indices`` lists and fills in the closed-form dimension
+and duality class.  The tests cross-validate those against the Weyl
+dimension formula and the parity criterion of the root-system oracle
+``tests/helpers_roots.py``; the package carries no root system, so the
+table and the derivation stay independent of each other.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .roots import FormClass, LieType, Weight, _check_weight
+from .roots import FormClass, LieType
 
 
 @dataclass(frozen=True)
@@ -29,16 +31,6 @@ class IrrepDescriptor:
     weight_index: int
     dim: int
     form: FormClass
-
-    def __post_init__(self):
-        if not 1 <= self.weight_index <= self.lie_type.rank:
-            raise ValueError(f"cataloged weights are fundamental: {self.lie_type} has no "
-                             f"w{self.weight_index}")
-
-    @property
-    def weight(self) -> Weight:
-        """The highest weight ws in coordinates, built on demand."""
-        return Weight.fundamental(self.lie_type.rank, self.weight_index)
 
     @property
     def label(self) -> str:
@@ -111,8 +103,3 @@ def descriptor(t: LieType, s: int) -> IrrepDescriptor:
 def enumerate_minuscule(t: LieType) -> tuple[IrrepDescriptor, ...]:
     return tuple(descriptor(t, s) for s in minuscule_weight_indices(t))
 
-
-def is_minuscule(t: LieType, w: Weight) -> bool:
-    """Whether w is one of the cataloged weights of t (dominance required)."""
-    _check_weight(t, w)
-    return any(w == e.weight for e in enumerate_minuscule(t))

@@ -5,7 +5,9 @@ binom(m-1, s-1) | s(m+1-s) holds only for s = 2 or (m, s) = (7, 3); the
 coprimality gcd(m-1, m(m+1)/2) = 1 holds exactly for m even or m = 1 mod
 4; and the resulting exception pairs (g, r) are (56, 15) together with the
 family (m(m+1)/2, m-1).  Family members with m = 3 mod 4 are omitted since
-gcd(r, g) = 1 already fails for them.
+gcd(r, g) = 1 already fails for them.  ``exception_pairs`` is the one place
+the pairs are written down; the tests compare its list with a brute-force
+predicate and check gcd(g, r) = 1 on each pair.
 """
 
 from __future__ import annotations
@@ -16,22 +18,10 @@ from math import comb, gcd
 
 @dataclass(frozen=True)
 class ExceptionPair:
-    """An exception pair (g, r); family_m is None for the sporadic (56, 15)."""
+    """An exception pair (g, r), as ``exception_pairs`` lists them."""
 
     g: int
     r: int
-    family_m: int | None
-
-    def __post_init__(self):
-        if self.family_m is None:
-            if (self.g, self.r) != (56, 15):
-                raise ValueError("the only sporadic exception pair is (56, 15)")
-        else:
-            m = self.family_m
-            if m < 4 or self.g != m * (m + 1) // 2 or self.r != m - 1:
-                raise ValueError(f"not a family exception pair: ({self.g}, {self.r})")
-        if gcd(self.g, self.r) != 1:
-            raise ValueError("exception pairs satisfy gcd(g, r) = 1")
 
 
 def divisibility_solutions(m_max: int) -> tuple[tuple[int, int], ...]:
@@ -76,8 +66,8 @@ def exception_pairs(g_max: int) -> tuple[ExceptionPair, ...]:
     m = 4
     while m * (m + 1) // 2 <= g_max:
         if m % 4 != 3:
-            pairs.append(ExceptionPair(m * (m + 1) // 2, m - 1, m))
+            pairs.append(ExceptionPair(m * (m + 1) // 2, m - 1))
         m += 1
     if g_max >= 56:
-        pairs.append(ExceptionPair(56, 15, None))
+        pairs.append(ExceptionPair(56, 15))
     return tuple(sorted(pairs, key=lambda p: (p.g, p.r)))

@@ -23,7 +23,7 @@ from enum import Enum
 from math import comb, gcd, isqrt
 
 from .catalog import IrrepDescriptor, descriptor
-from .quadratic import quadratic_ranks
+from .quadratic import quadratic_rank_profile
 from .roots import FormClass, LieType
 
 
@@ -176,7 +176,7 @@ def check_pair(pair: CandidatePair, r: int) -> ExclusionVerdict:
     if m + 1 == 2 * s_norm:
         return _excluded("self-dual middle weight: rank binom(2(s-1), s-1) > s "
                          "cannot divide s [Prop 6.3]")
-    rank_a = quadratic_ranks(inner)[0]  # binom(m-1, s-1), symmetric in s
+    rank_a = quadratic_rank_profile(inner)[0]  # binom(m-1, s-1), symmetric in s
     if r != rank_a:
         return _excluded(f"(A_{m}, w{s_norm}) forces quadratic rank {rank_a}, "
                          f"not {r} [PS]")

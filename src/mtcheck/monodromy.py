@@ -53,10 +53,6 @@ class SymplecticSpace:
             raise ValueError("form must be nondegenerate")
 
 
-def _squares_to_zero(m: Matrix) -> bool:
-    return linalg.is_zero_matrix(linalg.mat_mul(m, m))
-
-
 @dataclass(frozen=True)
 class SpecializationInstance:
     """One seeded monodromy model; see the module docstring for the roles."""
@@ -77,24 +73,26 @@ class SpecializationInstance:
         if len(self.toric_sub) != r or len(self.lift) != r:
             raise ValueError("W and T must have dimension r")
         vi, w, t = self.inertia_invariants, self.toric_sub, self.lift
-        # rank V^I, rank V^I + W and rank V^I + W + T from one elimination
+        # rank V^I, rank V^I + W and rank V^I + W + T from one elimination.
+        # With W in the span of V^I the full rank is rank(V^I + T), and
+        # 2g - r rows of V^I and r rows of T of rank 2g are independent, so a
+        # complementary pair needs only W's rank.  With W outside V^I an
+        # error below is certain, and checking every basis in order raises
+        # the first one.
         ranks = linalg.prefix_ranks(vi + w + t)
-        # with W in the span of V^I the full rank is rank(V^I + T); otherwise
-        # an error is raised below and rank(V^I + T) picks which one.  2g - r
-        # rows of V^I and r rows of T of rank 2g are independent, so a
-        # complementary pair needs only W's rank; the checks keep their order
-        complementary = (ranks[-1] if ranks[n - 1] == ranks[n - r - 1]
-                         else linalg.rank(vi + t)) == n
-        bases = ((("W", w),) if complementary else
-                 (("V^I", vi), ("W", w), ("T", t)))
-        for name, basis in bases:
+        vi_rank = ranks[n - r - 1]
+        complementary = ranks[n - 1] == vi_rank and ranks[-1] == n
+        if vi_rank != n - r:
+            raise ValueError("basis of V^I is not independent")
+        for name, basis in (("W", w),) if complementary else (("W", w), ("T", t)):
             if linalg.rank(basis) != len(basis):
                 raise ValueError(f"basis of {name} is not independent")
         if ranks[n - 1] != n - r:
             raise ValueError("W must lie inside V^I")
         if not complementary:
             raise ValueError("V^I and T must be complementary")
-        if not _squares_to_zero(self.log_matrix()):
+        tau = self.log_matrix()
+        if not linalg.is_zero_matrix(linalg.mat_mul(tau, tau)):
             raise ValueError("N - I must square to zero")
 
     @cached_property

@@ -3,8 +3,11 @@
 The recorded ranks are the ones the case analysis relies on: a quadratic
 element of (A_m, ws) has rank binom(m-1, s-1); the classical w1 modules
 admit minimal rank 1 (symplectic) or 2 (orthogonal); a half-spin module of
-D_m forces rank 2^(m-3) or 2^(m-2).  The exceptional types deliberately
-carry no rank data: callers must exclude them rather than read a number.
+D_m forces rank 2^(m-3) or 2^(m-2).  ``quadratic_rank_profile`` states
+these once, as a plain tuple of ranks, minimal first; the tests check on
+every entry up to rank 50 that the ranks are ascending, at least 1 and at
+most half the dimension.  The exceptional types deliberately carry no rank
+data: callers must exclude them rather than read a number.
 """
 
 from __future__ import annotations
@@ -20,48 +23,23 @@ class RankUnavailableError(ValueError):
     """No quadratic rank data; the caller must exclude this candidate."""
 
 
-@dataclass(frozen=True)
-class QuadraticRankProfile:
-    """Recorded quadratic ranks of a module, minimal first."""
-
-    irrep: IrrepDescriptor
-    ranks: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.ranks or list(self.ranks) != sorted(self.ranks):
-            raise ValueError("ranks must be nonempty and ascending")
-        if self.ranks[0] < 1:
-            raise ValueError("minimal rank must be >= 1")
-        if 2 * self.ranks[-1] > self.irrep.dim:
-            raise ValueError("a square-zero rank cannot exceed dim/2")
-
-    @property
-    def min_rank(self) -> int:
-        return self.ranks[0]
-
-
-def quadratic_rank_profile(irrep: IrrepDescriptor) -> QuadraticRankProfile:
+def quadratic_rank_profile(irrep: IrrepDescriptor) -> tuple[int, ...]:
+    """The recorded quadratic ranks of irrep, minimal first."""
     f, m = irrep.lie_type.family, irrep.lie_type.rank
     s = irrep.weight_index
     if f == "E":
         raise RankUnavailableError(f"no quadratic rank data for {irrep.lie_type}")
     if f == "A":
-        ranks = (comb(m - 1, s - 1),)
-    elif f == "C":
-        ranks = (1,)
-    elif f == "B" or s == 1:
-        ranks = (2,)
-    else:  # D_m half-spin
-        ranks = (2 ** (m - 3), 2 ** (m - 2))
-    return QuadraticRankProfile(irrep, ranks)
-
-
-def quadratic_ranks(irrep: IrrepDescriptor) -> tuple[int, ...]:
-    return quadratic_rank_profile(irrep).ranks
+        return (comb(m - 1, s - 1),)
+    if f == "C":
+        return (1,)
+    if f == "B" or s == 1:
+        return (2,)
+    return (2 ** (m - 3), 2 ** (m - 2))  # D_m half-spin
 
 
 def quadratic_min_rank(irrep: IrrepDescriptor) -> int:
-    return quadratic_rank_profile(irrep).min_rank
+    return quadratic_rank_profile(irrep)[0]
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ library's own closed forms against them.
 The duality oracle walks a fundamental weight down to the antidominant
 chamber by simple reflections (reaching w0 . w) instead of trusting the
 permutation of the root-system oracle ``helpers_roots``; the minuscule
-oracle applies the coroot-pairing criterion; the transvection oracle
+oracle applies the coroot-pairing criterion, against which the tests pin
+the catalog's list of weight indices; the transvection oracle
 brute-forces rank-1 elements of orthogonal algebras over a small integer
 box; the monodromy oracles restate orthogonality and the filtration by
 rational nullspaces and span tests, the formulation the library's
@@ -17,7 +18,8 @@ the closed form (56, 15) plus the triangular family (m(m+1)/2, m-1),
 m != 3 mod 4, that the verdict engine's exclusion sweep must reproduce;
 the lemma oracle tests every s with a fresh binomial, without the early
 stop; the weight oracles read a descriptor's index and label off the
-coordinates of its weight, as the catalog did before it stored the index;
+coordinates of its weight (a ``helpers_roots.Weight``: the package names a
+weight by its index alone), as the catalog did before it stored the index;
 the candidate oracle finds the A-family entries of a dimension by stepping
 m one at a time for every s, as the exclusion engine did before it read
 s = 2 off ``isqrt`` and bisected m for s >= 3.  ``mat_add`` and
@@ -31,12 +33,12 @@ from fractions import Fraction
 from itertools import product
 from math import comb, isqrt
 
-from helpers_roots import (ambient_weight, coroot_pairings, fundamental_weights,
+from helpers_roots import (Weight, ambient_weight, coroot_pairings, fundamental_weights,
                            reflect, simple_roots, vec_dot)
 from mtcheck import linalg
 from mtcheck.catalog import IrrepDescriptor, descriptor
 from mtcheck.monodromy import SpecializationInstance, SymplecticSpace
-from mtcheck.roots import LieType, Weight
+from mtcheck.roots import LieType
 
 
 def descent_dual_index(t: LieType, s: int) -> int:

@@ -1,10 +1,13 @@
 """The root-system oracle: exact root data for families A-E, derived from
 first principles so the catalog's closed forms can be checked against it.
 
-Ambient coordinates follow the standard orthonormal constructions: A_m in
-Q^(m+1), B/C/D_m in Q^m, and the E family inside Q^8.  E-family vectors are
-uniformly doubled so that every root has integer coordinates; all derived
-quantities are scale-invariant, so the doubling is invisible to callers.
+Weights are ``Weight`` values in fundamental-weight coordinates;
+``highest_weight`` gives the highest weight ws of a catalog entry,
+which the package names by its index s alone.  Ambient coordinates follow
+the standard orthonormal constructions: A_m in Q^(m+1), B/C/D_m in Q^m,
+and the E family inside Q^8.  E-family vectors are uniformly doubled so
+that every root has integer coordinates; all derived quantities are
+scale-invariant, so the doubling is invisible to callers.
 
 Everything is computed with ``fractions.Fraction``; no floating point.
 The package's catalog is closed-form and needs none of this, so it lives
@@ -14,13 +17,47 @@ derivation and the tests use.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
 from mtcheck import linalg
+from mtcheck.catalog import IrrepDescriptor
 from mtcheck.linalg import Matrix, Scalar, Vector
-from mtcheck.roots import FormClass, LieType, Weight, _check_weight
+from mtcheck.roots import FormClass, LieType
+
+
+@dataclass(frozen=True)
+class Weight:
+    """A weight in fundamental-weight coordinates."""
+
+    coords: tuple[int, ...]
+
+    def __post_init__(self):
+        if not all(isinstance(c, int) for c in self.coords):
+            raise ValueError("weight coordinates must be integers")
+
+    @classmethod
+    def fundamental(cls, rank: int, s: int) -> "Weight":
+        if not 1 <= s <= rank:
+            raise ValueError(f"fundamental weight index {s} out of range 1..{rank}")
+        return cls(tuple(1 if i == s - 1 else 0 for i in range(rank)))
+
+    @property
+    def is_dominant(self) -> bool:
+        return all(c >= 0 for c in self.coords)
+
+    def __str__(self) -> str:
+        nonzero = [i for i, c in enumerate(self.coords) if c != 0]
+        if len(nonzero) == 1 and self.coords[nonzero[0]] == 1:
+            return f"w{nonzero[0] + 1}"
+        return "+".join(f"{self.coords[i]}w{i + 1}" for i in nonzero) or "0"
+
+
+def highest_weight(entry: IrrepDescriptor) -> Weight:
+    """The highest weight ws of a catalog entry, in coordinates."""
+    return Weight.fundamental(entry.lie_type.rank, entry.weight_index)
 
 
 def vec_dot(u: Vector, v: Vector) -> Scalar:
@@ -44,6 +81,13 @@ def _check_shape(t: LieType, w: Weight) -> None:
     """Raise unless w has one coordinate per rank of t; w may be non-dominant."""
     if len(w.coords) != t.rank:
         raise ValueError(f"weight has {len(w.coords)} coordinates, {t} has rank {t.rank}")
+
+
+def _check_weight(t: LieType, w: Weight) -> None:
+    """Raise unless w has one coordinate per rank of t and is dominant."""
+    _check_shape(t, w)
+    if not w.is_dominant:
+        raise ValueError(f"weight {w} is not dominant")
 
 
 def _unit(n: int, i: int, value=1) -> Vector:

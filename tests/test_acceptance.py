@@ -10,7 +10,7 @@ import json
 from math import comb, gcd
 from pathlib import Path
 
-from helpers_roots import weyl_dim
+from helpers_roots import highest_weight, weyl_dim
 from mtcheck.catalog import descriptor, enumerate_minuscule
 from mtcheck.checker import (AVDescriptor, Conclusion, EndoType, Reduction,
                              decide)
@@ -57,11 +57,11 @@ def test_criterion_1_minuscule_table_fidelity():
     for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
         for rank in range(lo, 13):
             for e in enumerate_minuscule(LieType(family, rank)):
-                if e.dim != weyl_dim(e.lie_type, e.weight):
+                if e.dim != weyl_dim(e.lie_type, highest_weight(e)):
                     mismatches += 1
     for rank in (6, 7, 8):
         for e in enumerate_minuscule(LieType("E", rank)):
-            if e.dim != weyl_dim(e.lie_type, e.weight):
+            if e.dim != weyl_dim(e.lie_type, highest_weight(e)):
                 mismatches += 1
     assert mismatches == 0
     _passed(f"criterion 1: catalog matches closed forms and the Weyl dimension "

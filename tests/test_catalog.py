@@ -15,10 +15,10 @@ import pytest
 
 from helpers_oracles import (fundamental_index_by_scan, label_by_weight, orbit_size,
                              pairing_minuscule)
-from helpers_roots import form_class, weyl_dim
+from helpers_roots import Weight, form_class, highest_weight, weyl_dim
 from mtcheck.catalog import (IrrepDescriptor, descriptor, enumerate_minuscule,
-                             is_minuscule, minuscule_weight_indices, table_dim)
-from mtcheck.roots import FormClass, LieType, Weight
+                             minuscule_weight_indices, table_dim)
+from mtcheck.roots import FormClass, LieType
 
 
 def _small_types() -> list[LieType]:
@@ -46,7 +46,7 @@ def test_membership_matches_strict_pairing(t):
 @pytest.mark.parametrize("t", _small_types(), ids=str)
 def test_dims_match_weyl_formula(t):
     for entry in enumerate_minuscule(t):
-        assert entry.dim == weyl_dim(t, entry.weight)
+        assert entry.dim == weyl_dim(t, highest_weight(entry))
 
 
 @pytest.mark.parametrize(
@@ -62,7 +62,7 @@ def test_dims_at_rank_thirty(family, rank, s):
 @pytest.mark.parametrize("t", _small_types(), ids=str)
 def test_forms_match_parity_criterion(t):
     for entry in enumerate_minuscule(t):
-        assert entry.form is form_class(t, entry.weight)
+        assert entry.form is form_class(t, highest_weight(entry))
 
 
 @pytest.mark.parametrize(
@@ -79,7 +79,7 @@ def test_forms_at_large_rank(family, rank, s, expected):
     t = LieType(family, rank)
     entry = descriptor(t, s)
     assert entry.form is expected
-    assert form_class(t, entry.weight) is expected
+    assert form_class(t, highest_weight(entry)) is expected
 
 
 _ORBIT_TYPES = ([LieType(f, m) for f in "BCD" for m in range(3, 7)]
@@ -93,25 +93,6 @@ def test_dim_counts_the_weight_orbit(t):
         # The quasi-minuscule B vector module has one extra (zero) weight.
         expected = entry.dim - 1 if t.family == "B" else entry.dim
         assert orbit_size(t, entry.weight_index) == expected
-
-
-def test_is_minuscule_examples():
-    assert not is_minuscule(LieType("B", 2), Weight.fundamental(2, 2))
-    assert is_minuscule(LieType("B", 2), Weight.fundamental(2, 1))
-    assert is_minuscule(LieType("A", 5), Weight.fundamental(5, 3))
-    assert is_minuscule(LieType("D", 4), Weight.fundamental(4, 4))
-    assert is_minuscule(LieType("E", 6), Weight.fundamental(6, 6))
-    assert not is_minuscule(LieType("E", 7), Weight.fundamental(7, 1))
-    assert not is_minuscule(LieType("E", 8), Weight.fundamental(8, 8))
-    assert not is_minuscule(LieType("A", 3), Weight((1, 1, 0)))
-    assert not is_minuscule(LieType("C", 3), Weight((2, 0, 0)))
-
-
-def test_is_minuscule_input_validation():
-    with pytest.raises(ValueError, match="rank"):
-        is_minuscule(LieType("A", 3), Weight((1, 0)))
-    with pytest.raises(ValueError, match="dominant"):
-        is_minuscule(LieType("A", 3), Weight((1, -1, 0)))
 
 
 def test_e8_carries_nothing():
@@ -160,17 +141,11 @@ def test_descriptor_fields_match_weight_coordinates():
              for m in range(lo, 41)] + [LieType("E", 6), LieType("E", 7)]
     for t in types:
         for e in enumerate_minuscule(t):
-            w = e.weight
+            w = highest_weight(e)
             assert len(w.coords) == t.rank, e
             assert fundamental_index_by_scan(w) == e.weight_index, e
             assert e.label == label_by_weight(t, w)
             assert str(e) == f"({t}, {w})"
-
-
-def test_weight_index_requires_fundamental():
-    for s in (0, 3, -1):
-        with pytest.raises(ValueError, match="fundamental"):
-            IrrepDescriptor(LieType("A", 2), s, 3, FormClass.NON_SELF_DUAL)
 
 
 @pytest.mark.parametrize(

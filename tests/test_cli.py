@@ -1,12 +1,14 @@
 """End-to-end CLI tests driven through main(argv).
 
 Covers every subcommand's text and machine output, the exit-code contract
-(0 verdict, 1 usage/value error, 2 inconsistent input), batch mode, and
-byte-stability of the golden descriptor corpus.
+(0 verdict, 1 usage/value error, 2 inconsistent input), batch mode,
+byte-stability of the golden descriptor corpus, and the README's examples:
+every ``$ mtcheck`` line and the Python session.
 """
 
 from __future__ import annotations
 
+import doctest
 import json
 import re
 import shlex
@@ -22,13 +24,18 @@ from mtcheck.cli import _descriptor_from_args, _parse_row, build_parser, main
 DATA = Path(__file__).parent / "data"
 
 
+def _readme_blocks(lang: str) -> list[str]:
+    """The body of every fenced ``lang`` block in the README, fences left out."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"^```{lang}\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+
+
 def _readme_examples():
     """(command, output) for every ``$ mtcheck ...`` line in the README's sh
     blocks; a backslash continues a command, and its output runs to the
     next ``$`` line or the end of the block."""
-    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     examples = []
-    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.MULTILINE | re.DOTALL):
+    for block in _readme_blocks("sh"):
         for chunk in re.split(r"^\$ ", block, flags=re.MULTILINE)[1:]:
             command, _, output = re.sub(r"\\\n\s*", "", chunk).partition("\n")
             examples.append(pytest.param(command, output.rstrip("\n") + "\n",
@@ -151,6 +158,17 @@ def test_readme_example(capsys, command, output):
     code, out, _ = _run(capsys, argv)
     assert code == 0
     assert out == output
+
+
+def test_readme_python_session():
+    # the fenced body alone, so doctest does not read the closing fence as
+    # part of the last expected output
+    (block,) = _readme_blocks("python")
+    test = doctest.DocTestParser().get_doctest(block, {}, "README.md", "README.md", 0)
+    report = []
+    result = doctest.DocTestRunner().run(test, out=report.append)
+    assert result.attempted == block.count(">>> ") > 0
+    assert result.failed == 0, "".join(report)
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

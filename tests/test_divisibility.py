@@ -1,5 +1,6 @@
 """Arithmetic layer: frozen small sweeps, structural characterizations of
-the full sweeps, and validation of the exception-pair bookkeeping."""
+the full sweeps, and the exception-pair list checked against a brute-force
+predicate."""
 
 from __future__ import annotations
 
@@ -9,8 +10,7 @@ import pytest
 
 from helpers_oracles import (divisibility_solutions_unpruned, is_exception_pair,
                              triangular_m)
-from mtcheck.divisibility import (ExceptionPair, divisibility_solutions,
-                                  exception_pairs, gcd_mod4_check)
+from mtcheck.divisibility import divisibility_solutions, exception_pairs, gcd_mod4_check
 
 
 def test_divisibility_solutions_frozen_prefix():
@@ -91,10 +91,8 @@ def test_is_exception_pair():
 def test_exception_pairs_frozen():
     got = [(p.g, p.r) for p in exception_pairs(60)]
     assert got == [(10, 3), (15, 4), (21, 5), (36, 7), (45, 8), (55, 9), (56, 15)]
-    sporadic = [p for p in exception_pairs(60) if p.family_m is None]
-    assert [(p.g, p.r) for p in sporadic] == [(56, 15)]
-    family = [p.family_m for p in exception_pairs(60) if p.family_m is not None]
-    assert family == [4, 5, 6, 8, 9, 10]
+    family = [(m * (m + 1) // 2, m - 1) for m in (4, 5, 6, 8, 9, 10)]
+    assert sorted(family + [(56, 15)]) == got
 
 
 def test_exception_pairs_bounds():
@@ -116,16 +114,3 @@ def test_family_members_skipped_for_coprimality():
     for m in range(4, 200):
         if m % 4 == 3:
             assert gcd(m * (m + 1) // 2, m - 1) > 1, m
-
-
-def test_exception_pair_validation():
-    ExceptionPair(56, 15, None)
-    ExceptionPair(10, 3, 4)
-    with pytest.raises(ValueError, match="sporadic"):
-        ExceptionPair(56, 14, None)
-    with pytest.raises(ValueError, match="not a family"):
-        ExceptionPair(10, 4, 4)
-    with pytest.raises(ValueError, match="not a family"):
-        ExceptionPair(6, 2, 3)
-    with pytest.raises(ValueError, match="gcd"):
-        ExceptionPair(28, 6, 7)

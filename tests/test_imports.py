@@ -5,12 +5,14 @@ Only ``mtcheck.linalg`` imports ``fractions``; every other runtime module
 stays on integers or reaches rationals through linalg.  No runtime module
 imports from ``tests/``, where the oracles live, and ``mtcheck.roots``, the
 runtime types every layer uses, imports nothing from the package.  The
-modules are parsed, not imported.
+modules are parsed, not imported, except by the ``__all__`` check, which
+imports the package to resolve every exported name.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,11 @@ def test_runtime_never_imports_tests(path):
 def test_roots_imports_nothing_from_the_package():
     names = _imports(PACKAGE / "roots.py")
     assert not {n for n in names if n.startswith(".") or _top(n) == "mtcheck"}
+
+
+def test_all_names_resolve():
+    package = importlib.import_module("mtcheck")
+    assert package.__all__
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert not missing
+    assert len(set(package.__all__)) == len(package.__all__)

@@ -17,24 +17,23 @@ import pytest
 from helpers_oracles import (in_orthogonal_algebra, mat_add,
                              rank_one_search_orthogonal, split_orthogonal_form)
 from mtcheck import linalg
-from mtcheck.catalog import descriptor
+from mtcheck.catalog import descriptor, enumerate_minuscule
 from mtcheck.monodromy import standard_symplectic_form
-from mtcheck.quadratic import (AlgebraShape, QuadraticRankProfile,
-                               RankUnavailableError, quadratic_min_rank,
-                               quadratic_rank_profile, quadratic_ranks,
+from mtcheck.quadratic import (AlgebraShape, RankUnavailableError,
+                               quadratic_min_rank, quadratic_rank_profile,
                                rank2_constraint, tensor_form,
                                transvection_constraint)
 from mtcheck.roots import FormClass, LieType
 
 
 def test_rank_values_examples():
-    assert quadratic_ranks(descriptor(LieType("A", 7), 3)) == (15,)
-    assert quadratic_ranks(descriptor(LieType("A", 4), 2)) == (3,)
-    assert quadratic_ranks(descriptor(LieType("A", 9), 1)) == (1,)
-    assert quadratic_ranks(descriptor(LieType("C", 9), 1)) == (1,)
-    assert quadratic_ranks(descriptor(LieType("B", 5), 1)) == (2,)
-    assert quadratic_ranks(descriptor(LieType("D", 7), 1)) == (2,)
-    assert quadratic_ranks(descriptor(LieType("D", 7), 7)) == (16, 32)
+    assert quadratic_rank_profile(descriptor(LieType("A", 7), 3)) == (15,)
+    assert quadratic_rank_profile(descriptor(LieType("A", 4), 2)) == (3,)
+    assert quadratic_rank_profile(descriptor(LieType("A", 9), 1)) == (1,)
+    assert quadratic_rank_profile(descriptor(LieType("C", 9), 1)) == (1,)
+    assert quadratic_rank_profile(descriptor(LieType("B", 5), 1)) == (2,)
+    assert quadratic_rank_profile(descriptor(LieType("D", 7), 1)) == (2,)
+    assert quadratic_rank_profile(descriptor(LieType("D", 7), 7)) == (16, 32)
     assert quadratic_min_rank(descriptor(LieType("D", 5), 4)) == 4
 
 
@@ -42,14 +41,24 @@ def test_rank_profiles_sweep():
     for m in range(1, 51):
         for s in range(1, m + 1):
             profile = quadratic_rank_profile(descriptor(LieType("A", m), s))
-            assert profile.ranks == (comb(m - 1, s - 1),)
+            assert profile == (comb(m - 1, s - 1),)
     for m in range(2, 51):
-        assert quadratic_ranks(descriptor(LieType("B", m), 1)) == (2,)
-        assert quadratic_ranks(descriptor(LieType("C", m), 1)) == (1,)
+        assert quadratic_rank_profile(descriptor(LieType("B", m), 1)) == (2,)
+        assert quadratic_rank_profile(descriptor(LieType("C", m), 1)) == (1,)
     for m in range(3, 51):
-        assert quadratic_ranks(descriptor(LieType("D", m), 1)) == (2,)
-        assert quadratic_ranks(descriptor(LieType("D", m), m)) == (2 ** (m - 3), 2 ** (m - 2))
-        assert quadratic_ranks(descriptor(LieType("D", m), m - 1)) == (2 ** (m - 3), 2 ** (m - 2))
+        half_spin = (2 ** (m - 3), 2 ** (m - 2))
+        assert quadratic_rank_profile(descriptor(LieType("D", m), 1)) == (2,)
+        assert quadratic_rank_profile(descriptor(LieType("D", m), m)) == half_spin
+        assert quadratic_rank_profile(descriptor(LieType("D", m), m - 1)) == half_spin
+    # every profile is a valid list of square-zero ranks, minimal first
+    for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        for m in range(lo, 51):
+            for entry in enumerate_minuscule(LieType(f, m)):
+                ranks = quadratic_rank_profile(entry)
+                assert ranks and list(ranks) == sorted(ranks), entry
+                assert ranks[0] >= 1, entry
+                assert 2 * ranks[-1] <= entry.dim, entry
+                assert quadratic_min_rank(entry) == ranks[0], entry
 
 
 def test_exceptional_types_have_no_rank_data():
@@ -57,19 +66,6 @@ def test_exceptional_types_have_no_rank_data():
     for t, s in ((LieType("E", 6), 1), (LieType("E", 6), 6), (LieType("E", 7), 7)):
         with pytest.raises(RankUnavailableError):
             quadratic_rank_profile(descriptor(t, s))
-
-
-def test_profile_validation():
-    std = descriptor(LieType("A", 3), 1)
-    with pytest.raises(ValueError, match="nonempty and ascending"):
-        QuadraticRankProfile(std, ())
-    with pytest.raises(ValueError, match="nonempty and ascending"):
-        QuadraticRankProfile(std, (2, 1))
-    with pytest.raises(ValueError, match=">= 1"):
-        QuadraticRankProfile(std, (0,))
-    with pytest.raises(ValueError, match="dim/2"):
-        QuadraticRankProfile(std, (3,))
-    assert QuadraticRankProfile(std, (1, 2)).min_rank == 1
 
 
 def _exterior_derivation_rank(m: int, s: int) -> int:

@@ -9,11 +9,11 @@ from fractions import Fraction
 import pytest
 
 from helpers_oracles import descent_dual_index, orbit_size
-from helpers_roots import (ambient_weight, duality_involution, dual_weight,
+from helpers_roots import (Weight, ambient_weight, duality_involution, dual_weight,
                            form_class, positive_roots, simple_roots,
                            two_rho_coroot_pairing, vec_dot, weyl_dim)
 from mtcheck import linalg
-from mtcheck.roots import FormClass, LieType, Weight
+from mtcheck.roots import FormClass, LieType
 
 ALL_SMALL = (
     [LieType("A", m) for m in range(1, 9)]
