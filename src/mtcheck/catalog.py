@@ -39,9 +39,6 @@ class IrrepDescriptor:
     def sort_key(self):
         return (self.lie_type.family, self.lie_type.rank, self.weight_index)
 
-    def __str__(self) -> str:
-        return f"({self.lie_type}, w{self.weight_index})"
-
 
 def minuscule_weight_indices(t: LieType) -> range | tuple[int, ...]:
     f, m = t.family, t.rank
@@ -58,46 +55,36 @@ def minuscule_weight_indices(t: LieType) -> range | tuple[int, ...]:
     return ()
 
 
-def table_dim(t: LieType, s: int) -> int:
+def _dim_and_form(t: LieType, s: int) -> tuple[int, FormClass]:
+    """Closed-form dimension and duality class of the entry (t, ws)."""
     f, m = t.family, t.rank
     if f == "A":
-        return comb(m + 1, s)
-    if f == "B":
-        return 2 * m + 1
-    if f == "C":
-        return 2 * m
-    if f == "D":
-        return 2 * m if s == 1 else 2 ** (m - 1)
-    return 27 if m == 6 else 56
-
-
-def table_form(t: LieType, s: int) -> FormClass:
-    f, m = t.family, t.rank
-    if f == "A":
+        dim = comb(m + 1, s)
         if m + 1 != 2 * s:
-            return FormClass.NON_SELF_DUAL
+            return dim, FormClass.NON_SELF_DUAL
         # self-dual middle weight: parity of s(m+1-s) = s^2
-        return FormClass.ORTHOGONAL if s % 2 == 0 else FormClass.SYMPLECTIC
+        return dim, FormClass.ORTHOGONAL if s % 2 == 0 else FormClass.SYMPLECTIC
     if f == "B":
-        return FormClass.ORTHOGONAL
+        return 2 * m + 1, FormClass.ORTHOGONAL
     if f == "C":
-        return FormClass.SYMPLECTIC
+        return 2 * m, FormClass.SYMPLECTIC
     if f == "D":
         if s == 1:
-            return FormClass.ORTHOGONAL
+            return 2 * m, FormClass.ORTHOGONAL
+        half_spin = 2 ** (m - 1)
         if m % 2 == 1:
-            return FormClass.NON_SELF_DUAL
-        return FormClass.ORTHOGONAL if m % 4 == 0 else FormClass.SYMPLECTIC
+            return half_spin, FormClass.NON_SELF_DUAL
+        return half_spin, FormClass.ORTHOGONAL if m % 4 == 0 else FormClass.SYMPLECTIC
     if m == 6:
-        return FormClass.NON_SELF_DUAL
-    return FormClass.SYMPLECTIC
+        return 27, FormClass.NON_SELF_DUAL
+    return 56, FormClass.SYMPLECTIC
 
 
 def descriptor(t: LieType, s: int) -> IrrepDescriptor:
     """The catalog entry for fundamental weight index s; raises if absent."""
     if s not in minuscule_weight_indices(t):
         raise ValueError(f"{t} carries no cataloged module at w{s}")
-    return IrrepDescriptor(t, s, table_dim(t, s), table_form(t, s))
+    return IrrepDescriptor(t, s, *_dim_and_form(t, s))
 
 
 def enumerate_minuscule(t: LieType) -> tuple[IrrepDescriptor, ...]:

@@ -26,8 +26,6 @@ from .exclusion import CandidatePair, check_pair, surviving_inners
 from .monodromy import build_instance, verify_instance
 from .roots import FormClass, LieType
 
-_FORMS = {"nsd": FormClass.NON_SELF_DUAL, "symp": FormClass.SYMPLECTIC,
-          "orth": FormClass.ORTHOGONAL}
 _ENDO = {"I": EndoType.TYPE_I, "II": EndoType.TYPE_II, "III": EndoType.TYPE_III,
          "k": EndoType.IV_IMAG_QUAD, "IV": EndoType.IV_OTHER, "Q": EndoType.RATIONAL}
 
@@ -64,12 +62,12 @@ def _cmd_catalog(args) -> int:
 def _cmd_pair(args) -> int:
     pair = CandidatePair(_parse_irrep(args.inner), _parse_irrep(args.outer))
     verdict = check_pair(pair, args.rank_tau)
-    print(f"{verdict.status.value}: {verdict.reason}")
+    print(f"{'admissible' if verdict.admissible else 'excluded'}: {verdict.reason}")
     return 0
 
 
 def _cmd_survivors(args) -> int:
-    survivors = surviving_inners(args.dim, _FORMS[args.form], args.rank_tau)
+    survivors = surviving_inners(args.dim, FormClass(args.form), args.rank_tau)
     if not survivors:
         print("none")
     for s in survivors:
@@ -205,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survivors", help="admissible proper-inclusion inners")
     p.add_argument("--dim", required=True, type=int)
-    p.add_argument("--form", required=True, choices=sorted(_FORMS))
+    p.add_argument("--form", required=True, choices=sorted(f.value for f in FormClass))
     p.add_argument("--rank-tau", required=True, type=int)
     p.set_defaults(func=_cmd_survivors)
 

@@ -19,7 +19,6 @@ binom(m-1, s-1) | s(m+1-s), which by the lemma only s = 2 and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import comb, gcd, isqrt
 
 from .catalog import IrrepDescriptor, descriptor
@@ -27,19 +26,10 @@ from .quadratic import quadratic_rank_profile
 from .roots import FormClass, LieType
 
 
-class ExclusionStatus(Enum):
-    ADMISSIBLE = "admissible"
-    EXCLUDED = "excluded"
-
-
 @dataclass(frozen=True)
 class ExclusionVerdict:
-    status: ExclusionStatus
+    admissible: bool
     reason: str
-
-    @property
-    def admissible(self) -> bool:
-        return self.status is ExclusionStatus.ADMISSIBLE
 
 
 @dataclass(frozen=True)
@@ -54,10 +44,6 @@ class CandidatePair:
             raise ValueError("inner and outer must act on the same dimension")
         if self.inner == self.outer:
             raise ValueError("a proper inclusion needs inner != outer")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.inner.dim
 
 
 def theorem61_outer_shapes(n: int, form: FormClass) -> tuple[IrrepDescriptor, ...]:
@@ -125,7 +111,7 @@ def minuscule_candidates(n: int) -> tuple[IrrepDescriptor, ...]:
 
 
 def _excluded(reason: str) -> ExclusionVerdict:
-    return ExclusionVerdict(ExclusionStatus.EXCLUDED, reason)
+    return ExclusionVerdict(False, reason)
 
 
 def check_pair(pair: CandidatePair, r: int) -> ExclusionVerdict:
@@ -140,7 +126,7 @@ def check_pair(pair: CandidatePair, r: int) -> ExclusionVerdict:
 
     so r divides n * s(m+1-s), and gcd(r, n) = 1 leaves r | s(m+1-s).
     """
-    n = pair.ambient_dim
+    n = pair.inner.dim
     if n <= 4:
         raise ValueError("the exclusion engine assumes ambient dimension > 4")
     inner, outer = pair.inner, pair.outer
@@ -181,11 +167,8 @@ def check_pair(pair: CandidatePair, r: int) -> ExclusionVerdict:
         return _excluded(f"(A_{m}, w{s_norm}) forces quadratic rank {rank_a}, "
                          f"not {r} [PS]")
     if s_norm * (m + 1 - s_norm) % rank_a == 0:
-        return ExclusionVerdict(
-            ExclusionStatus.ADMISSIBLE,
-            f"binom({m - 1}, {s_norm - 1}) divides {s_norm}({m + 1}-{s_norm}) "
-            "[Prop 6.3]",
-        )
+        return ExclusionVerdict(True, f"binom({m - 1}, {s_norm - 1}) divides "
+                                      f"{s_norm}({m + 1}-{s_norm}) [Prop 6.3]")
     return _excluded(f"binom({m - 1}, {s_norm - 1}) does not divide "
                      f"{s_norm}({m + 1}-{s_norm}) [Prop 6.3]")
 

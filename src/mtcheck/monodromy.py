@@ -91,17 +91,14 @@ class SpecializationInstance:
             raise ValueError("W must lie inside V^I")
         if not complementary:
             raise ValueError("V^I and T must be complementary")
-        tau = self.log_matrix()
+        tau = self.log_matrix
         if not linalg.is_zero_matrix(linalg.mat_mul(tau, tau)):
             raise ValueError("N - I must square to zero")
 
     @cached_property
-    def _log(self) -> Matrix:
-        return linalg.mat_sub(self.monodromy, linalg.identity(self.space.dim))
-
     def log_matrix(self) -> Matrix:
         """tau = N - I, computed once per instance."""
-        return self._log
+        return linalg.mat_sub(self.monodromy, linalg.identity(self.space.dim))
 
 
 def standard_symplectic_form(g: int) -> Matrix:
@@ -249,7 +246,7 @@ def verify_filtration(inst: SpecializationInstance) -> bool:
     the image lies in W; tau(T) has rank r, so T maps onto W and tau itself
     has rank r.
     """
-    tau_t = linalg.transpose(inst.log_matrix())
+    tau_t = linalg.transpose(inst.log_matrix)
     if not linalg.is_zero_matrix(linalg.mat_mul(inst.inertia_invariants, tau_t)):
         return False
     t_images = linalg.mat_mul(inst.lift, tau_t)
@@ -264,7 +261,7 @@ def is_form_compatible(inst: SpecializationInstance) -> bool:
     Theta^T = -Theta (SymplecticSpace enforces it) makes tau^T Theta equal
     to -(Theta tau)^T, so the condition says Theta tau is symmetric.
     """
-    theta_tau = linalg.mat_mul(inst.space.form, inst.log_matrix())
+    theta_tau = linalg.mat_mul(inst.space.form, inst.log_matrix)
     return theta_tau == linalg.transpose(theta_tau)
 
 
@@ -286,7 +283,7 @@ def verify_instance(inst: SpecializationInstance) -> dict[str, bool]:
     return {
         "tau_square_zero": True,
         "tau_rank_r": (filtration
-                       or linalg.rank(inst.log_matrix()) == inst.toric_rank),
+                       or linalg.rank(inst.log_matrix) == inst.toric_rank),
         "invariant_dim": True,
         "orthogonality": verify_orthogonality(inst),
         "filtration": filtration,

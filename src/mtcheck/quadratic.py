@@ -48,17 +48,6 @@ class AlgebraShape:
 
     factors: tuple[IrrepDescriptor, ...]
 
-    def __post_init__(self):
-        if len(self.factors) not in (1, 2):
-            raise ValueError("shapes have one or two factors")
-
-    @property
-    def dim(self) -> int:
-        d = 1
-        for f in self.factors:
-            d *= f.dim
-        return d
-
     @property
     def form(self) -> FormClass:
         if len(self.factors) == 1:
@@ -68,9 +57,6 @@ class AlgebraShape:
     @property
     def label(self) -> str:
         return " x ".join(f.label for f in self.factors)
-
-    def sort_key(self):
-        return (len(self.factors),) + tuple(f.sort_key() for f in self.factors)
 
 
 def tensor_form(a: FormClass, b: FormClass) -> FormClass:
@@ -113,4 +99,4 @@ def rank2_constraint(n: int) -> tuple[AlgebraShape, ...]:
             shapes.append(AlgebraShape((descriptor(LieType("C", g // 2), 1), sl2)))
     else:
         shapes.append(AlgebraShape((descriptor(LieType("B", (n - 1) // 2), 1),)))
-    return tuple(sorted(shapes, key=AlgebraShape.sort_key))
+    return tuple(shapes)

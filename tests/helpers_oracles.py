@@ -169,7 +169,7 @@ def preserves_form(inst: SpecializationInstance) -> bool:
 def filtration_by_spans(inst: SpecializationInstance) -> bool:
     """tau has rank r, kills each V^I vector, sends each basis vector into W
     and maps T onto W, tested one vector at a time."""
-    tau = inst.log_matrix()
+    tau = inst.log_matrix
     r = inst.toric_rank
     if linalg.rank(tau) != r:
         return False

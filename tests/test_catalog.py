@@ -17,7 +17,7 @@ from helpers_oracles import (fundamental_index_by_scan, label_by_weight, orbit_s
                              pairing_minuscule)
 from helpers_roots import Weight, form_class, highest_weight, weyl_dim
 from mtcheck.catalog import (IrrepDescriptor, descriptor, enumerate_minuscule,
-                             minuscule_weight_indices, table_dim)
+                             minuscule_weight_indices)
 from mtcheck.roots import FormClass, LieType
 
 
@@ -56,7 +56,7 @@ def test_dims_match_weyl_formula(t):
 )
 def test_dims_at_rank_thirty(family, rank, s):
     t = LieType(family, rank)
-    assert table_dim(t, s) == weyl_dim(t, Weight.fundamental(rank, s))
+    assert descriptor(t, s).dim == weyl_dim(t, Weight.fundamental(rank, s))
 
 
 @pytest.mark.parametrize("t", _small_types(), ids=str)
@@ -131,7 +131,6 @@ def test_descriptor_label_and_index():
     e = descriptor(LieType("A", 7), 3)
     assert e.label == "A7:w3"
     assert e.weight_index == 3
-    assert str(e) == "(A7, w3)"
     assert e.dim == 56
     assert e.form is FormClass.NON_SELF_DUAL
 
@@ -145,7 +144,6 @@ def test_descriptor_fields_match_weight_coordinates():
             assert len(w.coords) == t.rank, e
             assert fundamental_index_by_scan(w) == e.weight_index, e
             assert e.label == label_by_weight(t, w)
-            assert str(e) == f"({t}, {w})"
 
 
 @pytest.mark.parametrize(

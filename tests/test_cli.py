@@ -120,6 +120,14 @@ def test_survivors_at_extreme_dimension_fails_fast(capsys):
     assert (code, out, err) == (0, "none\n", "")
 
 
+def test_survivors_bad_form_is_an_error(capsys):
+    code, out, err = _run(capsys, ["survivors", "--dim", "10", "--form", "bad",
+                                   "--rank-tau", "3"])
+    assert (code, out) == (1, "")
+    assert err == ("error: mtcheck survivors: argument --form: invalid choice: "
+                   "'bad' (choose from 'nsd', 'orth', 'symp')\n")
+
+
 def test_survivors_gcd_violation_is_an_error(capsys):
     code, out, err = _run(capsys, ["survivors", "--dim", "10", "--form", "nsd",
                                    "--rank-tau", "5"])

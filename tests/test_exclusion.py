@@ -10,10 +10,8 @@ import pytest
 
 from mtcheck.catalog import descriptor, enumerate_minuscule
 from mtcheck.divisibility import divisibility_solutions
-from mtcheck.exclusion import (CandidatePair, ExclusionStatus,
-                               ExclusionVerdict, check_pair,
-                               minuscule_candidates, surviving_inners,
-                               theorem61_outer_shapes)
+from mtcheck.exclusion import (CandidatePair, check_pair, minuscule_candidates,
+                               surviving_inners, theorem61_outer_shapes)
 from mtcheck.roots import FormClass, LieType
 
 from helpers_oracles import minuscule_candidates_by_scan
@@ -187,7 +185,6 @@ def test_rank_realizability():
 def test_admissible_survivors():
     verdict = check_pair(_pair(A7W3, A55), 15)
     assert verdict.admissible
-    assert verdict.status is ExclusionStatus.ADMISSIBLE
     assert "binom(6, 2) divides" in verdict.reason
     assert verdict.reason.endswith("[Prop 6.3]")
     verdict = check_pair(_pair((LieType("A", 9), 2), (LieType("A", 44), 1)), 8)
@@ -249,10 +246,3 @@ def test_surviving_inners_preconditions():
         surviving_inners(4, FormClass.NON_SELF_DUAL, 1)
     with pytest.raises(ValueError, match="coprimality"):
         surviving_inners(10, FormClass.NON_SELF_DUAL, 5)
-
-
-def test_verdict_flag():
-    v = ExclusionVerdict(ExclusionStatus.ADMISSIBLE, "ok")
-    assert v.admissible
-    v = ExclusionVerdict(ExclusionStatus.EXCLUDED, "no")
-    assert not v.admissible

@@ -233,7 +233,7 @@ def test_image_defect_fails_only_the_image_clause():
         for r in range(1, g):
             for seed in range(2):
                 bad = _log_leaving_toric(build_instance(g, r, seed))
-                tau_t = linalg.transpose(bad.log_matrix())
+                tau_t = linalg.transpose(bad.log_matrix)
                 label = (g, r, seed)
                 # tau kills V^I and T maps onto an r-dimensional image ...
                 assert linalg.is_zero_matrix(
@@ -287,7 +287,7 @@ def test_log_bridges_algebra_and_group():
     # are equivalent statements; assert both, N in Sp by the full product,
     # and the bridge identity.
     inst = build_instance(4, 3, 99)
-    tau = inst.log_matrix()
+    tau = inst.log_matrix
     theta = inst.space.form
     assert is_form_compatible(inst)
     assert preserves_form(inst)
@@ -404,11 +404,11 @@ def test_construction_errors_match_rank_order():
 def test_log_and_space_caches():
     inst = build_instance(4, 2, 7)
     identity = linalg.identity(8)
-    assert inst.log_matrix() == linalg.mat_sub(inst.monodromy, identity)
+    assert inst.log_matrix == linalg.mat_sub(inst.monodromy, identity)
     # a replaced monodromy gets its own tau, and the verifiers read it
     leaked = _leak_invariants(inst)
-    assert leaked.log_matrix() == linalg.mat_sub(leaked.monodromy, identity)
-    assert leaked.log_matrix() != inst.log_matrix()
+    assert leaked.log_matrix == linalg.mat_sub(leaked.monodromy, identity)
+    assert leaked.log_matrix != inst.log_matrix
     assert not verify_instance(leaked)["filtration"]
     assert verify_instance(inst)["filtration"]
     # one validated space per genus
