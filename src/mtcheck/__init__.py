@@ -14,8 +14,7 @@ from .exclusion import (CandidatePair, ExclusionVerdict, check_pair,
                         surviving_inners, theorem61_outer_shapes)
 from .monodromy import (SpecializationInstance, SymplecticSpace, build_instance,
                         verify_filtration, verify_orthogonality)
-from .quadratic import (RankUnavailableError, quadratic_min_rank, rank2_constraint,
-                        transvection_constraint)
+from .quadratic import RankUnavailableError, rank2_constraint, transvection_constraint
 from .roots import FormClass, LieType
 
 __version__ = "0.1.0"
@@ -26,7 +25,6 @@ __all__ = [
     "LieType", "RankUnavailableError", "Reduction", "SpecializationInstance",
     "SymplecticSpace", "Verdict", "build_instance", "check_pair", "decide",
     "divisibility_solutions", "enumerate_minuscule", "exception_pairs", "explain",
-    "gcd_mod4_check", "quadratic_min_rank", "rank2_constraint", "surviving_inners",
-    "theorem61_outer_shapes", "transvection_constraint", "validate",
-    "verify_filtration", "verify_orthogonality",
+    "gcd_mod4_check", "rank2_constraint", "surviving_inners", "theorem61_outer_shapes",
+    "transvection_constraint", "validate", "verify_filtration", "verify_orthogonality",
 ]

@@ -3,8 +3,8 @@
 Per family: A_m carries w1..wm; B_m the vector module w1 (dim 2m+1, the
 quasi-minuscule stand-in the case analysis uses for odd orthogonal
 groups); C_m the standard w1 (dim 2m); D_m the vector w1 (dim 2m) and the
-two half-spin modules (dim 2^(m-1)); E6 carries w1 and w6 (dim 27) and E7
-carries w7 (dim 56).  E8 carries nothing.
+two half-spin modules (dim 2^(m-1)); E6 carries w1 and w6 and E7 carries
+w7.  E8 carries nothing.
 
 A module is named by the index s of its highest weight ws.  ``descriptor``
 is the one constructor: it admits exactly the indices
@@ -13,14 +13,19 @@ and duality class.  The tests cross-validate those against the Weyl
 dimension formula and the parity criterion of the root-system oracle
 ``tests/helpers_roots.py``; the package carries no root system, so the
 table and the derivation stay independent of each other.
+
+Every "entries of dimension n" lookup goes through the catalog:
+``standard_module`` (the classical w1 entry of one family) and
+``minuscule_candidates`` (every entry, the E ones from a table built at
+import).  ``LieType`` alone decides which ranks exist.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 
-from .roots import FormClass, LieType
+from .roots import E_RANKS, FormClass, LieType
 
 
 @dataclass(frozen=True)
@@ -90,3 +95,62 @@ def descriptor(t: LieType, s: int) -> IrrepDescriptor:
 def enumerate_minuscule(t: LieType) -> tuple[IrrepDescriptor, ...]:
     return tuple(descriptor(t, s) for s in minuscule_weight_indices(t))
 
+
+def _lie_type(family: str, rank: int) -> LieType | None:
+    """LieType(family, rank), or None where LieType rejects the rank."""
+    try:
+        return LieType(family, rank)
+    except ValueError:
+        return None
+
+
+def standard_module(family: str, n: int) -> IrrepDescriptor | None:
+    """The classical w1 entry of family A, B, C or D with dimension n, or
+    None.  Its rank can only be n - 1 (A) or n // 2 (B, C, D); LieType
+    decides whether that rank exists and the closed-form dimension whether
+    the entry fits n."""
+    t = _lie_type(family, n - 1 if family == "A" else n // 2)
+    entry = descriptor(t, 1) if t else None
+    return entry if entry and entry.dim == n else None
+
+
+_E_ENTRIES = [e for m in E_RANKS for e in enumerate_minuscule(LieType("E", m))]
+_E_BY_DIM = {e.dim: tuple(f for f in _E_ENTRIES if f.dim == e.dim) for e in _E_ENTRIES}
+
+
+def _least_m(n: int, s: int) -> int:
+    """The least m >= 2s - 1 with binom(m + 1, s) >= n: double an upper
+    bound, then bisect, so the search takes O(log m) binomials."""
+    lo = hi = 2 * s - 1
+    while comb(hi + 1, s) < n:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if comb(mid + 1, s) < n:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def minuscule_candidates(n: int) -> tuple[IrrepDescriptor, ...]:
+    """All cataloged modules of dimension n, A-family entries reported once
+    up to duality (s <= (m+1)/2)."""
+    if n < 2:
+        raise ValueError("dimension must be >= 2")
+    # one lookup per family whose w1 dimension has the parity of n
+    out = [standard_module(f, n) for f in (("A", "B") if n % 2 else ("A", "C", "D"))]
+    root = isqrt(8 * n + 1)  # n = binom(m+1, 2) exactly when 8n + 1 = (2m+1)^2
+    if n >= 6 and root * root == 8 * n + 1:
+        out.append(descriptor(LieType("A", (root - 1) // 2), 2))
+    s = 3
+    while comb(2 * s, s) <= n:
+        m = _least_m(n, s)
+        if comb(m + 1, s) == n:
+            out.append(descriptor(LieType("A", m), s))
+        s += 1
+    spin_m = n.bit_length()  # n = 2^(m-1) means m = bit_length(n)
+    if 2 ** (spin_m - 1) == n and (t := _lie_type("D", spin_m)):
+        out += [descriptor(t, spin_m - 1), descriptor(t, spin_m)]
+    out += _E_BY_DIM.get(n, ())
+    return tuple(sorted(filter(None, out), key=IrrepDescriptor.sort_key))

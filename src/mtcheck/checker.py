@@ -1,12 +1,14 @@
 """Verdict engine: route an abelian-variety descriptor through the theorem
 catalog and report the strongest applicable conclusion.
 
-Endomorphism routing: "Q" means type I with endomorphism algebra exactly Q;
-"IV-imag-quad" means the algebra is an imaginary quadratic field k (degree
-2, with a signature (m_sigma, m_rho) summing to g); "IV-other" is any other
-type IV.  The dimension/rank bookkeeping differs per route: the imaginary
-quadratic case works with modules of dimension g and half the toric rank,
-the rational case with dimension 2g and the full toric rank.
+Endomorphism routing: each ``EndoType`` value is its ``check --endo``
+token.  "I", "II" and "III" are the Albert types; "Q" means type I with
+endomorphism algebra exactly Q; "k" means the algebra is an imaginary
+quadratic field k (degree 2, with a signature (m_sigma, m_rho) summing to
+g); "IV" is any other type IV.  The dimension/rank bookkeeping differs per
+route: the imaginary quadratic case works with modules of dimension g and
+half the toric rank, the rational case with dimension 2g and the full
+toric rank.
 
 The rules form one ordered table, `_RULES`, walked once per descriptor.
 The verdict keeps the citation tags of every fired rule in order and
@@ -30,8 +32,8 @@ class EndoType(Enum):
     TYPE_I = "I"
     TYPE_II = "II"
     TYPE_III = "III"
-    IV_IMAG_QUAD = "IV-imag-quad"
-    IV_OTHER = "IV-other"
+    IV_IMAG_QUAD = "k"
+    IV_OTHER = "IV"
     RATIONAL = "Q"
 
 

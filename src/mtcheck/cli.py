@@ -26,9 +26,6 @@ from .exclusion import CandidatePair, check_pair, surviving_inners
 from .monodromy import build_instance, verify_instance
 from .roots import FormClass, LieType
 
-_ENDO = {"I": EndoType.TYPE_I, "II": EndoType.TYPE_II, "III": EndoType.TYPE_III,
-         "k": EndoType.IV_IMAG_QUAD, "IV": EndoType.IV_OTHER, "Q": EndoType.RATIONAL}
-
 
 def _parse_irrep(text: str) -> IrrepDescriptor:
     """family:rank:weight, e.g. A:7:3."""
@@ -109,7 +106,7 @@ def _descriptor_from_args(args) -> AVDescriptor:
         signature = (int(parts[0]), int(parts[1]))
     return AVDescriptor(
         g=args.g,
-        endo_type=_ENDO[args.endo],
+        endo_type=EndoType(args.endo),
         endo_degree=args.degree,
         signature=signature,
         toric_rank=args.toric_rank,
@@ -162,12 +159,14 @@ def _cmd_check(args, parser, check) -> int:
     if args.file is None:
         return _check_one(args)
     status = 0
-    with open(args.file, encoding="utf-8") as handle:
+    # surrogateescape keeps an undecodable byte in its row, whose own strict
+    # decode below then fails; utf-8-sig drops a leading byte-order mark
+    with open(args.file, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             try:
+                line = line.encode("utf-8", "surrogateescape").decode("utf-8").strip()
+                if not line or line.startswith("#"):
+                    continue
                 row_status = _check_one(_parse_row(parser, check, args.format, line))
             except ValueError as exc:
                 print(f"error: line {number}: {exc}", file=sys.stderr)
@@ -224,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="decide a descriptor (or a batch file)")
     p.add_argument("--g", type=int, default=1)
-    p.add_argument("--endo", choices=sorted(_ENDO), default="Q")
+    p.add_argument("--endo", choices=sorted(e.value for e in EndoType), default="Q")
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--signature", default=None, metavar="A,B")
     p.add_argument("--toric-rank", type=int, default=0)

@@ -4,8 +4,10 @@ Given an ambient dimension n > 4, a duality class and an observed quadratic
 rank r with gcd(r, n) = 1, the engine asks which cataloged modules of
 dimension n could sit properly inside the forced outer shape.  Outer
 shapes: non-self-dual forces sl_n standard, symplectic forces sp_n
-standard, orthogonal forces so_n standard [Thm 6.1].  Inner candidates are
-then excluded rule by rule; every exclusion carries a bracketed rule tag.
+standard, orthogonal forces so_n standard [Thm 6.1]: the catalog's
+``standard_module`` of family A, C, or B/D by parity.  The inners, the
+catalog's ``minuscule_candidates(n)``, are then excluded rule by rule;
+every exclusion carries a bracketed rule tag.
 
 Rule order: exceptional inner [0.5.1]; non-classical or non-standard outer
 [Thm 6.1]; gcd hypothesis [6.2]; half-spin inner [Lem 6.3 / Prop 6.3 D4];
@@ -19,11 +21,11 @@ binom(m-1, s-1) | s(m+1-s), which by the lemma only s = 2 and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd, isqrt
+from math import gcd
 
-from .catalog import IrrepDescriptor, descriptor
+from .catalog import IrrepDescriptor, minuscule_candidates, standard_module
 from .quadratic import quadratic_rank_profile
-from .roots import FormClass, LieType
+from .roots import FormClass
 
 
 @dataclass(frozen=True)
@@ -50,64 +52,12 @@ def theorem61_outer_shapes(n: int, form: FormClass) -> tuple[IrrepDescriptor, ..
     """The forced outer shape(s) of a dim-n module of the given class, n > 4."""
     if n <= 4:
         raise ValueError("outer shapes assume ambient dimension > 4")
-    if form is FormClass.NON_SELF_DUAL:
-        return (descriptor(LieType("A", n - 1), 1),)
-    if form is FormClass.SYMPLECTIC:
-        if n % 2 != 0:
-            return ()
-        return (descriptor(LieType("C", n // 2), 1),)
-    if n % 2 == 0:
-        return (descriptor(LieType("D", n // 2), 1),)
-    return (descriptor(LieType("B", (n - 1) // 2), 1),)
-
-
-def _least_m(n: int, s: int) -> int:
-    """The least m >= 2s - 1 with binom(m + 1, s) >= n: double an upper
-    bound, then bisect, so the search takes O(log m) binomials."""
-    lo = hi = 2 * s - 1
-    while comb(hi + 1, s) < n:
-        lo, hi = hi + 1, 2 * hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if comb(mid + 1, s) < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def minuscule_candidates(n: int) -> tuple[IrrepDescriptor, ...]:
-    """All cataloged modules of dimension n, A-family entries reported once
-    up to duality (s <= (m+1)/2)."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    out = [descriptor(LieType("A", n - 1), 1)]
-    root = isqrt(8 * n + 1)  # n = binom(m+1, 2) exactly when 8n + 1 = (2m+1)^2
-    if n >= 6 and root * root == 8 * n + 1:
-        out.append(descriptor(LieType("A", (root - 1) // 2), 2))
-    s = 3
-    while comb(2 * s, s) <= n:
-        m = _least_m(n, s)
-        if comb(m + 1, s) == n:
-            out.append(descriptor(LieType("A", m), s))
-        s += 1
-    if n % 2 == 1 and n >= 5:
-        out.append(descriptor(LieType("B", (n - 1) // 2), 1))
-    if n % 2 == 0:
-        if n >= 4:
-            out.append(descriptor(LieType("C", n // 2), 1))
-        if n >= 6:
-            out.append(descriptor(LieType("D", n // 2), 1))
-    spin_m = n.bit_length()  # n = 2^(m-1) means m = bit_length(n)
-    if spin_m >= 3 and 2 ** (spin_m - 1) == n:
-        out.append(descriptor(LieType("D", spin_m), spin_m - 1))
-        out.append(descriptor(LieType("D", spin_m), spin_m))
-    if n == 27:
-        out.append(descriptor(LieType("E", 6), 1))
-        out.append(descriptor(LieType("E", 6), 6))
-    if n == 56:
-        out.append(descriptor(LieType("E", 7), 7))
-    return tuple(sorted(out, key=IrrepDescriptor.sort_key))
+    if form is FormClass.ORTHOGONAL:
+        family = "B" if n % 2 else "D"
+    else:
+        family = "A" if form is FormClass.NON_SELF_DUAL else "C"
+    outer = standard_module(family, n)
+    return (outer,) if outer else ()
 
 
 def _excluded(reason: str) -> ExclusionVerdict:

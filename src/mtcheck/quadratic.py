@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .catalog import IrrepDescriptor, descriptor
+from .catalog import IrrepDescriptor, descriptor, standard_module
 from .roots import FormClass, LieType
 
 
@@ -36,10 +36,6 @@ def quadratic_rank_profile(irrep: IrrepDescriptor) -> tuple[int, ...]:
     if f == "B" or s == 1:
         return (2,)
     return (2 ** (m - 3), 2 ** (m - 2))  # D_m half-spin
-
-
-def quadratic_min_rank(irrep: IrrepDescriptor) -> int:
-    return quadratic_rank_profile(irrep)[0]
 
 
 @dataclass(frozen=True)
@@ -76,10 +72,7 @@ def transvection_constraint(n: int) -> tuple[IrrepDescriptor, ...]:
     """
     if n < 2:
         raise ValueError("transvection constraint needs n >= 2")
-    shapes = [descriptor(LieType("A", n - 1), 1)]
-    if n % 2 == 0 and n >= 4:
-        shapes.append(descriptor(LieType("C", n // 2), 1))
-    return tuple(shapes)
+    return tuple(e for f in ("A", "C") if (e := standard_module(f, n)))
 
 
 def rank2_constraint(n: int) -> tuple[AlgebraShape, ...]:
@@ -88,15 +81,8 @@ def rank2_constraint(n: int) -> tuple[AlgebraShape, ...]:
     a in {sl(n/2), sp(n/2)} acting on a tensor split."""
     if n < 8:
         raise ValueError("rank-2 constraint assumes n >= 8")
-    shapes = [AlgebraShape((descriptor(LieType("A", n - 1), 1),))]
+    shapes = [AlgebraShape((e,)) for f in "ABCD" if (e := standard_module(f, n))]
     if n % 2 == 0:
-        shapes.append(AlgebraShape((descriptor(LieType("C", n // 2), 1),)))
-        shapes.append(AlgebraShape((descriptor(LieType("D", n // 2), 1),)))
         sl2 = descriptor(LieType("A", 1), 1)
-        g = n // 2
-        shapes.append(AlgebraShape((descriptor(LieType("A", g - 1), 1), sl2)))
-        if g % 2 == 0 and g >= 4:
-            shapes.append(AlgebraShape((descriptor(LieType("C", g // 2), 1), sl2)))
-    else:
-        shapes.append(AlgebraShape((descriptor(LieType("B", (n - 1) // 2), 1),)))
+        shapes += [AlgebraShape((a, sl2)) for a in transvection_constraint(n // 2)]
     return tuple(shapes)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-_E_RANKS = (6, 7, 8)
+E_RANKS = (6, 7, 8)
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 
@@ -44,8 +44,8 @@ class LieType:
         if self.family not in ("A", "B", "C", "D", "E"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "E":
-            if self.rank not in _E_RANKS:
-                raise ValueError(f"E requires rank in {_E_RANKS}, got {self.rank}")
+            if self.rank not in E_RANKS:
+                raise ValueError(f"E requires rank in {E_RANKS}, got {self.rank}")
         elif self.rank < _MIN_RANK[self.family]:
             raise ValueError(
                 f"{self.family} requires rank >= {_MIN_RANK[self.family]}, got {self.rank}"

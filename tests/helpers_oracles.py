@@ -228,7 +228,7 @@ def is_exception_pair(g: int, r: int) -> bool:
 
 
 def minuscule_candidates_by_scan(n: int) -> tuple[IrrepDescriptor, ...]:
-    """``exclusion.minuscule_candidates`` with a stepping scan for every s."""
+    """``catalog.minuscule_candidates`` with a stepping scan for every s."""
     out = [descriptor(LieType("A", n - 1), 1)]
     s = 2
     while comb(2 * s, s) <= n:

@@ -18,7 +18,7 @@ from mtcheck.cli import main
 from mtcheck.divisibility import divisibility_solutions, gcd_mod4_check
 from mtcheck.exclusion import minuscule_candidates, surviving_inners
 from mtcheck.monodromy import build_instance, verify_instance, verify_orthogonality
-from mtcheck.quadratic import (RankUnavailableError, quadratic_min_rank,
+from mtcheck.quadratic import (RankUnavailableError, quadratic_rank_profile,
                                rank2_constraint, transvection_constraint)
 from mtcheck.roots import FormClass, LieType
 
@@ -89,7 +89,7 @@ def _candidate_min_ranks(n: int) -> set[int]:
     ranks = set()
     for entry in minuscule_candidates(n):
         try:
-            ranks.add(quadratic_min_rank(entry))
+            ranks.add(quadratic_rank_profile(entry)[0])
         except RankUnavailableError:
             continue
     return ranks
@@ -98,7 +98,7 @@ def _candidate_min_ranks(n: int) -> set[int]:
 def test_criterion_4_exception_closure():
     a7w3 = descriptor(LieType("A", 7), 3)
     assert a7w3.dim == 56
-    assert quadratic_min_rank(a7w3) == 15
+    assert quadratic_rank_profile(a7w3)[0] == 15
 
     survivors_at = {}
     for n in range(5, 20_001):
@@ -218,7 +218,7 @@ def test_criterion_9_transvection_lemma():
     for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
         for rank in range(lo, 51):
             for e in enumerate_minuscule(LieType(family, rank)):
-                if quadratic_min_rank(e) == 1:
+                if quadratic_rank_profile(e)[0] == 1:
                     rank_one.append(e)
     for e in rank_one:
         fam, m, s = e.lie_type.family, e.lie_type.rank, e.weight_index

@@ -17,7 +17,7 @@ from helpers_oracles import (fundamental_index_by_scan, label_by_weight, orbit_s
                              pairing_minuscule)
 from helpers_roots import Weight, form_class, highest_weight, weyl_dim
 from mtcheck.catalog import (IrrepDescriptor, descriptor, enumerate_minuscule,
-                             minuscule_weight_indices)
+                             minuscule_weight_indices, standard_module)
 from mtcheck.roots import FormClass, LieType
 
 
@@ -162,3 +162,41 @@ def test_sort_key_orders_by_family_rank_index():
                descriptor(LieType("C", 4), 1), descriptor(LieType("A", 7), 1)]
     ordered = sorted(entries, key=IrrepDescriptor.sort_key)
     assert [e.label for e in ordered] == ["A7:w1", "A7:w3", "C4:w1", "D5:w5"]
+
+
+def _w1_entries_by_scan(family: str, max_rank: int) -> dict[int, list[IrrepDescriptor]]:
+    """Every w1 entry of the family up to max_rank, keyed by dimension; the
+    ranks LieType rejects are skipped."""
+    by_dim: dict[int, list[IrrepDescriptor]] = {}
+    for rank in range(max_rank + 1):
+        try:
+            t = LieType(family, rank)
+        except ValueError:
+            continue
+        for e in enumerate_minuscule(t):
+            if e.weight_index == 1:
+                by_dim.setdefault(e.dim, []).append(e)
+    return by_dim
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_standard_module_matches_scan(family):
+    by_dim = _w1_entries_by_scan(family, 300)
+    for n in range(2, 301):
+        found = by_dim.get(n, [])
+        assert len(found) <= 1, (family, n)
+        assert standard_module(family, n) == (found[0] if found else None), (family, n)
+
+
+def test_standard_module_at_extreme_dimension():
+    n, half = 10 ** 30, 5 * 10 ** 29
+    expected = {("A", n): f"A{n - 1}:w1", ("A", n + 1): f"A{n}:w1",
+                ("B", n + 1): f"B{half}:w1", ("C", n): f"C{half}:w1",
+                ("D", n): f"D{half}:w1"}
+    for family in "ABCD":
+        for dim in (n, n + 1):
+            entry = standard_module(family, dim)
+            if (family, dim) in expected:
+                assert (entry.label, entry.dim) == (expected[family, dim], dim)
+            else:
+                assert entry is None, (family, dim)

@@ -314,6 +314,38 @@ def test_check_batch_row_may_not_set_format_or_file(tmp_path, capsys, row, messa
     assert err.splitlines() == [f"error: line 1: {message}"]
 
 
+def test_check_batch_undecodable_row_keeps_going(tmp_path, capsys):
+    good = b"--g 5 --endo Q --toric-rank 3 --bad-semistable-split\n"
+    batch = tmp_path / "batch.txt"
+    batch.write_bytes(good * 2 + b"--g \xff 4\n" + good)
+    code, out, err = _run(capsys, ["check", "--file", str(batch),
+                                   "--format", "machine"])
+    assert code == 1  # only the undecodable row fails, as status 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["conclusion"] for r in records] == ["MT"] * 3
+    assert err.splitlines() == ["error: line 3: 'utf-8' codec can't decode byte "
+                                "0xff in position 4: invalid start byte"]
+
+
+def test_check_batch_drops_byte_order_mark_and_reads_any_newline(tmp_path, capsys):
+    batch = tmp_path / "batch.txt"
+    batch.write_bytes(b"\xef\xbb\xbf--g 5 --endo Q --toric-rank 3 --bad-semistable-split\r\n"
+                      b"# comment\r"
+                      b"--g 4 --endo Q --toric-rank 2 --bad-semistable-split --simple\n")
+    code, out, err = _run(capsys, ["check", "--file", str(batch),
+                                   "--format", "machine"])
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["conclusion"] for r in records] == ["MT", "MT_and_divisorial"]
+
+
+def test_check_bad_endo_is_an_error(capsys):
+    code, out, err = _run(capsys, ["check", "--endo", "bad"])
+    assert (code, out) == (1, "")
+    assert err == ("error: mtcheck check: argument --endo: invalid choice: "
+                   "'bad' (choose from 'I', 'II', 'III', 'IV', 'Q', 'k')\n")
+
+
 def _whole_command_parse(fmt, line):
     """A batch row parsed as the whole command line ``mtcheck check
     --format FMT ROW``, the way batch rows were parsed before the ``check``

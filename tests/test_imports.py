@@ -5,6 +5,8 @@ Only ``mtcheck.linalg`` imports ``fractions``; every other runtime module
 stays on integers or reaches rationals through linalg.  No runtime module
 imports from ``tests/``, where the oracles live, and ``mtcheck.roots``, the
 runtime types every layer uses, imports nothing from the package.  The
+exclusion engine and the shape lemmas look modules of a dimension up in
+``mtcheck.catalog`` and never work out a rank themselves.  The
 modules are parsed, not imported, except by the ``__all__`` check, which
 imports the package to resolve every exported name.
 """
@@ -65,3 +67,17 @@ def test_all_names_resolve():
     missing = [name for name in package.__all__ if not hasattr(package, name)]
     assert not missing
     assert len(set(package.__all__)) == len(package.__all__)
+
+
+@pytest.mark.parametrize("name", ["exclusion.py", "quadratic.py"])
+def test_dimension_lookups_stay_in_the_catalog(name):
+    """The only LieType these modules build is the sl2 factor A1; a type of
+    a computed rank would be a dimension lookup outside the catalog."""
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "LieType"]
+    for call in calls:
+        assert not call.keywords, ast.unparse(call)
+        assert [getattr(arg, "value", None) for arg in call.args] == ["A", 1], \
+            ast.unparse(call)
+    assert len(calls) == (name == "quadratic.py")

@@ -20,8 +20,7 @@ from mtcheck import linalg
 from mtcheck.catalog import descriptor, enumerate_minuscule
 from mtcheck.monodromy import standard_symplectic_form
 from mtcheck.quadratic import (AlgebraShape, RankUnavailableError,
-                               quadratic_min_rank, quadratic_rank_profile,
-                               rank2_constraint, tensor_form,
+                               quadratic_rank_profile, rank2_constraint, tensor_form,
                                transvection_constraint)
 from mtcheck.roots import FormClass, LieType
 
@@ -34,7 +33,7 @@ def test_rank_values_examples():
     assert quadratic_rank_profile(descriptor(LieType("B", 5), 1)) == (2,)
     assert quadratic_rank_profile(descriptor(LieType("D", 7), 1)) == (2,)
     assert quadratic_rank_profile(descriptor(LieType("D", 7), 7)) == (16, 32)
-    assert quadratic_min_rank(descriptor(LieType("D", 5), 4)) == 4
+    assert quadratic_rank_profile(descriptor(LieType("D", 5), 4)) == (4, 8)
 
 
 def test_rank_profiles_sweep():
@@ -58,7 +57,6 @@ def test_rank_profiles_sweep():
                 assert ranks and list(ranks) == sorted(ranks), entry
                 assert ranks[0] >= 1, entry
                 assert 2 * ranks[-1] <= entry.dim, entry
-                assert quadratic_min_rank(entry) == ranks[0], entry
 
 
 def test_exceptional_types_have_no_rank_data():
@@ -92,7 +90,7 @@ def _exterior_derivation_rank(m: int, s: int) -> int:
 @pytest.mark.parametrize("m", range(2, 7))
 def test_exterior_power_ranks(m):
     for s in range(1, m + 1):
-        expected = quadratic_min_rank(descriptor(LieType("A", m), s))
+        expected = quadratic_rank_profile(descriptor(LieType("A", m), s))[0]
         assert _exterior_derivation_rank(m, s) == expected
 
 
@@ -140,7 +138,7 @@ def test_transvection_constraint_sweep():
         assert len(entries) == (2 if n % 2 == 0 and n >= 4 else 1)
         for e in entries:
             assert e.dim == n
-            assert quadratic_min_rank(e) == 1
+            assert quadratic_rank_profile(e)[0] == 1
 
 
 def test_rank2_constraint_small_cases():
