@@ -118,12 +118,20 @@ _E_ENTRIES = [e for m in E_RANKS for e in enumerate_minuscule(LieType("E", m))]
 _E_BY_DIM = {e.dim: tuple(f for f in _E_ENTRIES if f.dim == e.dim) for e in _E_ENTRIES}
 
 
-def _least_m(n: int, s: int) -> int:
-    """The least m >= 2s - 1 with binom(m + 1, s) >= n: double an upper
-    bound, then bisect, so the search takes O(log m) binomials."""
-    lo = hi = 2 * s - 1
-    while comb(hi + 1, s) < n:
-        lo, hi = hi + 1, 2 * hi
+def _least_m(n: int, s: int, hi: int) -> int:
+    """The least m >= 2s - 1 with binom(m + 1, s) >= n, bisected below an
+    hi with binom(hi + 1, s) >= n, so the search takes O(log hi) binomials.
+
+    ``minuscule_candidates`` passes the previous s's answer as hi.  Call
+    M_s the least m with binom(m + 1, s) >= n.  The loop runs s + 1 only
+    if binom(2s + 2, s + 1) <= n, and binom(2s + 2, s + 1) exceeds
+    binom(m + 1, s) for every m <= 2s, so M_s >= 2s + 1.  For m >= 2s,
+    binom(m + 1, s + 1) = binom(m + 1, s) (m + 1 - s) / (s + 1) is at
+    least binom(m + 1, s), hence binom(M_s + 1, s + 1) >= n and
+    M_{s+1} <= M_s.  The step needs only some hi >= 2s with
+    binom(hi + 1, s) >= n, so for s = 3 the bound read off isqrt(8n + 1)
+    for s = 2 serves."""
+    lo = 2 * s - 1
     while lo < hi:
         mid = (lo + hi) // 2
         if comb(mid + 1, s) < n:
@@ -143,9 +151,10 @@ def minuscule_candidates(n: int) -> tuple[IrrepDescriptor, ...]:
     root = isqrt(8 * n + 1)  # n = binom(m+1, 2) exactly when 8n + 1 = (2m+1)^2
     if n >= 6 and root * root == 8 * n + 1:
         out.append(descriptor(LieType("A", (root - 1) // 2), 2))
+    m = (root + 1) // 2  # 2m + 1 > sqrt(8n + 1), so binom(m + 1, 2) > n
     s = 3
     while comb(2 * s, s) <= n:
-        m = _least_m(n, s)
+        m = _least_m(n, s, m)
         if comb(m + 1, s) == n:
             out.append(descriptor(LieType("A", m), s))
         s += 1

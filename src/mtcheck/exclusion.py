@@ -4,10 +4,10 @@ Given an ambient dimension n > 4, a duality class and an observed quadratic
 rank r with gcd(r, n) = 1, the engine asks which cataloged modules of
 dimension n could sit properly inside the forced outer shape.  Outer
 shapes: non-self-dual forces sl_n standard, symplectic forces sp_n
-standard, orthogonal forces so_n standard [Thm 6.1]: the catalog's
-``standard_module`` of family A, C, or B/D by parity.  The inners, the
-catalog's ``minuscule_candidates(n)``, are then excluded rule by rule;
-every exclusion carries a bracketed rule tag.
+standard, orthogonal forces so_n standard [Thm 6.1]: the w1 entry of
+family A, C, or B/D by parity among the catalog's
+``minuscule_candidates(n)``.  The inners, those same candidates, are then
+excluded rule by rule; every exclusion carries a bracketed rule tag.
 
 Rule order: exceptional inner [0.5.1]; non-classical or non-standard outer
 [Thm 6.1]; gcd hypothesis [6.2]; half-spin inner [Lem 6.3 / Prop 6.3 D4];
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .catalog import IrrepDescriptor, minuscule_candidates, standard_module
+from .catalog import IrrepDescriptor, minuscule_candidates
 from .quadratic import quadratic_rank_profile
 from .roots import FormClass
 
@@ -48,16 +48,24 @@ class CandidatePair:
             raise ValueError("a proper inclusion needs inner != outer")
 
 
-def theorem61_outer_shapes(n: int, form: FormClass) -> tuple[IrrepDescriptor, ...]:
-    """The forced outer shape(s) of a dim-n module of the given class, n > 4."""
-    if n <= 4:
-        raise ValueError("outer shapes assume ambient dimension > 4")
+def _outers(n: int, form: FormClass,
+            candidates: tuple[IrrepDescriptor, ...]) -> tuple[IrrepDescriptor, ...]:
+    """The w1 entry among the dim-n candidates of the family Theorem 6.1
+    forces: A for non-self-dual, C for symplectic, B or D by the parity of
+    n for orthogonal."""
     if form is FormClass.ORTHOGONAL:
         family = "B" if n % 2 else "D"
     else:
         family = "A" if form is FormClass.NON_SELF_DUAL else "C"
-    outer = standard_module(family, n)
-    return (outer,) if outer else ()
+    return tuple(c for c in candidates
+                 if c.weight_index == 1 and c.lie_type.family == family)
+
+
+def theorem61_outer_shapes(n: int, form: FormClass) -> tuple[IrrepDescriptor, ...]:
+    """The forced outer shape(s) of a dim-n module of the given class, n > 4."""
+    if n <= 4:
+        raise ValueError("outer shapes assume ambient dimension > 4")
+    return _outers(n, form, minuscule_candidates(n))
 
 
 def _excluded(reason: str) -> ExclusionVerdict:
@@ -129,7 +137,8 @@ def surviving_inners(n: int, form: FormClass, r: int) -> tuple[IrrepDescriptor, 
         raise ValueError("the exclusion engine assumes ambient dimension > 4")
     if gcd(r, n) != 1:
         raise ValueError(f"gcd({r}, {n}) != 1 violates the coprimality hypothesis")
-    outers = theorem61_outer_shapes(n, form)
-    return tuple(inner for inner in minuscule_candidates(n) if any(
-        inner != outer and check_pair(CandidatePair(inner, outer), r).admissible
+    candidates = minuscule_candidates(n)
+    outers = _outers(n, form, candidates)
+    return tuple(inner for inner in candidates if any(
+        inner is not outer and check_pair(CandidatePair(inner, outer), r).admissible
         for outer in outers))

@@ -22,9 +22,13 @@ coordinates of its weight (a ``helpers_roots.Weight``: the package names a
 weight by its index alone), as the catalog did before it stored the index;
 the candidate oracle finds the A-family entries of a dimension by stepping
 m one at a time for every s, as the exclusion engine did before it read
-s = 2 off ``isqrt`` and bisected m for s >= 3.  ``mat_add`` and
+s = 2 off ``isqrt`` and bisected m for s >= 3; the survivors oracle
+builds the Theorem 6.1 outer with its own ``standard_module`` lookup and
+compares every candidate with it by equality, as the exclusion engine did
+before it took the outer from the candidate tuple.  ``mat_add`` and
 ``mat_vec`` are a plain matrix sum and matrix-vector product that only
-tests use.
+tests use; ``candidate_min_ranks`` gives the minimal quadratic ranks of
+the dim-n candidates, the ranks the exclusion sweeps query.
 """
 
 from __future__ import annotations
@@ -36,9 +40,11 @@ from math import comb, isqrt
 from helpers_roots import (Weight, ambient_weight, coroot_pairings, fundamental_weights,
                            reflect, simple_roots, vec_dot)
 from mtcheck import linalg
-from mtcheck.catalog import IrrepDescriptor, descriptor
+from mtcheck.catalog import IrrepDescriptor, descriptor, standard_module
+from mtcheck.exclusion import CandidatePair, check_pair, minuscule_candidates
 from mtcheck.monodromy import SpecializationInstance, SymplecticSpace
-from mtcheck.roots import LieType
+from mtcheck.quadratic import RankUnavailableError, quadratic_rank_profile
+from mtcheck.roots import FormClass, LieType
 
 
 def descent_dual_index(t: LieType, s: int) -> int:
@@ -255,6 +261,34 @@ def minuscule_candidates_by_scan(n: int) -> tuple[IrrepDescriptor, ...]:
     if n == 56:
         out.append(descriptor(LieType("E", 7), 7))
     return tuple(sorted(out, key=IrrepDescriptor.sort_key))
+
+
+def theorem61_family(n: int, form: FormClass) -> str:
+    """The family whose standard module Theorem 6.1 forces as the outer."""
+    if form is FormClass.ORTHOGONAL:
+        return "B" if n % 2 else "D"
+    return "A" if form is FormClass.NON_SELF_DUAL else "C"
+
+
+def candidate_min_ranks(n: int) -> set[int]:
+    """The minimal quadratic ranks of the dim-n candidates that record one."""
+    ranks = set()
+    for entry in minuscule_candidates(n):
+        try:
+            ranks.add(quadratic_rank_profile(entry)[0])
+        except RankUnavailableError:
+            continue
+    return ranks
+
+
+def surviving_inners_by_pairs(n: int, form: FormClass, r: int) -> tuple[IrrepDescriptor, ...]:
+    """``exclusion.surviving_inners`` with the outer from ``standard_module``,
+    an equality filter and one ``check_pair`` per (inner, outer) pair."""
+    outer = standard_module(theorem61_family(n, form), n)
+    outers = (outer,) if outer else ()
+    return tuple(inner for inner in minuscule_candidates(n) if any(
+        inner != outer and check_pair(CandidatePair(inner, outer), r).admissible
+        for outer in outers))
 
 
 def divisibility_solutions_unpruned(m_max: int) -> tuple[tuple[int, int], ...]:

@@ -10,16 +10,16 @@ import json
 from math import comb, gcd
 from pathlib import Path
 
+from helpers_oracles import candidate_min_ranks
 from helpers_roots import highest_weight, weyl_dim
 from mtcheck.catalog import descriptor, enumerate_minuscule
 from mtcheck.checker import (AVDescriptor, Conclusion, EndoType, Reduction,
                              decide)
 from mtcheck.cli import main
 from mtcheck.divisibility import divisibility_solutions, gcd_mod4_check
-from mtcheck.exclusion import minuscule_candidates, surviving_inners
+from mtcheck.exclusion import surviving_inners
 from mtcheck.monodromy import build_instance, verify_instance, verify_orthogonality
-from mtcheck.quadratic import (RankUnavailableError, quadratic_rank_profile,
-                               rank2_constraint, transvection_constraint)
+from mtcheck.quadratic import quadratic_rank_profile, rank2_constraint, transvection_constraint
 from mtcheck.roots import FormClass, LieType
 
 DATA = Path(__file__).parent / "data"
@@ -85,24 +85,14 @@ def test_criterion_3_mod4_remark():
             "'m even or m = 1 mod 4' for all m <= 10^4")
 
 
-def _candidate_min_ranks(n: int) -> set[int]:
-    ranks = set()
-    for entry in minuscule_candidates(n):
-        try:
-            ranks.add(quadratic_rank_profile(entry)[0])
-        except RankUnavailableError:
-            continue
-    return ranks
-
-
 def test_criterion_4_exception_closure():
     a7w3 = descriptor(LieType("A", 7), 3)
     assert a7w3.dim == 56
     assert quadratic_rank_profile(a7w3)[0] == 15
 
     survivors_at = {}
-    for n in range(5, 20_001):
-        for r in sorted(_candidate_min_ranks(n)):
+    for n in range(5, 25_001):
+        for r in sorted(candidate_min_ranks(n)):
             if gcd(r, n) != 1:
                 continue
             found = surviving_inners(n, FormClass.NON_SELF_DUAL, r)
@@ -110,26 +100,26 @@ def test_criterion_4_exception_closure():
                 survivors_at[(n, r)] = [e.label for e in found]
     expected = {(56, 15): ["A7:w3"]}
     m = 4
-    while m * (m + 1) // 2 <= 20_000:
+    while m * (m + 1) // 2 <= 25_000:
         if m % 4 != 3:
             expected[(m * (m + 1) // 2, m - 1)] = [f"A{m}:w2"]
         m += 1
     assert survivors_at == expected
-    _passed(f"criterion 4: non-self-dual survivors over n <= 20000 occur "
+    _passed(f"criterion 4: non-self-dual survivors over n <= 25000 occur "
             f"exactly at (56, 15) and the triangular family "
             f"({len(expected)} pairs)")
 
 
 def test_criterion_5_symplectic_closure():
     checked = 0
-    for n in range(6, 20_001, 2):
-        for r in sorted(_candidate_min_ranks(n) | {1, n - 1}):
+    for n in range(6, 25_001, 2):
+        for r in sorted(candidate_min_ranks(n) | {1, n - 1}):
             if gcd(r, n) != 1:
                 continue
             assert surviving_inners(n, FormClass.SYMPLECTIC, r) == (), (n, r)
             checked += 1
     _passed(f"criterion 5: symplectic survivors are empty for every even "
-            f"n <= 20000 ({checked} (n, r) queries)")
+            f"n <= 25000 ({checked} (n, r) queries)")
 
 
 def test_criterion_6_rank2_closure():

@@ -7,14 +7,17 @@ from __future__ import annotations
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mtcheck.catalog import descriptor, enumerate_minuscule
+from mtcheck.catalog import descriptor, enumerate_minuscule, standard_module
 from mtcheck.divisibility import divisibility_solutions
 from mtcheck.exclusion import (CandidatePair, check_pair, minuscule_candidates,
                                surviving_inners, theorem61_outer_shapes)
 from mtcheck.roots import FormClass, LieType
 
-from helpers_oracles import minuscule_candidates_by_scan
+from helpers_oracles import (candidate_min_ranks, minuscule_candidates_by_scan,
+                             surviving_inners_by_pairs, theorem61_family)
 
 
 def _labels(entries) -> list[str]:
@@ -32,6 +35,15 @@ def test_outer_shapes():
     assert _labels(theorem61_outer_shapes(9, orth)) == ["B4:w1"]
     with pytest.raises(ValueError, match="> 4"):
         theorem61_outer_shapes(4, nsd)
+
+
+def test_outer_shapes_match_standard_module():
+    # the outer is read off the candidate tuple; standard_module looks it
+    # up directly
+    for n in list(range(5, 10**4 + 1)) + [10**30, 10**30 + 1]:
+        for form in FormClass:
+            outer = standard_module(theorem61_family(n, form), n)
+            assert theorem61_outer_shapes(n, form) == ((outer,) if outer else ()), (n, form)
 
 
 def test_candidate_enumeration_examples():
@@ -85,6 +97,31 @@ def test_candidates_match_stepping_scan():
     # scan steps m for every s
     for n in range(2, 10**4 + 1):
         assert minuscule_candidates(n) == minuscule_candidates_by_scan(n), n
+
+
+_DIM_CAP = 10**30
+
+
+def _max_m(s: int) -> int:
+    """The largest m with binom(m + 1, s) <= _DIM_CAP, given binom(2s, s) <= _DIM_CAP."""
+    lo, hi = 2 * s - 1, s * 10 ** (30 // s + 1)  # binom(hi + 1, s) > (hi / s)^s
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if comb(mid + 1, s) <= _DIM_CAP else (lo, mid - 1)
+    return lo
+
+
+_M_MAX = {s: _max_m(s) for s in range(3, 60) if comb(2 * s, s) <= _DIM_CAP}
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.sampled_from(sorted(_M_MAX)).flatmap(
+    lambda s: st.tuples(st.just(s), st.integers(2 * s - 1, _M_MAX[s]))))
+def test_bisection_finds_every_a_entry(sm):
+    # the s + 1 search is bracketed by the least m found for s, with no
+    # doubling; an entry the bracket cut off would be missing here
+    s, m = sm
+    assert descriptor(LieType("A", m), s) in minuscule_candidates(comb(m + 1, s))
 
 
 def test_candidates_at_extreme_dimensions():
@@ -246,3 +283,17 @@ def test_surviving_inners_preconditions():
         surviving_inners(4, FormClass.NON_SELF_DUAL, 1)
     with pytest.raises(ValueError, match="coprimality"):
         surviving_inners(10, FormClass.NON_SELF_DUAL, 5)
+
+
+def test_surviving_inners_match_pairwise_oracle():
+    def agree(n):
+        for r in candidate_min_ranks(n) | {1, 2, n - 1}:
+            if gcd(r, n) == 1:
+                for form in FormClass:
+                    assert surviving_inners(n, form, r) == \
+                        surviving_inners_by_pairs(n, form, r), (n, form, r)
+
+    for n in range(5, 3001):
+        agree(n)
+    agree(10**30 + 1)
+    agree(comb(10**8 + 1, 3))
