@@ -11,8 +11,9 @@ exact integer and runs reproduce bit for bit.
 Each invariant is stated once.  SpecializationInstance enforces the shape
 on construction: the dimensions 2g - r and r, independent bases, W inside
 V^I, V = V^I + T and tau^2 = 0; the ranks of V^I, V^I + W and
-V^I + W + T come from one prefix-rank pass, and tau is computed once per
-instance.  The named theorems are *verified*, not assumed:
+V^I + W + T come from one prefix-rank pass, and tau and its basis images
+(tau of each V^I and T basis row) are computed once per instance; tau^2 = 0
+is read off those images.  The named theorems are *verified*, not assumed:
 verify_orthogonality (W = (V^I)-perp), verify_filtration (tau kills V^I,
 maps into W, T -> W onto), is_form_compatible (tau in sp, which with
 tau^2 = 0 is N in Sp) and the rank of tau in verify_instance.  The
@@ -91,14 +92,24 @@ class SpecializationInstance:
             raise ValueError("W must lie inside V^I")
         if not complementary:
             raise ValueError("V^I and T must be complementary")
-        tau = self.log_matrix
-        if not linalg.is_zero_matrix(linalg.mat_mul(tau, tau)):
+        # V^I + T is a basis by now, so tau^2 = 0 exactly when tau kills the
+        # image of every basis row; only the nonzero images need a product
+        nonzero = [x for x in self.basis_images if any(x)]
+        if not linalg.is_zero_matrix(
+                linalg.mat_mul(nonzero, linalg.transpose(self.log_matrix))):
             raise ValueError("N - I must square to zero")
 
     @cached_property
     def log_matrix(self) -> Matrix:
         """tau = N - I, computed once per instance."""
         return linalg.mat_sub(self.monodromy, linalg.identity(self.space.dim))
+
+    @cached_property
+    def basis_images(self) -> Matrix:
+        """tau(v) for each row v of V^I, then of T, computed once per
+        instance."""
+        return linalg.mat_mul(self.inertia_invariants + self.lift,
+                              linalg.transpose(self.log_matrix))
 
 
 def standard_symplectic_form(g: int) -> Matrix:
@@ -164,14 +175,12 @@ def _block(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     return tuple(top + bottom)
 
 
-def random_symplectic(g: int, rng: random.Random) -> tuple[Matrix, Matrix]:
-    """A seeded integer element of Sp_2g for the standard form, with inverse.
+def random_symplectic(g: int, rng: random.Random) -> Matrix:
+    """A seeded integer element of Sp_2g for the standard form.
 
     M = diag(A, A^-T) [[I, B], [0, I]] [[I, 0], [C, I]] with A a product of
     unit triangular factors and B, C symmetric, multiplied out by g x g
-    blocks: M = [[A(I + BC), AB], [A^-T C, A^-T]].  M^T Theta M = Theta
-    gives M^-1 = -Theta M^T Theta, which for M = [[P, Q], [R, S]] is the
-    signed transpose [[S^T, -Q^T], [-R^T, P^T]].
+    blocks: M = [[A(I + BC), AB], [A^-T C, A^-T]].
     """
     lower = _random_unit_triangular(g, rng, upper=False)
     upper = _random_unit_triangular(g, rng, upper=True)
@@ -182,14 +191,8 @@ def random_symplectic(g: int, rng: random.Random) -> tuple[Matrix, Matrix]:
     b = _random_symmetric(g, rng, invertible=False)
     c = _random_symmetric(g, rng, invertible=False)
     ab = linalg.mat_mul(a, b)
-    m = _block(tuple(map(linalg.vec_add, a, linalg.mat_mul(ab, c))), ab,
-               linalg.mat_mul(a_inv_t, c), a_inv_t)
-    # entry (i, j) of M^-1 is M[j + g][i + g] with indices mod 2g (a negative
-    # index wraps), negated when i and j lie in different halves
-    n = 2 * g
-    m_inv = tuple(tuple(m[j - g][i - g] if (i < g) == (j < g) else -m[j - g][i - g]
-                        for j in range(n)) for i in range(n))
-    return m, m_inv
+    return _block(tuple(map(linalg.vec_add, a, linalg.mat_mul(ab, c))), ab,
+                  linalg.mat_mul(a_inv_t, c), a_inv_t)
 
 
 def build_instance(g: int, r: int, seed: int) -> SpecializationInstance:
@@ -203,12 +206,13 @@ def build_instance(g: int, r: int, seed: int) -> SpecializationInstance:
     # T = <f_1..f_r>, tau(f_j) = sum_i S_ij e_i with S symmetric invertible
     # (symmetry makes N symplectic, invertibility makes tau: T -> W iso)
     s_block = _random_symmetric(r, rng, invertible=True)
-    conj, conj_inv = random_symplectic(g, rng)
-    images = linalg.transpose(conj)  # conj e_1..conj e_g, conj f_1..conj f_g
+    images = linalg.transpose(random_symplectic(g, rng))
+    # images are conj e_1..conj e_g, conj f_1..conj f_g
     w_basis = images[:r]
-    # conjugated, tau = sum_ij S_ij (conj e_i) (x) (row g + j of conj^-1)
-    tau = linalg.mat_mul(linalg.mat_mul(linalg.transpose(w_basis), s_block),
-                         conj_inv[g:g + r])
+    # conjugated, tau = sum_ij S_ij (conj e_i) (x) Theta(conj e_j, .); the
+    # standard form gives x Theta = (-x[g:], x[:g]) for a row x
+    duals = tuple(tuple(-x for x in w[g:]) + w[:g] for w in w_basis)
+    tau = linalg.mat_mul(linalg.mat_mul(linalg.transpose(w_basis), s_block), duals)
     monodromy = tuple(
         tuple(x + (1 if i == j else 0) for j, x in enumerate(row))
         for i, row in enumerate(tau)
@@ -239,20 +243,20 @@ def verify_orthogonality(inst: SpecializationInstance) -> bool:
 def verify_filtration(inst: SpecializationInstance) -> bool:
     """tau kills V^I, maps into W, and restricts to an iso T -> W of rank r.
 
-    The rows of T tau^T are the images tau(t) of the T basis.  Once tau
-    kills V^I, the instance invariant V = V^I + T makes them span the image
-    of tau.  The instance invariants make the rows of W an independent
-    basis of size r, so dim W = r; W and tau(T) together have rank r, so
-    the image lies in W; tau(T) has rank r, so T maps onto W and tau itself
-    has rank r.
+    The instance's basis images are tau(v) for the V^I rows and then the r
+    T rows, a product of the instance's own fields.  Once the V^I images
+    are zero, the instance invariant V = V^I + T makes the T images tau(T)
+    span the image of tau.  One prefix-rank pass over tau(T) + W gives
+    rank tau(T) and rank(tau(T) + W).  The instance invariants make the
+    rows of W an independent basis of size r, so dim W = r; tau(T) and W
+    together have rank r, so the image lies in W; tau(T) has rank r, so T
+    maps onto W and tau itself has rank r.
     """
-    tau_t = linalg.transpose(inst.log_matrix)
-    if not linalg.is_zero_matrix(linalg.mat_mul(inst.inertia_invariants, tau_t)):
+    images, r = inst.basis_images, inst.toric_rank
+    if not linalg.is_zero_matrix(images[:-r]):
         return False
-    t_images = linalg.mat_mul(inst.lift, tau_t)
-    r = inst.toric_rank
-    return (linalg.rank(inst.toric_sub + t_images) == r
-            and linalg.rank(t_images) == r)
+    ranks = linalg.prefix_ranks(images[-r:] + inst.toric_sub)
+    return ranks[r - 1] == r and ranks[-1] == r
 
 
 def is_form_compatible(inst: SpecializationInstance) -> bool:

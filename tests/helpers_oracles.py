@@ -11,9 +11,11 @@ box; the monodromy oracles restate orthogonality and the filtration by
 rational nullspaces and span tests, the formulation the library's
 product-and-rank verifiers replaced, ``preserves_form`` tests
 N^T Theta N = Theta by full products, the check ``verify_instance`` reads
-off form compatibility instead, and ``instance_error_by_ranks`` runs the
-instance checks in their order with the separate ranks of V^I + T and
-V^I + W that one prefix-rank pass replaced; the exception-pair oracle is
+off form compatibility instead, ``symplectic_inverse`` is the
+signed-transpose inverse of a standard-form symplectic matrix, and
+``instance_error_by_ranks`` runs the instance checks in their order with
+the separate ranks of V^I + T and V^I + W that one prefix-rank pass
+replaced and the full tau . tau product that the basis images replaced; the exception-pair oracle is
 the closed form (56, 15) plus the triangular family (m(m+1)/2, m-1),
 m != 3 mod 4, that the verdict engine's exclusion sweep must reproduce;
 the lemma oracle tests every s with a fresh binomial, without the early
@@ -163,6 +165,17 @@ def orthogonality_by_nullspace(inst: SpecializationInstance) -> bool:
     """W equals the complement of V^I, computed as a rational nullspace."""
     comp = symplectic_complement(inst.space, inst.inertia_invariants)
     return linalg.same_span(comp, inst.toric_sub)
+
+
+def symplectic_inverse(m: linalg.Matrix) -> linalg.Matrix:
+    """M^-1 = -Theta M^T Theta for M in Sp_2g and the standard form: for
+    M = [[P, Q], [R, S]] the signed transpose [[S^T, -Q^T], [-R^T, P^T]]."""
+    n = len(m)
+    g = n // 2
+    # entry (i, j) is M[j + g][i + g] with indices mod 2g (a negative index
+    # wraps), negated when i and j lie in different halves
+    return tuple(tuple(m[j - g][i - g] if (i < g) == (j < g) else -m[j - g][i - g]
+                       for j in range(n)) for i in range(n))
 
 
 def preserves_form(inst: SpecializationInstance) -> bool:

@@ -24,7 +24,8 @@ import pytest
 
 from helpers_oracles import (filtration_by_spans, instance_error_by_ranks,
                              mat_add, mat_vec, orthogonality_by_nullspace,
-                             preserves_form, symplectic_complement)
+                             preserves_form, symplectic_complement,
+                             symplectic_inverse)
 from mtcheck import linalg
 from mtcheck.monodromy import (SpecializationInstance, SymplecticSpace,
                                build_instance, is_form_compatible,
@@ -63,8 +64,8 @@ def test_random_symplectic_preserves_form():
     for g in (1, 2, 4, 7, 12):
         rng = random.Random(2024 + g)
         theta = standard_symplectic_form(g)
-        m, m_inv = random_symplectic(g, rng)
-        assert linalg.mat_mul(m, m_inv) == linalg.identity(2 * g)
+        m = random_symplectic(g, rng)
+        assert linalg.mat_mul(m, symplectic_inverse(m)) == linalg.identity(2 * g)
         lhs = linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(theta, m))
         assert linalg.is_zero_matrix(linalg.mat_sub(lhs, theta))
         assert all(isinstance(x, int) for row in m for x in row)
@@ -140,6 +141,14 @@ def _leak_invariants(inst: SpecializationInstance) -> SpecializationInstance:
     return replace(inst, monodromy=leaked)
 
 
+def _monodromy(inst: SpecializationInstance, images, duals):
+    """N = I + sum_i images_i (x) Theta(duals_i, .); as a matrix,
+    I + U^T . D . Theta with U and D the rows of images and duals."""
+    tau = linalg.mat_mul(linalg.transpose(images),
+                         linalg.mat_mul(duals, inst.space.form))
+    return mat_add(linalg.identity(inst.space.dim), tau)
+
+
 def _log_on(inst: SpecializationInstance, basis, block) -> SpecializationInstance:
     """Replace tau by sum_ij block[i][j] b_i (x) Theta(b_j, .) over the rows b
     of an isotropic basis (W or T).
@@ -149,10 +158,9 @@ def _log_on(inst: SpecializationInstance, basis, block) -> SpecializationInstanc
     complement of W, and a symmetric invertible block then gives an honest
     monodromy; the defects below vary the block or the basis.
     """
-    # as a matrix, tau = B^T . block . B . Theta
-    tau = linalg.mat_mul(linalg.transpose(basis), linalg.mat_mul(
-        block, linalg.mat_mul(basis, inst.space.form)))
-    return replace(inst, monodromy=mat_add(linalg.identity(inst.space.dim), tau))
+    # the image paired with Theta(b_j, .) is sum_i block[i][j] b_i
+    images = linalg.mat_mul(linalg.transpose(block), basis)
+    return replace(inst, monodromy=_monodromy(inst, images, basis))
 
 
 def _log_leaving_toric(inst: SpecializationInstance) -> SpecializationInstance:
@@ -165,8 +173,7 @@ def _log_leaving_toric(inst: SpecializationInstance) -> SpecializationInstance:
     """
     w = inst.toric_sub
     u = (linalg.vec_add(w[0], inst.inertia_invariants[-1]),) + w[1:]
-    tau = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(w, inst.space.form))
-    return replace(inst, monodromy=mat_add(linalg.identity(inst.space.dim), tau))
+    return replace(inst, monodromy=_monodromy(inst, u, w))
 
 
 def _unit_block(r: int, extra: dict) -> tuple:
@@ -298,7 +305,9 @@ def test_log_bridges_algebra_and_group():
 def test_conjugation_invariance():
     inst = build_instance(3, 2, 11)
     rng = random.Random(99)
-    m, m_inv = random_symplectic(3, rng)
+    m = random_symplectic(3, rng)
+    m_inv = symplectic_inverse(m)
+    assert linalg.mat_mul(m_inv, m) == linalg.identity(6)
     moved = SpecializationInstance(
         space=inst.space,
         inertia_invariants=tuple(mat_vec(m, v) for v in inst.inertia_invariants),
@@ -363,6 +372,12 @@ def _construction_cases(inst: SpecializationInstance) -> dict:
                                      "toric_sub": t},
         "W outside, N - I not square zero": {"toric_sub": t, "monodromy": doubled},
         "N - I not square zero": {"monodromy": doubled},
+        # Theta(w_1, t_1) = 1.  t_1 (x) Theta(w_1, .) kills V^I = W-perp and
+        # fixes t_1; w_1 (x) Theta(t_1, .) kills the isotropic T and negates
+        # w_1.  So tau^2 != 0 shows only through a T image, or only through
+        # a V^I image.
+        "N - I not square zero through T": {"monodromy": _monodromy(inst, t[:1], w[:1])},
+        "N - I not square zero through V^I": {"monodromy": _monodromy(inst, w[:1], t[:1])},
     }
     if r >= 2:
         cases.update({
@@ -399,6 +414,41 @@ def test_construction_errors_match_rank_order():
                     "basis of T is not independent", "W must lie inside V^I",
                     "V^I and T must be complementary",
                     "N - I must square to zero"}
+
+
+def test_square_zero_defects_reach_one_side_of_the_basis():
+    # the nonzero basis images of each defect lie only among the T rows or
+    # only among the V^I rows, and tau^2 = 0 must fail on either side
+    for g in range(1, 6):
+        for r in range(1, g + 1):
+            inst = build_instance(g, r, 0)
+            n = 2 * g
+            cases = _construction_cases(inst)
+            for name, side in (("N - I not square zero through T", range(n - r, n)),
+                               ("N - I not square zero through V^I", range(n - r))):
+                monodromy = cases[name]["monodromy"]
+                tau = linalg.mat_sub(monodromy, linalg.identity(n))
+                images = linalg.mat_mul(inst.inertia_invariants + inst.lift,
+                                        linalg.transpose(tau))
+                nonzero = {i for i, x in enumerate(images) if any(x)}
+                assert nonzero and nonzero <= set(side), (g, r, name)
+                with pytest.raises(ValueError, match="N - I must square to zero"):
+                    replace(inst, monodromy=monodromy)
+
+
+def test_basis_images_match_the_generic_product():
+    for g in range(3, 7):
+        for r in range(2, g):
+            inst = build_instance(g, r, g + r)
+            identity = linalg.identity(2 * g)
+            replaced = [replace(inst, monodromy=identity)]
+            replaced += [build(inst) for build, _ in _DEFECTS.values()]
+            for case in [inst] + replaced:
+                tau = linalg.mat_sub(case.monodromy, identity)
+                assert case.basis_images == linalg.mat_mul(
+                    case.inertia_invariants + case.lift, linalg.transpose(tau)), (g, r)
+            # a replaced instance computes its own images
+            assert all(case.basis_images != inst.basis_images for case in replaced)
 
 
 def test_log_and_space_caches():
