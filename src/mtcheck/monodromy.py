@@ -30,9 +30,10 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from . import linalg
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 
 _ENTRY_BOUND = 9
+_MAX_GENUS = 64
 
 
 @dataclass(frozen=True)
@@ -133,31 +134,6 @@ def _standard_space(g: int) -> SymplecticSpace:
     return SymplecticSpace(2 * g, standard_symplectic_form(g))
 
 
-def _random_unit_triangular(n: int, rng: random.Random, upper: bool) -> Matrix:
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        row[i] = 1
-        rng_range = range(i + 1, n) if upper else range(i)
-        for j in rng_range:
-            row[j] = rng.randint(-_ENTRY_BOUND, _ENTRY_BOUND)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _invert_unit_triangular(m: Matrix, upper: bool) -> Matrix:
-    """Inverse rows by substitution: row i of X with M X = I is e_i minus
-    the combination of rows already solved, so it stays integral."""
-    n = len(m)
-    inv: list[Vector] = [()] * n
-    for i in (reversed(range(n)) if upper else range(n)):
-        row = [1 if k == i else 0 for k in range(n)]
-        for j in (range(i + 1, n) if upper else range(i)):
-            row = [a - m[i][j] * b for a, b in zip(row, inv[j])]
-        inv[i] = tuple(row)
-    return tuple(inv)
-
-
 def _random_symmetric(n: int, rng: random.Random, invertible: bool) -> Matrix:
     while True:
         entries = [[0] * n for _ in range(n)]
@@ -178,27 +154,31 @@ def _block(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
 def random_symplectic(g: int, rng: random.Random) -> Matrix:
     """A seeded integer element of Sp_2g for the standard form.
 
-    M = diag(A, A^-T) [[I, B], [0, I]] [[I, 0], [C, I]] with A a product of
-    unit triangular factors and B, C symmetric, multiplied out by g x g
-    blocks: M = [[A(I + BC), AB], [A^-T C, A^-T]].
+    M = [[I, B], [0, I]] [[I, 0], [C, I]] [[I, D], [0, I]] with B, C and D
+    symmetric, so each shear is in Sp_2g and no factor is inverted;
+    multiplied out by g x g blocks, M = [[P, PD + B], [C, CD + I]] with
+    P = I + BC.  With entries of B, C, D at most 9 in absolute value, every
+    entry of M is at most 729 g^2 + 18 (the top right block; the others
+    are at most 81 g + 1).
     """
-    lower = _random_unit_triangular(g, rng, upper=False)
-    upper = _random_unit_triangular(g, rng, upper=True)
-    a = linalg.mat_mul(lower, upper)
-    a_inv_t = linalg.transpose(linalg.mat_mul(
-        _invert_unit_triangular(upper, upper=True),
-        _invert_unit_triangular(lower, upper=False)))
-    b = _random_symmetric(g, rng, invertible=False)
-    c = _random_symmetric(g, rng, invertible=False)
-    ab = linalg.mat_mul(a, b)
-    return _block(tuple(map(linalg.vec_add, a, linalg.mat_mul(ab, c))), ab,
-                  linalg.mat_mul(a_inv_t, c), a_inv_t)
+    b, c, d = (_random_symmetric(g, rng, invertible=False) for _ in range(3))
+    eye = linalg.identity(g)
+    p = tuple(map(linalg.vec_add, eye, linalg.mat_mul(b, c)))
+    return _block(p, tuple(map(linalg.vec_add, linalg.mat_mul(p, d), b)), c,
+                  tuple(map(linalg.vec_add, linalg.mat_mul(c, d), eye)))
 
 
 def build_instance(g: int, r: int, seed: int) -> SpecializationInstance:
-    """Deterministic instance for the given genus, toric rank and seed."""
+    """Deterministic instance for the given genus, toric rank and seed.
+
+    The genus is at most _MAX_GENUS = 64, checked before any draw: one
+    instance at the bound takes seconds, and the cost grows as g^3, so an
+    extreme genus fails at once instead of running for hours.
+    """
     if not 1 <= r <= g:
         raise ValueError("need 1 <= r <= g")
+    if g > _MAX_GENUS:
+        raise ValueError(f"need g <= {_MAX_GENUS}")
     rng = random.Random(seed)
     space = _standard_space(g)
 

@@ -132,7 +132,7 @@ def test_criterion_6_rank2_closure():
 
 
 def test_criterion_7_monodromy_invariants():
-    combos = [(g, r) for g in range(1, 15) for r in range(1, g + 1)]
+    combos = [(g, r) for g in range(1, 16) for r in range(1, g + 1)]
     for i in range(1000):
         g, r = combos[i % len(combos)]
         inst = build_instance(g, r, seed=9000 + i)

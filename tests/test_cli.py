@@ -188,6 +188,17 @@ def test_monodromy_rejects_empty_trial_count(capsys, trials):
     assert err.startswith("error: ") and "--trials" in err
 
 
+def test_monodromy_rejects_extreme_genus_at_once(capsys):
+    # the genus bound is checked before any draw, so this allocates nothing
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["monodromy", "--g", str(10**6), "--r", "1",
+                                   "--seed", "0"])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_check_text(capsys):
     code, out, _ = _run(capsys, ["check", "--g", "4", "--endo", "Q",
                                  "--toric-rank", "2", "--bad-semistable-split",

@@ -60,8 +60,9 @@ def test_symplectic_space_validation():
 
 def test_random_symplectic_preserves_form():
     # g = 7 and 12 reach criterion-7 sizes, where the g x g block product
-    # and the signed-transpose inverse meet generic entries
-    for g in (1, 2, 4, 7, 12):
+    # and the signed-transpose inverse meet generic entries; g = 40 is far
+    # past them
+    for g in (1, 2, 4, 7, 12, 40):
         rng = random.Random(2024 + g)
         theta = standard_symplectic_form(g)
         m = random_symplectic(g, rng)
@@ -69,6 +70,16 @@ def test_random_symplectic_preserves_form():
         lhs = linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(theta, m))
         assert linalg.is_zero_matrix(linalg.mat_sub(lhs, theta))
         assert all(isinstance(x, int) for row in m for x in row)
+
+
+def test_random_symplectic_entries_stay_polynomial_in_g():
+    # B, C, D have entries at most 9, so the top right block PD + B =
+    # D + BCD + B is at most 729 g^2 + 18 and the rest at most 81 g + 1;
+    # every later product and rank pays for the size of these entries
+    for g in (1, 2, 7, 12, 40, 64):
+        for seed in range(3):
+            m = random_symplectic(g, random.Random(seed))
+            assert max(abs(x) for row in m for x in row) <= 729 * g * g + 18
 
 
 @pytest.mark.parametrize("g, r, seed", [(4, 2, 7), (8, 5, 123)])
@@ -104,7 +115,7 @@ def test_build_instance_digest():
                 h.update(repr((g, r, seed, inst.inertia_invariants, inst.toric_sub,
                                inst.lift, inst.monodromy)).encode())
     assert h.hexdigest() == (
-        "2f8f7c111735780d492706c1334902eafc909d95aa1098eb041703f67737d6df")
+        "02a96371aa075dc4a396ebbc5c0a5ec1e199016adeaac3d5bdfb0b2f35b1eafe")
 
 
 def test_build_instance_bounds():
@@ -112,6 +123,8 @@ def test_build_instance_bounds():
         build_instance(3, 0, 1)
     with pytest.raises(ValueError, match="1 <= r <= g"):
         build_instance(3, 4, 1)
+    with pytest.raises(ValueError, match="g <= 64"):
+        build_instance(65, 1, 0)
 
 
 def _perturb_toric(inst: SpecializationInstance) -> SpecializationInstance:
