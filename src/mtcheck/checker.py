@@ -51,13 +51,8 @@ class Conclusion(Enum):
     INPUT_INCONSISTENT = "InputInconsistent"
 
 
-_STRENGTH = {
-    Conclusion.MT_AND_DIVISORIAL: 4,
-    Conclusion.MT: 3,
-    Conclusion.MT_OR_HODGE_DIVISORIAL: 2,
-    Conclusion.EXCEPTION_PAIR_HIT: 1,
-    Conclusion.NOT_COVERED: 0,
-}
+# Conclusion is declared strongest first; a larger value is stronger.
+_STRENGTH = {c: -i for i, c in enumerate(Conclusion)}
 
 
 class InputInconsistentError(ValueError):

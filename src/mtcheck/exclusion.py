@@ -13,9 +13,9 @@ Rule order: exceptional inner [0.5.1]; non-classical or non-standard outer
 [Thm 6.1]; gcd hypothesis [6.2]; half-spin inner [Lem 6.3 / Prop 6.3 D4];
 classical-w1 rigidity [Prop 6.3]; duality-class mismatch [6.2]; and for
 (A_m, ws) inners duality normalization, the self-dual middle weight
-[Prop 6.3], rank realizability [PS], and the closing binomial divisibility
-binom(m-1, s-1) | s(m+1-s), which by the lemma only s = 2 and
-(m, s) = (7, 3) pass [Prop 6.3].
+[Prop 6.3] and rank realizability [PS].  An inner past the last rung
+satisfies the binomial divisibility binom(m-1, s-1) | s(m+1-s), which by
+the lemma only s = 2 and (m, s) = (7, 3) do [Prop 6.3].
 """
 
 from __future__ import annotations
@@ -75,14 +75,12 @@ def _excluded(reason: str) -> ExclusionVerdict:
 def check_pair(pair: CandidatePair, r: int) -> ExclusionVerdict:
     """Verdict on one candidate proper inclusion, given the quadratic rank r.
 
-    For an (A_m, ws) inner the last rung tests the divisibility lemma's
-    condition binom(m-1, s-1) | s(m+1-s) directly.  Its "does not divide"
-    branch cannot fire once the gcd rung has passed: with n = binom(m+1, s)
-    and r = binom(m-1, s-1),
+    An (A_m, ws) inner that passes the gcd rung and the rank rung
+    (n = binom(m+1, s), r = binom(m-1, s-1)) is admissible, because
 
-        binom(m+1, s) * s(m+1-s) = binom(m-1, s-1) * m(m+1),
+        binom(m+1, s) * s(m+1-s) = binom(m-1, s-1) * m(m+1)
 
-    so r divides n * s(m+1-s), and gcd(r, n) = 1 leaves r | s(m+1-s).
+    makes r divide n * s(m+1-s), and gcd(r, n) = 1 leaves r | s(m+1-s).
     """
     n = pair.inner.dim
     if n <= 4:
@@ -124,11 +122,8 @@ def check_pair(pair: CandidatePair, r: int) -> ExclusionVerdict:
     if r != rank_a:
         return _excluded(f"(A_{m}, w{s_norm}) forces quadratic rank {rank_a}, "
                          f"not {r} [PS]")
-    if s_norm * (m + 1 - s_norm) % rank_a == 0:
-        return ExclusionVerdict(True, f"binom({m - 1}, {s_norm - 1}) divides "
-                                      f"{s_norm}({m + 1}-{s_norm}) [Prop 6.3]")
-    return _excluded(f"binom({m - 1}, {s_norm - 1}) does not divide "
-                     f"{s_norm}({m + 1}-{s_norm}) [Prop 6.3]")
+    return ExclusionVerdict(True, f"binom({m - 1}, {s_norm - 1}) divides "
+                                  f"{s_norm}({m + 1}-{s_norm}) [Prop 6.3]")
 
 
 def surviving_inners(n: int, form: FormClass, r: int) -> tuple[IrrepDescriptor, ...]:

@@ -190,17 +190,8 @@ def nullspace(m: Matrix) -> tuple[Vector, ...]:
 
 
 def row_space_contains(basis: Matrix, v: Vector) -> bool:
-    if all(x == 0 for x in v):
-        return True
-    if not basis:
-        return False
     return rank(basis) == rank(basis + (v,))
 
 
 def same_span(a: Matrix, b: Matrix) -> bool:
-    ra = rank(a) if a else 0
-    rb = rank(b) if b else 0
-    if ra != rb:
-        return False
-    joint = tuple(a) + tuple(b)
-    return (rank(joint) if joint else 0) == ra
+    return rank(a) == rank(tuple(a) + tuple(b)) == rank(b)

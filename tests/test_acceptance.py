@@ -23,6 +23,8 @@ from mtcheck.quadratic import quadratic_rank_profile, rank2_constraint, transvec
 from mtcheck.roots import FormClass, LieType
 
 DATA = Path(__file__).parent / "data"
+SWEEP_BOUND = 25_000  # the largest n of the criterion 4 and 5 sweeps
+GENUS_BOUND = 15  # the largest g of the criterion 7 instances
 
 
 def _passed(line: str) -> None:
@@ -91,7 +93,7 @@ def test_criterion_4_exception_closure():
     assert quadratic_rank_profile(a7w3)[0] == 15
 
     survivors_at = {}
-    for n in range(5, 25_001):
+    for n in range(5, SWEEP_BOUND + 1):
         for r in sorted(candidate_min_ranks(n)):
             if gcd(r, n) != 1:
                 continue
@@ -100,26 +102,26 @@ def test_criterion_4_exception_closure():
                 survivors_at[(n, r)] = [e.label for e in found]
     expected = {(56, 15): ["A7:w3"]}
     m = 4
-    while m * (m + 1) // 2 <= 25_000:
+    while m * (m + 1) // 2 <= SWEEP_BOUND:
         if m % 4 != 3:
             expected[(m * (m + 1) // 2, m - 1)] = [f"A{m}:w2"]
         m += 1
     assert survivors_at == expected
-    _passed(f"criterion 4: non-self-dual survivors over n <= 25000 occur "
+    _passed(f"criterion 4: non-self-dual survivors over n <= {SWEEP_BOUND} occur "
             f"exactly at (56, 15) and the triangular family "
             f"({len(expected)} pairs)")
 
 
 def test_criterion_5_symplectic_closure():
     checked = 0
-    for n in range(6, 25_001, 2):
+    for n in range(6, SWEEP_BOUND + 1, 2):
         for r in sorted(candidate_min_ranks(n) | {1, n - 1}):
             if gcd(r, n) != 1:
                 continue
             assert surviving_inners(n, FormClass.SYMPLECTIC, r) == (), (n, r)
             checked += 1
     _passed(f"criterion 5: symplectic survivors are empty for every even "
-            f"n <= 25000 ({checked} (n, r) queries)")
+            f"n <= {SWEEP_BOUND} ({checked} (n, r) queries)")
 
 
 def test_criterion_6_rank2_closure():
@@ -132,7 +134,7 @@ def test_criterion_6_rank2_closure():
 
 
 def test_criterion_7_monodromy_invariants():
-    combos = [(g, r) for g in range(1, 16) for r in range(1, g + 1)]
+    combos = [(g, r) for g in range(1, GENUS_BOUND + 1) for r in range(1, g + 1)]
     for i in range(1000):
         g, r = combos[i % len(combos)]
         inst = build_instance(g, r, seed=9000 + i)
@@ -148,8 +150,8 @@ def test_criterion_7_monodromy_invariants():
         from dataclasses import replace
         bad = replace(inst, toric_sub=(first,) + inst.toric_sub[1:])
         assert not verify_orthogonality(bad), (g, r, 500 + i)
-    _passed("criterion 7: 1000 seeded instances verify every invariant; "
-            "100 perturbed controls fail orthogonality")
+    _passed(f"criterion 7: 1000 seeded instances with g ≤ {GENUS_BOUND} verify "
+            "every invariant; 100 perturbed controls fail orthogonality")
 
 
 def test_criterion_8_verdict_regressions(capsys):

@@ -2,7 +2,7 @@
 rule coverage, purely-multiplicative fall-through, consistency with the
 exclusion engine and the exception-pair closed form, the reporting helpers,
 a digest of every verdict over a bounded descriptor box, and the README's
-rule table."""
+rule table and conclusion order."""
 
 from __future__ import annotations
 
@@ -313,3 +313,12 @@ def test_readme_rule_table_matches_rules():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(Thm [\d.]+)` \| (.+) \|$", readme, re.MULTILINE)
     assert rows == [(tag, description) for _, tag, description, _ in _RULES]
+
+
+def test_conclusion_order_matches_readme():
+    # decide ranks conclusions by their declaration order, strongest first
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"Possible `conclusion` values, strongest first: (.+?) for "
+                       r"descriptors that fail validation", readme, re.DOTALL)
+    assert re.findall(r"`(\w+)`", listed.group(1)) == [c.value for c in Conclusion]
+    assert list(Conclusion)[-1] is Conclusion.INPUT_INCONSISTENT

@@ -7,7 +7,7 @@ from __future__ import annotations
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtcheck.catalog import descriptor, enumerate_minuscule, standard_module
@@ -234,13 +234,33 @@ def test_gcd_hypothesis_subsumes_divisibility_failure():
     """The identity in check_pair's docstring, n * s(m+1-s) = r * m(m+1)
     with r = binom(m-1, s-1), makes gcd(r, n) = 1 imply r | s(m+1-s), so
     every non-solution pair is already stopped by the gcd rule and the
-    closing divisibility exclusion is purely defensive."""
+    ladder needs no divisibility rung of its own."""
     solutions = divisibility_solutions(60)
     for m in range(5, 61):
         for s in range(2, m // 2 + 1):
             assert comb(m + 1, s) * s * (m + 1 - s) == comb(m - 1, s - 1) * m * (m + 1)
             if (m, s) not in solutions:
                 assert gcd(comb(m - 1, s - 1), comb(m + 1, s)) != 1, (m, s)
+
+
+@st.composite
+def _a_inner(draw) -> tuple[int, int]:
+    m = draw(st.integers(3, 10**4))
+    return m, draw(st.integers(2, (m + 1) // 2))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_a_inner())
+@example((7, 3))
+@example((10**4, 2))
+def test_admissible_a_inners_satisfy_divisibility(ms):
+    # an (A_m, ws) inner past the gcd and rank rungs is admissible without
+    # a divisibility rung, so every admissible verdict must meet the lemma
+    m, s = ms
+    n, r = comb(m + 1, s), comb(m - 1, s - 1)
+    verdict = check_pair(_pair((LieType("A", m), s), (LieType("A", n - 1), 1)), r)
+    if verdict.admissible:
+        assert s * (m + 1 - s) % r == 0, (m, s)
 
 
 def test_pair_construction_validation():
@@ -281,6 +301,8 @@ def test_surviving_inners_examples():
 def test_surviving_inners_preconditions():
     with pytest.raises(ValueError, match="> 4"):
         surviving_inners(4, FormClass.NON_SELF_DUAL, 1)
+    with pytest.raises(ValueError, match="> 4"):
+        surviving_inners(4, FormClass.ORTHOGONAL, 1)  # n = 4 has no D outer
     with pytest.raises(ValueError, match="coprimality"):
         surviving_inners(10, FormClass.NON_SELF_DUAL, 5)
 

@@ -51,6 +51,11 @@ def test_symplectic_space_validation():
         SymplecticSpace(3, ((0,) * 3,) * 3)
     with pytest.raises(ValueError, match="wrong shape"):
         SymplecticSpace(4, standard_symplectic_form(1))
+    with pytest.raises(ValueError, match="wrong shape"):
+        SymplecticSpace(4, standard_symplectic_form(2)[:3])  # rows of length 4
+    short_row = standard_symplectic_form(2)[:3] + ((0, -1, 0),)
+    with pytest.raises(ValueError, match="wrong shape"):
+        SymplecticSpace(4, short_row)  # 4 rows, one of length 3
     with pytest.raises(ValueError, match="alternating"):
         SymplecticSpace(2, ((1, 0), (0, 1)))
     degenerate = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
@@ -118,13 +123,18 @@ def test_build_instance_digest():
         "02a96371aa075dc4a396ebbc5c0a5ec1e199016adeaac3d5bdfb0b2f35b1eafe")
 
 
-def test_build_instance_bounds():
+def test_build_instance_bounds(monkeypatch):
     with pytest.raises(ValueError, match="1 <= r <= g"):
         build_instance(3, 0, 1)
     with pytest.raises(ValueError, match="1 <= r <= g"):
         build_instance(3, 4, 1)
     with pytest.raises(ValueError, match="g <= 64"):
         build_instance(65, 1, 0)
+    # the genus bound itself is accepted; a lowered bound keeps this cheap
+    monkeypatch.setattr("mtcheck.monodromy._MAX_GENUS", 3)
+    assert build_instance(3, 1, 0).space.dim == 6
+    with pytest.raises(ValueError, match="need g <= 3"):
+        build_instance(4, 1, 0)
 
 
 def _perturb_toric(inst: SpecializationInstance) -> SpecializationInstance:
@@ -350,6 +360,12 @@ def test_instance_validation_errors():
         replace(inst, inertia_invariants=dependent)
     with pytest.raises(ValueError, match="dimension 2g - r"):
         replace(inst, inertia_invariants=inst.inertia_invariants[:2])
+    for short in ({"lift": inst.lift[:-1]}, {"toric_sub": inst.toric_sub[:-1]}):
+        with pytest.raises(ValueError, match="W and T must have dimension r"):
+            replace(inst, **short)
+    for toric_rank in (0, inst.space.dim // 2 + 1):
+        with pytest.raises(ValueError, match="toric rank must satisfy 1 <= r <= g"):
+            replace(inst, toric_rank=toric_rank)
 
 
 def test_symplectic_complement_dimensions():
@@ -398,6 +414,10 @@ def _construction_cases(inst: SpecializationInstance) -> dict:
             "W dependent, outside V^I": {"toric_sub": (t[0],) * 2 + t[2:]},
             "W outside V^I, T dependent": {"toric_sub": t,
                                            "lift": (t[0],) * 2 + t[2:]},
+            # only the last W row leaves V^I, and V^I + W + T is still
+            # everything, so complementarity must read rank V^I + W in full
+            "last W row outside V^I, T dependent": {
+                "toric_sub": w[:-1] + (t[1],), "lift": (t[0],) * 2 + t[2:]},
             "T dependent": {"lift": (t[0],) * 2 + t[2:]},
             "T inside V^I, W dependent": {"lift": vi[:r],
                                           "toric_sub": (w[0],) * 2 + w[2:]},
