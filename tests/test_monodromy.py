@@ -6,7 +6,9 @@ negative controls construct shape-valid instances that must fail the
 orthogonality and filtration checks, and one targeted defect per remaining
 verifier (form compatibility, N in Sp, filtration, the image clause of the
 filtration, rank of tau) must turn that verifier's key False, pinning down
-that the verifiers test the theorems and not the construction path.  The
+that the verifiers test the theorems and not the construction path.
+Instances moved to a non-standard form by a unimodular change of
+coordinates must verify alike and fail the same defects.  The
 product-and-rank verifiers are compared against the nullspace and span
 formulations kept in helpers_oracles, the N-in-Sp key (read off form
 compatibility) against N^T Theta N = Theta by full products, the
@@ -256,6 +258,61 @@ def test_targeted_defects_fail_their_own_check(defect):
                 # the key read off form_compatible agrees with N^T Theta N
                 assert preserves_form(bad) is results["monodromy_symplectic"], (
                     defect, g, r, seed)
+
+
+def _unimodular(n: int, rng: random.Random) -> tuple[linalg.Matrix, linalg.Matrix]:
+    """A seeded integer P and its integer inverse: a product of 2n shears
+    E = I + c e_ij (i != j, c = +-1), each inverted by I - c e_ij."""
+    p = [list(row) for row in linalg.identity(n)]
+    p_inv = [list(row) for row in linalg.identity(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        # P <- E P adds c times row j to row i; P^-1 <- P^-1 E^-1 subtracts
+        # c times column i from column j
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+        for row in p_inv:
+            row[j] -= c * row[i]
+    return tuple(map(tuple, p)), tuple(map(tuple, p_inv))
+
+
+def _move(inst: SpecializationInstance, p, p_inv) -> SpecializationInstance:
+    """The instance in the coordinates x -> Px: the form becomes
+    P^-T Theta P^-1, N becomes P N P^-1, and each basis row v becomes
+    (Pv)^T = v P^T."""
+    pt = linalg.transpose(p)
+    form = linalg.mat_mul(linalg.transpose(p_inv), linalg.mat_mul(inst.space.form, p_inv))
+    return SpecializationInstance(
+        space=SymplecticSpace(inst.space.dim, form),
+        inertia_invariants=linalg.mat_mul(inst.inertia_invariants, pt),
+        toric_sub=linalg.mat_mul(inst.toric_sub, pt),
+        lift=linalg.mat_mul(inst.lift, pt),
+        monodromy=linalg.mat_mul(p, linalg.mat_mul(inst.monodromy, p_inv)),
+        toric_rank=inst.toric_rank,
+    )
+
+
+def test_verifiers_on_a_non_standard_form():
+    # the verifiers read inst.space.form; every instance above is built on
+    # the standard form, so a verifier that assumed it would pass them all.
+    # g starts at 2: the shears have determinant 1, and SL_2 = Sp_2.
+    rng = random.Random(1729)
+    for g in range(2, 7):
+        for r in range(1, g + 1):
+            for seed in range(2):
+                inst = build_instance(g, r, seed)
+                p, p_inv = _unimodular(2 * g, rng)
+                assert linalg.mat_mul(p, p_inv) == linalg.identity(2 * g)
+                moved = _move(inst, p, p_inv)
+                label = (g, r, seed)
+                assert moved.space.form != inst.space.form, label
+                assert verify_instance(moved) == verify_instance(inst), label
+                if not 2 <= r < g:
+                    continue
+                for defect, (build, failing) in _DEFECTS.items():
+                    results = verify_instance(build(moved))
+                    assert {k for k, ok in results.items() if not ok} == failing, (
+                        defect, label, results)
 
 
 def test_image_defect_fails_only_the_image_clause():
