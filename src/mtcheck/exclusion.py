@@ -16,6 +16,11 @@ classical-w1 rigidity [Prop 6.3]; duality-class mismatch [6.2]; and for
 [Prop 6.3] and rank realizability [PS].  An inner past the last rung
 satisfies the binomial divisibility binom(m-1, s-1) | s(m+1-s), which by
 the lemma only s = 2 and (m, s) = (7, 3) do [Prop 6.3].
+
+The ladder is written once, as a private walk over (inner, outer, r) that
+returns the admissible flag and the reason.  ``check_pair`` wraps its
+answer in an ``ExclusionVerdict``; ``surviving_inners`` walks it once per
+(inner, outer) and builds no ``CandidatePair`` or ``ExclusionVerdict``.
 """
 
 from __future__ import annotations
@@ -68,12 +73,55 @@ def theorem61_outer_shapes(n: int, form: FormClass) -> tuple[IrrepDescriptor, ..
     return _outers(n, form, minuscule_candidates(n))
 
 
-def _excluded(reason: str) -> ExclusionVerdict:
-    return ExclusionVerdict(False, reason)
+def _ladder(inner: IrrepDescriptor, outer: IrrepDescriptor,
+            r: int) -> tuple[bool, str]:
+    """The rung walk behind ``check_pair`` and ``surviving_inners``:
+    ``(False, reason)`` from the first rung that excludes inner < outer,
+    else ``(True, reason)``.  The caller vouches for a proper pair of equal
+    dimension n > 4."""
+    t = inner.lie_type
+    fam = t.family
+    if fam == "E":
+        return False, "inner algebra must not be exceptional [0.5.1]"
+    if outer.lie_type.family == "E" or outer.weight_index != 1:
+        return False, "outer shape must be a classical standard module [Thm 6.1]"
+    n = inner.dim
+    if gcd(r, n) != 1:
+        return False, f"gcd({r}, {n}) != 1 violates the coprimality hypothesis [6.2]"
+
+    m, s = t.rank, inner.weight_index
+    if fam == "D" and s != 1:
+        if m == 4:
+            return False, ("(D4, half-spin) sits in no classical standard module "
+                           "[Prop 6.3]")
+        return False, ("half-spin quadratic ranks 2^(m-3), 2^(m-2) share a factor > 2 "
+                       "with 2^(m-1) [Lem 6.3]")
+    if fam in ("B", "C", "D"):
+        return False, (f"({fam}_m, w1) admits no proper overalgebra of equal "
+                       "dimension [Prop 6.3]")
+    if inner.form != outer.form:
+        return False, "inner and outer duality classes must agree [6.2]"
+
+    # inner is (A_m, ws); normalize by duality
+    s_norm = min(s, m + 1 - s)
+    if s_norm == 1:
+        return False, ("dual-standard inner fills the outer algebra; the "
+                       "inclusion is not proper [Thm 6.1]")
+    if m + 1 == 2 * s_norm:
+        return False, ("self-dual middle weight: rank binom(2(s-1), s-1) > s "
+                       "cannot divide s [Prop 6.3]")
+    rank_a = quadratic_rank_profile(inner)[0]  # binom(m-1, s-1), symmetric in s
+    if r != rank_a:
+        return False, (f"(A_{m}, w{s_norm}) forces quadratic rank {rank_a}, "
+                       f"not {r} [PS]")
+    return True, (f"binom({m - 1}, {s_norm - 1}) divides "
+                  f"{s_norm}({m + 1}-{s_norm}) [Prop 6.3]")
 
 
 def check_pair(pair: CandidatePair, r: int) -> ExclusionVerdict:
-    """Verdict on one candidate proper inclusion, given the quadratic rank r.
+    """Verdict on one candidate proper inclusion, given the quadratic rank r:
+    the reason of the first rung that excludes it, or the admissible text.
+    It wraps the same rung walk that ``surviving_inners`` runs per pair.
 
     An (A_m, ws) inner that passes the gcd rung and the rank rung
     (n = binom(m+1, s), r = binom(m-1, s-1)) is admissible, because
@@ -82,58 +130,23 @@ def check_pair(pair: CandidatePair, r: int) -> ExclusionVerdict:
 
     makes r divide n * s(m+1-s), and gcd(r, n) = 1 leaves r | s(m+1-s).
     """
-    n = pair.inner.dim
-    if n <= 4:
+    if pair.inner.dim <= 4:
         raise ValueError("the exclusion engine assumes ambient dimension > 4")
-    inner, outer = pair.inner, pair.outer
-
-    if inner.lie_type.family == "E":
-        return _excluded("inner algebra must not be exceptional [0.5.1]")
-    if outer.lie_type.family == "E" or outer.weight_index != 1:
-        return _excluded("outer shape must be a classical standard module [Thm 6.1]")
-    if gcd(r, n) != 1:
-        return _excluded(f"gcd({r}, {n}) != 1 violates the coprimality hypothesis [6.2]")
-
-    fam, m = inner.lie_type.family, inner.lie_type.rank
-    s = inner.weight_index
-
-    if fam == "D" and s != 1:
-        if m == 4:
-            return _excluded("(D4, half-spin) sits in no classical standard module [Prop 6.3]")
-        return _excluded(
-            "half-spin quadratic ranks 2^(m-3), 2^(m-2) share a factor > 2 "
-            "with 2^(m-1) [Lem 6.3]"
-        )
-    if fam in ("B", "C", "D"):
-        return _excluded(f"({fam}_m, w1) admits no proper overalgebra of equal "
-                         "dimension [Prop 6.3]")
-    if inner.form != outer.form:
-        return _excluded("inner and outer duality classes must agree [6.2]")
-
-    # inner is (A_m, ws); normalize by duality
-    s_norm = min(s, m + 1 - s)
-    if s_norm == 1:
-        return _excluded("dual-standard inner fills the outer algebra; the "
-                         "inclusion is not proper [Thm 6.1]")
-    if m + 1 == 2 * s_norm:
-        return _excluded("self-dual middle weight: rank binom(2(s-1), s-1) > s "
-                         "cannot divide s [Prop 6.3]")
-    rank_a = quadratic_rank_profile(inner)[0]  # binom(m-1, s-1), symmetric in s
-    if r != rank_a:
-        return _excluded(f"(A_{m}, w{s_norm}) forces quadratic rank {rank_a}, "
-                         f"not {r} [PS]")
-    return ExclusionVerdict(True, f"binom({m - 1}, {s_norm - 1}) divides "
-                                  f"{s_norm}({m + 1}-{s_norm}) [Prop 6.3]")
+    return ExclusionVerdict(*_ladder(pair.inner, pair.outer, r))
 
 
 def surviving_inners(n: int, form: FormClass, r: int) -> tuple[IrrepDescriptor, ...]:
-    """Admissible proper-inclusion inners; empty means the algebras coincide."""
+    """Admissible proper-inclusion inners; empty means the algebras coincide.
+
+    Each (inner, outer) goes through the ladder of ``check_pair`` once,
+    with no ``CandidatePair`` or ``ExclusionVerdict`` built: every
+    candidate has dimension n, and the outer itself is skipped."""
     if n <= 4:
         raise ValueError("the exclusion engine assumes ambient dimension > 4")
     if gcd(r, n) != 1:
         raise ValueError(f"gcd({r}, {n}) != 1 violates the coprimality hypothesis")
     candidates = minuscule_candidates(n)
-    outers = _outers(n, form, candidates)
-    return tuple(inner for inner in candidates if any(
-        inner is not outer and check_pair(CandidatePair(inner, outer), r).admissible
-        for outer in outers))
+    # Theorem 6.1 forces at most one outer, so no inner is listed twice
+    return tuple(inner for outer in _outers(n, form, candidates)
+                 for inner in candidates
+                 if inner is not outer and _ladder(inner, outer, r)[0])

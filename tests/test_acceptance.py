@@ -24,7 +24,7 @@ from mtcheck.quadratic import quadratic_rank_profile, rank2_constraint, transvec
 from mtcheck.roots import FormClass, LieType
 
 DATA = Path(__file__).parent / "data"
-SWEEP_BOUND = 25_000  # the largest n of the criterion 4, 5 and orthogonal sweeps
+SWEEP_BOUND = 30_000  # the largest n of the criterion 4, 5 and orthogonal sweeps
 GENUS_BOUND = 15  # the largest g of the criterion 7 instances
 
 
@@ -135,7 +135,7 @@ def test_orthogonal_closure():
                 continue
             assert surviving_inners(n, FormClass.ORTHOGONAL, r) == (), (n, r)
             checked += 1
-    assert checked == 62_656  # at SWEEP_BOUND = 25000
+    assert checked == 75_172  # at SWEEP_BOUND = 30000
 
 
 def test_criterion_6_rank2_closure():

@@ -1,6 +1,6 @@
 """Exclusion-engine tests: forced outer shapes, candidate enumeration
 against a brute-force dimension scan and its per-process memo, the
-per-pair rule ladder with its bracketed reason tags, and the
+per-pair rule ladder with every reason text pinned byte for byte, and the
 surviving-inner summaries."""
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from mtcheck import catalog, exclusion
 from mtcheck.catalog import descriptor, enumerate_minuscule, standard_module
 from mtcheck.divisibility import divisibility_solutions
-from mtcheck.exclusion import (CandidatePair, check_pair, minuscule_candidates,
-                               surviving_inners, theorem61_outer_shapes)
+from mtcheck.exclusion import (CandidatePair, ExclusionVerdict, check_pair,
+                               minuscule_candidates, surviving_inners,
+                               theorem61_outer_shapes)
 from mtcheck.roots import FormClass, LieType
 
 from helpers_oracles import (candidate_min_ranks, minuscule_candidates_by_scan,
@@ -253,6 +254,59 @@ def test_admissible_survivors():
     assert verdict.admissible
     verdict = check_pair(_pair((LieType("A", 5), 2), (LieType("A", 14), 1)), 4)
     assert verdict.admissible
+
+
+# One case per rung, in ladder order, then the admissible text; each reason
+# is pinned byte for byte, so a changed word in any rung fails here.
+_REASONS = [
+    ("exceptional-inner", (LieType("E", 7), 7), A55, 15, False,
+     "inner algebra must not be exceptional [0.5.1]"),
+    ("non-classical-outer", A55, (LieType("E", 7), 7), 15, False,
+     "outer shape must be a classical standard module [Thm 6.1]"),
+    ("non-standard-outer", (LieType("A", 7), 1), (LieType("D", 4), 4), 3, False,
+     "outer shape must be a classical standard module [Thm 6.1]"),
+    ("gcd", (LieType("A", 5), 3), (LieType("C", 10), 1), 6, False,
+     "gcd(6, 20) != 1 violates the coprimality hypothesis [6.2]"),
+    ("d4-half-spin", (LieType("D", 4), 4), (LieType("A", 7), 1), 3, False,
+     "(D4, half-spin) sits in no classical standard module [Prop 6.3]"),
+    ("half-spin", (LieType("D", 5), 5), (LieType("A", 15), 1), 3, False,
+     "half-spin quadratic ranks 2^(m-3), 2^(m-2) share a factor > 2 "
+     "with 2^(m-1) [Lem 6.3]"),
+    ("half-spin-w-m-1", (LieType("D", 6), 5), (LieType("A", 31), 1), 3, False,
+     "half-spin quadratic ranks 2^(m-3), 2^(m-2) share a factor > 2 "
+     "with 2^(m-1) [Lem 6.3]"),
+    ("classical-w1-d", (LieType("D", 6), 1), (LieType("A", 11), 1), 5, False,
+     "(D_m, w1) admits no proper overalgebra of equal dimension [Prop 6.3]"),
+    ("classical-w1-b", (LieType("B", 6), 1), (LieType("A", 12), 1), 5, False,
+     "(B_m, w1) admits no proper overalgebra of equal dimension [Prop 6.3]"),
+    ("classical-w1-c", (LieType("C", 6), 1), (LieType("A", 11), 1), 5, False,
+     "(C_m, w1) admits no proper overalgebra of equal dimension [Prop 6.3]"),
+    ("duality", A7W3, C28, 15, False,
+     "inner and outer duality classes must agree [6.2]"),
+    ("dual-standard", (LieType("A", 9), 9), (LieType("A", 9), 1), 1, False,
+     "dual-standard inner fills the outer algebra; the inclusion is not "
+     "proper [Thm 6.1]"),
+    ("middle-weight", (LieType("A", 7), 4), (LieType("D", 35), 1), 3, False,
+     "self-dual middle weight: rank binom(2(s-1), s-1) > s cannot divide s "
+     "[Prop 6.3]"),
+    ("rank-ps", A7W3, A55, 11, False,
+     "(A_7, w3) forces quadratic rank 15, not 11 [PS]"),
+    ("rank-ps-dual", (LieType("A", 7), 5), A55, 11, False,
+     "(A_7, w3) forces quadratic rank 15, not 11 [PS]"),
+    ("admissible", A7W3, A55, 15, True,
+     "binom(6, 2) divides 3(8-3) [Prop 6.3]"),
+    ("admissible-dual", (LieType("A", 7), 5), A55, 15, True,
+     "binom(6, 2) divides 3(8-3) [Prop 6.3]"),
+    ("admissible-s2", (LieType("A", 9), 2), (LieType("A", 44), 1), 8, True,
+     "binom(8, 1) divides 2(10-2) [Prop 6.3]"),
+]
+
+
+@pytest.mark.parametrize("inner, outer, r, admissible, reason",
+                         [case[1:] for case in _REASONS],
+                         ids=[case[0] for case in _REASONS])
+def test_reason_texts_byte_for_byte(inner, outer, r, admissible, reason):
+    assert check_pair(_pair(inner, outer), r) == ExclusionVerdict(admissible, reason)
 
 
 def test_gcd_hypothesis_subsumes_divisibility_failure():
