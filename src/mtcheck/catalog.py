@@ -7,7 +7,7 @@ two half-spin modules (dim 2^(m-1)); E6 carries w1 and w6 and E7 carries
 w7.  E8 carries nothing.
 
 A module is named by the index s of its highest weight ws.  ``descriptor``
-is the one constructor: it admits exactly the indices
+is the public, checked constructor: it admits exactly the indices
 ``minuscule_weight_indices`` lists and fills in the closed-form dimension
 and duality class.  The tests cross-validate those against the Weyl
 dimension formula and the parity criterion of the root-system oracle
@@ -15,9 +15,13 @@ dimension formula and the parity criterion of the root-system oracle
 table and the derivation stay independent of each other.
 
 Every "entries of dimension n" lookup goes through the catalog:
-``standard_module`` (the classical w1 entry of one family) and
-``minuscule_candidates`` (every entry, the E ones from a table built at
-import).  ``LieType`` alone decides which ranks exist.
+``standard_module`` (the classical w1 entry of one family, built straight
+from the closed forms, since w1 is cataloged in every classical family)
+and ``minuscule_candidates`` (every entry, the E ones from a table built
+at import).  ``LieType`` alone decides which ranks exist.
+``minuscule_candidates`` emits its entries in ``sort_key`` order as it
+finds them, so it sorts nothing; the tests compare it with a build that
+takes every entry from ``descriptor`` and sorts.
 
 ``minuscule_candidates`` is memoized per process, so the entries of a
 dimension are built once however many ranks r are asked about it.  The
@@ -120,8 +124,11 @@ def standard_module(family: str, n: int) -> IrrepDescriptor | None:
     decides whether that rank exists and the closed-form dimension whether
     the entry fits n."""
     t = _lie_type(family, n - 1 if family == "A" else n // 2)
-    entry = descriptor(t, 1) if t else None
-    return entry if entry and entry.dim == n else None
+    if t is None:
+        return None
+    # w1 is cataloged in every classical family, so descriptor's check is moot
+    dim, form = _dim_and_form(t, 1)
+    return IrrepDescriptor(t, 1, dim, form) if dim == n else None
 
 
 # a memory bound, about 2.5 MB (see the module docstring); a sweep over
@@ -158,7 +165,7 @@ def _least_m(n: int, s: int, hi: int) -> int:
 @lru_cache(maxsize=CANDIDATE_MEMO_SIZE)
 def minuscule_candidates(n: int) -> tuple[IrrepDescriptor, ...]:
     """All cataloged modules of dimension n, A-family entries reported once
-    up to duality (s <= (m+1)/2).
+    up to duality (s <= (m+1)/2), in ``sort_key`` order.
 
     Memoized per process for the last CANDIDATE_MEMO_SIZE dimensions (about
     620 B each, at most about 2.5 MB).  The value is an immutable tuple of
@@ -166,11 +173,10 @@ def minuscule_candidates(n: int) -> tuple[IrrepDescriptor, ...]:
     the memo keeps no exceptions."""
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    # one lookup per family whose w1 dimension has the parity of n
-    out = [standard_module(f, n) for f in (("A", "B") if n % 2 else ("A", "C", "D"))]
+    # the A entries by rising rank: m falls as s rises, so the s >= 3 hits
+    # come reversed, then s = 2, then A_{n-1}:w1
+    out = []
     root = isqrt(8 * n + 1)  # n = binom(m+1, 2) exactly when 8n + 1 = (2m+1)^2
-    if n >= 6 and root * root == 8 * n + 1:
-        out.append(descriptor(LieType("A", (root - 1) // 2), 2))
     m = (root + 1) // 2  # 2m + 1 > sqrt(8n + 1), so binom(m + 1, 2) > n
     s = 3
     while comb(2 * s, s) <= n:
@@ -178,8 +184,20 @@ def minuscule_candidates(n: int) -> tuple[IrrepDescriptor, ...]:
         if comb(m + 1, s) == n:
             out.append(descriptor(LieType("A", m), s))
         s += 1
-    spin_m = n.bit_length()  # n = 2^(m-1) means m = bit_length(n)
-    if 2 ** (spin_m - 1) == n and (t := _lie_type("D", spin_m)):
-        out += [descriptor(t, spin_m - 1), descriptor(t, spin_m)]
+    out.reverse()
+    if n >= 6 and root * root == 8 * n + 1:
+        out.append(descriptor(LieType("A", (root - 1) // 2), 2))
+    out.append(standard_module("A", n))
+    if n % 2:
+        out.append(standard_module("B", n))
+    else:
+        out.append(standard_module("C", n))
+        d_entries = [standard_module("D", n)]
+        spin_m = n.bit_length()  # n = 2^(m-1) means m = bit_length(n)
+        if 2 ** (spin_m - 1) == n and (t := _lie_type("D", spin_m)):
+            spins = [descriptor(t, spin_m - 1), descriptor(t, spin_m)]
+            # the half-spin rank is below n/2 from n = 16 on; at n = 8 both are 4
+            d_entries = spins + d_entries if spin_m < n // 2 else d_entries + spins
+        out += d_entries
     out += _E_BY_DIM.get(n, ())
-    return tuple(sorted(filter(None, out), key=IrrepDescriptor.sort_key))
+    return tuple(filter(None, out))  # B, C and D have no w1 entry at n <= 4

@@ -6,7 +6,7 @@ dimension n could sit properly inside the forced outer shape.  Outer
 shapes: non-self-dual forces sl_n standard, symplectic forces sp_n
 standard, orthogonal forces so_n standard [Thm 6.1]: the w1 entry of
 family A, C, or B/D by parity among the catalog's
-``minuscule_candidates(n)``.  The inners, those same candidates, are then
+``minuscule_candidates(n)``, found by one pass over them.  The inners, those same candidates, are then
 excluded rule by rule; every exclusion carries a bracketed rule tag.
 
 Rule order: exceptional inner [0.5.1]; non-classical or non-standard outer
@@ -53,24 +53,28 @@ class CandidatePair:
             raise ValueError("a proper inclusion needs inner != outer")
 
 
-def _outers(n: int, form: FormClass,
-            candidates: tuple[IrrepDescriptor, ...]) -> tuple[IrrepDescriptor, ...]:
+def _outer(n: int, form: FormClass,
+           candidates: tuple[IrrepDescriptor, ...]) -> IrrepDescriptor | None:
     """The w1 entry among the dim-n candidates of the family Theorem 6.1
-    forces: A for non-self-dual, C for symplectic, B or D by the parity of
-    n for orthogonal."""
+    forces, or None: A for non-self-dual, C for symplectic, B or D by the
+    parity of n for orthogonal.  Each family has at most one w1 entry of
+    dimension n, so the first match is the only one."""
     if form is FormClass.ORTHOGONAL:
         family = "B" if n % 2 else "D"
     else:
         family = "A" if form is FormClass.NON_SELF_DUAL else "C"
-    return tuple(c for c in candidates
-                 if c.weight_index == 1 and c.lie_type.family == family)
+    for c in candidates:
+        if c.weight_index == 1 and c.lie_type.family == family:
+            return c
+    return None
 
 
 def theorem61_outer_shapes(n: int, form: FormClass) -> tuple[IrrepDescriptor, ...]:
     """The forced outer shape(s) of a dim-n module of the given class, n > 4."""
     if n <= 4:
         raise ValueError("outer shapes assume ambient dimension > 4")
-    return _outers(n, form, minuscule_candidates(n))
+    outer = _outer(n, form, minuscule_candidates(n))
+    return (outer,) if outer else ()
 
 
 def _ladder(inner: IrrepDescriptor, outer: IrrepDescriptor,
@@ -138,15 +142,18 @@ def check_pair(pair: CandidatePair, r: int) -> ExclusionVerdict:
 def surviving_inners(n: int, form: FormClass, r: int) -> tuple[IrrepDescriptor, ...]:
     """Admissible proper-inclusion inners; empty means the algebras coincide.
 
-    Each (inner, outer) goes through the ladder of ``check_pair`` once,
-    with no ``CandidatePair`` or ``ExclusionVerdict`` built: every
-    candidate has dimension n, and the outer itself is skipped."""
+    One pass over the candidates finds the forced outer (Theorem 6.1
+    forces at most one).  Each inner then goes through the ladder of
+    ``check_pair`` once against it, with no ``CandidatePair`` or
+    ``ExclusionVerdict`` built: every candidate has dimension n, and the
+    outer itself is skipped."""
     if n <= 4:
         raise ValueError("the exclusion engine assumes ambient dimension > 4")
     if gcd(r, n) != 1:
         raise ValueError(f"gcd({r}, {n}) != 1 violates the coprimality hypothesis")
     candidates = minuscule_candidates(n)
-    # Theorem 6.1 forces at most one outer, so no inner is listed twice
-    return tuple(inner for outer in _outers(n, form, candidates)
-                 for inner in candidates
+    outer = _outer(n, form, candidates)
+    if outer is None:
+        return ()
+    return tuple(inner for inner in candidates
                  if inner is not outer and _ladder(inner, outer, r)[0])

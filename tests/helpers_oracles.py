@@ -24,7 +24,10 @@ coordinates of its weight (a ``helpers_roots.Weight``: the package names a
 weight by its index alone), as the catalog did before it stored the index;
 the candidate oracle finds the A-family entries of a dimension by stepping
 m one at a time for every s, as the exclusion engine did before it read
-s = 2 off ``isqrt`` and bisected m for s >= 3; the survivors oracle
+s = 2 off ``isqrt`` and bisected m for s >= 3; the descriptor oracle
+builds every entry of a dimension with the checked ``descriptor`` and
+sorts them, as the catalog did before it built its w1 entries directly
+and emitted the entries in sort order; the survivors oracle
 builds the Theorem 6.1 outer with its own ``standard_module`` lookup and
 compares every candidate with it by equality, as the exclusion engine did
 before it took the outer from the candidate tuple.  ``mat_add`` and
@@ -42,7 +45,7 @@ from math import comb, isqrt
 from helpers_roots import (Weight, ambient_weight, coroot_pairings, fundamental_weights,
                            reflect, simple_roots, vec_dot)
 from mtcheck import linalg
-from mtcheck.catalog import IrrepDescriptor, descriptor, standard_module
+from mtcheck.catalog import IrrepDescriptor, descriptor, enumerate_minuscule, standard_module
 from mtcheck.exclusion import CandidatePair, check_pair, minuscule_candidates
 from mtcheck.monodromy import SpecializationInstance, SymplecticSpace
 from mtcheck.quadratic import RankUnavailableError, quadratic_rank_profile
@@ -273,6 +276,38 @@ def minuscule_candidates_by_scan(n: int) -> tuple[IrrepDescriptor, ...]:
         out.append(descriptor(LieType("E", 6), 6))
     if n == 56:
         out.append(descriptor(LieType("E", 7), 7))
+    return tuple(sorted(out, key=IrrepDescriptor.sort_key))
+
+
+def minuscule_candidates_by_descriptor(n: int) -> tuple[IrrepDescriptor, ...]:
+    """``catalog.minuscule_candidates`` as built before it emitted its
+    entries in order: every entry from the checked ``descriptor``, the A
+    entries of each s >= 2 found by a doubling bisection of their own, and
+    the whole list ``sorted`` by ``sort_key``."""
+    out = []
+    for family in ("A", "B") if n % 2 else ("A", "C", "D"):
+        try:
+            t = LieType(family, n - 1 if family == "A" else n // 2)
+        except ValueError:
+            continue
+        if (entry := descriptor(t, 1)).dim == n:
+            out.append(entry)
+    s = 2
+    while comb(2 * s, s) <= n:
+        lo = hi = 2 * s - 1
+        while comb(hi + 1, s) < n:
+            lo, hi = hi, 2 * hi
+        while lo < hi:  # the least m in [lo, hi] with binom(m + 1, s) >= n
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if comb(mid + 1, s) < n else (lo, mid)
+        if comb(lo + 1, s) == n:
+            out.append(descriptor(LieType("A", lo), s))
+        s += 1
+    spin_m = n.bit_length()
+    if spin_m >= 3 and 2 ** (spin_m - 1) == n:
+        out += [descriptor(LieType("D", spin_m), spin_m - 1),
+                descriptor(LieType("D", spin_m), spin_m)]
+    out += [e for m in (6, 7) for e in enumerate_minuscule(LieType("E", m)) if e.dim == n]
     return tuple(sorted(out, key=IrrepDescriptor.sort_key))
 
 

@@ -1,8 +1,10 @@
 """Acceptance gate: nine exact finite verifications, one test per
 criterion, each ending in a single machine-greppable pass line (run with
 ``pytest tests/test_acceptance.py -v -s`` to see them), plus the
-un-numbered orthogonal closure sweep, which prints none.  Everything is
-exact integer/rational arithmetic; there are no tolerances to tune.
+un-numbered orthogonal closure sweep, which prints none.  Every bound sits
+in ``BOUNDS``, and a last test pins the README's list of criteria against
+it.  Everything is exact integer/rational arithmetic; there are no
+tolerances to tune.  ``tests/tools/time_criteria.py`` times the bodies.
 """
 
 from __future__ import annotations
@@ -24,27 +26,47 @@ from mtcheck.quadratic import quadratic_rank_profile, rank2_constraint, transvec
 from mtcheck.roots import FormClass, LieType
 
 DATA = Path(__file__).parent / "data"
-SWEEP_BOUND = 30_000  # the largest n of the criterion 4, 5 and orthogonal sweeps
-GENUS_BOUND = 15  # the largest g of the criterion 7 instances
+README = Path(__file__).parent.parent / "README.md"
+SWEEP_BOUND = 35_000  # the largest n of the criterion 4, 5 and orthogonal sweeps
+# every criterion's bounds; the loops and the PASS lines read them, and
+# test_readme_states_the_bounds pins the README list against them
+BOUNDS = {
+    1: {"rank": 12},
+    2: {"m": 10**5},
+    3: {"m": 10**4},
+    4: {"n": SWEEP_BOUND},
+    5: {"n": SWEEP_BOUND},
+    6: {"n": 200},
+    7: {"g": 15, "instances": 1000, "controls": 100},
+    9: {"n": 100, "rank": 50},
+}
 
 
 def _passed(line: str) -> None:
     print(f"PASS {line}")
 
 
+def _shown(x: int) -> str:
+    """A bound as the PASS lines and the README write it: 10^k for a power
+    of ten from 10^4 on, else its digits."""
+    k = len(str(x)) - 1
+    return f"10^{k}" if k >= 4 and x == 10**k else str(x)
+
+
 def test_criterion_1_minuscule_table_fidelity():
+    top = BOUNDS[1]["rank"]
     checked = 0
-    for m in range(1, 13):
+    for m in range(1, top + 1):
         table = {e.weight_index: e.dim for e in enumerate_minuscule(LieType("A", m))}
         assert table == {s: comb(m + 1, s) for s in range(1, m + 1)}, ("A", m)
         checked += len(table)
-    for m in range(2, 13):
+    for m in range(2, top + 1):
         assert {e.weight_index: e.dim
                 for e in enumerate_minuscule(LieType("B", m))} == {1: 2 * m + 1}
         assert {e.weight_index: e.dim
                 for e in enumerate_minuscule(LieType("C", m))} == {1: 2 * m}
         checked += 2
-    for m in range(3, 13):
+    for m in range(3, top + 1):
         spin = 2 ** (m - 1)
         assert {e.weight_index: e.dim
                 for e in enumerate_minuscule(LieType("D", m))} == {
@@ -58,7 +80,7 @@ def test_criterion_1_minuscule_table_fidelity():
     checked += 3
     mismatches = 0
     for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-        for rank in range(lo, 13):
+        for rank in range(lo, top + 1):
             for e in enumerate_minuscule(LieType(family, rank)):
                 if e.dim != weyl_dim(e.lie_type, highest_weight(e)):
                     mismatches += 1
@@ -68,24 +90,26 @@ def test_criterion_1_minuscule_table_fidelity():
                 mismatches += 1
     assert mismatches == 0
     _passed(f"criterion 1: catalog matches closed forms and the Weyl dimension "
-            f"formula for every rank <= 12 ({checked} entries, 0 mismatches)")
+            f"formula for every rank <= {top} ({checked} entries, 0 mismatches)")
 
 
 def test_criterion_2_divisibility_lemma():
+    top = BOUNDS[2]["m"]
     expected = tuple(
-        sorted({(m, 2) for m in range(5, 100_001)} | {(7, 3)})
+        sorted({(m, 2) for m in range(5, top + 1)} | {(7, 3)})
     )
-    assert tuple(sorted(divisibility_solutions(100_000))) == expected
-    _passed("criterion 2: divisibility solutions over m <= 10^5 are exactly "
+    assert tuple(sorted(divisibility_solutions(top))) == expected
+    _passed(f"criterion 2: divisibility solutions over m <= {_shown(top)} are exactly "
             "{(m, 2)} plus (7, 3)")
 
 
 def test_criterion_3_mod4_remark():
-    hits = set(gcd_mod4_check(10_000))
-    for m in range(4, 10_001):
+    top = BOUNDS[3]["m"]
+    hits = set(gcd_mod4_check(top))
+    for m in range(4, top + 1):
         assert (m in hits) == (m % 2 == 0 or m % 4 == 1), m
     _passed("criterion 3: coprimality gcd(m-1, m(m+1)/2) = 1 agrees with "
-            "'m even or m = 1 mod 4' for all m <= 10^4")
+            f"'m even or m = 1 mod 4' for all m <= {_shown(top)}")
 
 
 def test_criterion_4_exception_closure():
@@ -93,8 +117,9 @@ def test_criterion_4_exception_closure():
     assert a7w3.dim == 56
     assert quadratic_rank_profile(a7w3)[0] == 15
 
+    top = BOUNDS[4]["n"]
     survivors_at = {}
-    for n in range(5, SWEEP_BOUND + 1):
+    for n in range(5, top + 1):
         for r in sorted(candidate_min_ranks(n)):
             if gcd(r, n) != 1:
                 continue
@@ -103,26 +128,27 @@ def test_criterion_4_exception_closure():
                 survivors_at[(n, r)] = [e.label for e in found]
     expected = {(56, 15): ["A7:w3"]}
     m = 4
-    while m * (m + 1) // 2 <= SWEEP_BOUND:
+    while m * (m + 1) // 2 <= top:
         if m % 4 != 3:
             expected[(m * (m + 1) // 2, m - 1)] = [f"A{m}:w2"]
         m += 1
     assert survivors_at == expected
-    _passed(f"criterion 4: non-self-dual survivors over n <= {SWEEP_BOUND} occur "
+    _passed(f"criterion 4: non-self-dual survivors over n <= {top} occur "
             f"exactly at (56, 15) and the triangular family "
             f"({len(expected)} pairs)")
 
 
 def test_criterion_5_symplectic_closure():
+    top = BOUNDS[5]["n"]
     checked = 0
-    for n in range(6, SWEEP_BOUND + 1, 2):
+    for n in range(6, top + 1, 2):
         for r in sorted(candidate_min_ranks(n) | {1, n - 1}):
             if gcd(r, n) != 1:
                 continue
             assert surviving_inners(n, FormClass.SYMPLECTIC, r) == (), (n, r)
             checked += 1
     _passed(f"criterion 5: symplectic survivors are empty for every even "
-            f"n <= {SWEEP_BOUND} ({checked} (n, r) queries)")
+            f"n <= {top} ({checked} (n, r) queries)")
 
 
 def test_orthogonal_closure():
@@ -135,28 +161,30 @@ def test_orthogonal_closure():
                 continue
             assert surviving_inners(n, FormClass.ORTHOGONAL, r) == (), (n, r)
             checked += 1
-    assert checked == 75_172  # at SWEEP_BOUND = 30000
+    assert checked == 87_687  # at SWEEP_BOUND = 35000
 
 
 def test_criterion_6_rank2_closure():
-    for n in range(8, 201, 2):
+    top = BOUNDS[6]["n"]
+    for n in range(8, top + 1, 2):
         symp = [s.label for s in rank2_constraint(n)
                 if s.form is FormClass.SYMPLECTIC]
         assert symp == [f"C{n // 2}:w1"], n
     _passed("criterion 6: the only symplectic rank-2 shape is the full "
-            "symplectic algebra for every even 8 <= n <= 200")
+            f"symplectic algebra for every even 8 <= n <= {top}")
 
 
 def test_criterion_7_monodromy_invariants():
-    combos = [(g, r) for g in range(1, GENUS_BOUND + 1) for r in range(1, g + 1)]
-    for i in range(1000):
+    bounds = BOUNDS[7]
+    combos = [(g, r) for g in range(1, bounds["g"] + 1) for r in range(1, g + 1)]
+    for i in range(bounds["instances"]):
         g, r = combos[i % len(combos)]
         inst = build_instance(g, r, seed=9000 + i)
         results = verify_instance(inst)
         assert all(results.values()), (g, r, 9000 + i, results)
 
     proper = [(g, r) for g, r in combos if r < g]
-    for i in range(100):
+    for i in range(bounds["controls"]):
         g, r = proper[i % len(proper)]
         inst = build_instance(g, r, seed=500 + i)
         outside = inst.inertia_invariants[-1]
@@ -164,8 +192,9 @@ def test_criterion_7_monodromy_invariants():
         from dataclasses import replace
         bad = replace(inst, toric_sub=(first,) + inst.toric_sub[1:])
         assert not verify_orthogonality(bad), (g, r, 500 + i)
-    _passed(f"criterion 7: 1000 seeded instances with g ≤ {GENUS_BOUND} verify "
-            "every invariant; 100 perturbed controls fail orthogonality")
+    _passed(f"criterion 7: {bounds['instances']} seeded instances with g ≤ {bounds['g']} "
+            f"verify every invariant; {bounds['controls']} perturbed controls fail "
+            "orthogonality")
 
 
 def test_criterion_8_verdict_regressions(capsys):
@@ -205,7 +234,8 @@ def test_criterion_8_verdict_regressions(capsys):
 
 
 def test_criterion_9_transvection_lemma():
-    for n in range(2, 101):
+    top, top_rank = BOUNDS[9]["n"], BOUNDS[9]["rank"]
+    for n in range(2, top + 1):
         labels = [e.label for e in transvection_constraint(n)]
         if n % 2 == 0 and n >= 4:
             assert labels == [f"A{n - 1}:w1", f"C{n // 2}:w1"], n
@@ -222,7 +252,7 @@ def test_criterion_9_transvection_lemma():
 
     rank_one = []
     for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-        for rank in range(lo, 51):
+        for rank in range(lo, top_rank + 1):
             for e in enumerate_minuscule(LieType(family, rank)):
                 if quadratic_rank_profile(e)[0] == 1:
                     rank_one.append(e)
@@ -230,11 +260,34 @@ def test_criterion_9_transvection_lemma():
         fam, m, s = e.lie_type.family, e.lie_type.rank, e.weight_index
         assert (fam == "A" and s in (1, m)) or (fam == "C" and s == 1) \
             or (fam == "D" and m == 3 and s in (2, 3)), e.label
-    for n in range(2, 101):
+    for n in range(2, top + 1):
         from_catalog = {canonical(e) for e in rank_one if e.dim == n}
-        # the catalog scan stops at rank 50, so compare within that bound
+        # the catalog scan stops at top_rank, so compare within that bound
         from_lemma = {e.label for e in transvection_constraint(n)
-                      if e.lie_type.rank <= 50}
+                      if e.lie_type.rank <= top_rank}
         assert from_catalog == from_lemma, n
     _passed("criterion 9: transvection shapes are exactly sl and sp for "
-            "2 <= n <= 100, matching the rank-1 catalog entries at rank <= 50")
+            f"2 <= n <= {top}, matching the rank-1 catalog entries at rank <= {top_rank}")
+
+
+def test_readme_states_the_bounds():
+    text = README.read_text(encoding="utf-8")
+    listed = text[text.index("\n1. "):text.index("## Library")]
+    items = {}
+    for chunk in listed.split("\n")[1:]:
+        head, _, rest = chunk.partition(". ")
+        if head.isdigit():
+            items[int(head)] = rest
+        elif chunk.strip():
+            items[max(items)] += " " + chunk.strip()
+    assert sorted(items) == list(range(1, 10))
+    assert f"for every rank up to {BOUNDS[1]['rank']};" in items[1]
+    assert f"up to `m = {_shown(BOUNDS[2]['m'])}`;" in items[2]
+    assert f"up to `m = {_shown(BOUNDS[3]['m'])}`;" in items[3]
+    assert f"over all dimensions up to {_shown(BOUNDS[4]['n'])} " in items[4]
+    assert "over the same range" in items[5] and BOUNDS[5] == BOUNDS[4]
+    assert f"every even dimension up to {BOUNDS[6]['n']};" in items[6]
+    b7 = BOUNDS[7]
+    assert items[7].startswith(f"{b7['instances']} seeded monodromy instances "
+                               f"with g ≤ {b7['g']} ")
+    assert f" {b7['controls']} perturbed instances " in items[7]

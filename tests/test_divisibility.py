@@ -1,5 +1,6 @@
 """Arithmetic layer: frozen small sweeps, structural characterizations of
-the full sweeps, and the exception-pair list checked against a brute-force
+the full sweeps, the finite reductions that make criteria 2 and 3 hold for
+every m, and the exception-pair list checked against a brute-force
 predicate."""
 
 from __future__ import annotations
@@ -34,6 +35,32 @@ def test_divisibility_solutions_match_unpruned_scan():
 def test_divisibility_solutions_requires_m_max():
     with pytest.raises(ValueError, match=">= 5"):
         divisibility_solutions(4)
+
+
+def test_criterion_2_reduces_to_m_at_most_8():
+    # binom(m-1, 2) - 3(m-2) and (m-2)(m-7)/2 are polynomials of degree 2
+    # in m, so agreeing at three points they agree for every m
+    for m in (8, 9, 10):
+        assert comb(m - 1, 2) - 3 * (m - 2) == (m - 2) * (m - 7) // 2
+    # for m >= 8 both factors are positive, so binom(m-1, 2) > 3(m-2) and
+    # s = 3 cannot divide; the ratio binom(m-1, s-1) / (s(m+1-s)) only grows
+    # with s <= m/2 (see divisibility_solutions), so no s >= 3 divides, and
+    # s = 2 always does: m - 1 divides 2(m - 1).  So the m <= 8 answer
+    # decides every m
+    assert divisibility_solutions(8) == ((5, 2), (6, 2), (7, 2), (7, 3), (8, 2))
+
+
+def test_criterion_3_reduces_to_one_period_mod_4():
+    # gcd(m-1, m(m+1)/2) divides gcd(m-1, m) gcd(m-1, m+1) = 1 * gcd(m-1, 2),
+    # so it is 1 or 2.  It is 2 exactly when m - 1 and m(m+1)/2 are both
+    # even, and both parities have period 4 in m: m + 4 adds 4 to m - 1 and
+    # 4m + 10 to m(m+1)/2.  So m in {4, ..., 7} decides every m
+    for m in range(4, 8):
+        assert gcd(m - 1, m * (m + 1) // 2) == (2 if m % 4 == 3 else 1), m
+        assert (m + 4) * (m + 5) // 2 - m * (m + 1) // 2 == 4 * m + 10
+    assert gcd_mod4_check(7) == (4, 5, 6)
+    for m in (10**30 + k for k in range(4)):
+        assert gcd(m - 1, m * (m + 1) // 2) == (2 if m % 4 == 3 else 1), m
 
 
 def test_central_binomial_recurrence():

@@ -1,7 +1,8 @@
 """Exclusion-engine tests: forced outer shapes, candidate enumeration
-against a brute-force dimension scan and its per-process memo, the
-per-pair rule ladder with every reason text pinned byte for byte, and the
-surviving-inner summaries."""
+against a brute-force dimension scan, a descriptor-built and sorted oracle
+and its per-process memo, the entry order where a dimension holds several
+entries, the per-pair rule ladder with every reason text pinned byte for
+byte, and the surviving-inner summaries."""
 
 from __future__ import annotations
 
@@ -19,8 +20,10 @@ from mtcheck.exclusion import (CandidatePair, ExclusionVerdict, check_pair,
                                theorem61_outer_shapes)
 from mtcheck.roots import FormClass, LieType
 
-from helpers_oracles import (candidate_min_ranks, minuscule_candidates_by_scan,
-                             surviving_inners_by_pairs, theorem61_family)
+from helpers_oracles import (candidate_min_ranks, minuscule_candidates_by_descriptor,
+                             minuscule_candidates_by_scan, surviving_inners_by_pairs,
+                             theorem61_family)
+from test_acceptance import SWEEP_BOUND
 
 
 def _labels(entries) -> list[str]:
@@ -50,17 +53,13 @@ def test_outer_shapes_match_standard_module():
 
 
 def test_candidate_enumeration_examples():
-    assert _labels(minuscule_candidates(56)) == [
-        "A7:w3", "A55:w1", "C28:w1", "D28:w1", "E7:w7",
-    ]
+    # 8, 56 and the other dimensions with several entries are pinned in
+    # test_candidate_order_where_entries_share_a_dimension
     assert _labels(minuscule_candidates(27)) == [
         "A26:w1", "B13:w1", "E6:w1", "E6:w6",
     ]
     assert _labels(minuscule_candidates(10)) == [
         "A4:w2", "A9:w1", "C5:w1", "D5:w1",
-    ]
-    assert _labels(minuscule_candidates(8)) == [
-        "A7:w1", "C4:w1", "D4:w1", "D4:w3", "D4:w4",
     ]
     assert _labels(minuscule_candidates(2)) == ["A1:w1"]
     with pytest.raises(ValueError):
@@ -125,6 +124,50 @@ def test_bisection_finds_every_a_entry(sm):
     # doubling; an entry the bracket cut off would be missing here
     s, m = sm
     assert descriptor(LieType("A", m), s) in minuscule_candidates(comb(m + 1, s))
+
+
+def test_candidates_match_descriptor_oracle():
+    # the build emits its entries in sort order and makes its w1 entries
+    # without descriptor; the oracle checks every entry and sorts, so ==
+    # compares the order too
+    for n in range(2, SWEEP_BOUND + 1):
+        assert minuscule_candidates(n) == minuscule_candidates_by_descriptor(n), n
+
+
+def _near(base):
+    return st.tuples(base, st.integers(-1, 1)).map(lambda t: max(2, t[0] + t[1]))
+
+
+_BINOMIAL_DIMS = st.sampled_from(sorted(_M_MAX)).flatmap(
+    lambda s: st.integers(2 * s - 1, _M_MAX[s]).map(lambda m: comb(m + 1, s)))
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.one_of(_near(_BINOMIAL_DIMS), _near(st.integers(2, 99).map(lambda k: 2**k)),
+                 st.integers(2, _DIM_CAP)))
+@example(comb(10**8 + 1, 3))
+@example(2**64)
+@example(10**30 + 1)
+def test_candidates_match_descriptor_oracle_at_large_dimensions(n):
+    assert minuscule_candidates(n) == minuscule_candidates_by_descriptor(n)
+
+
+@pytest.mark.parametrize("n, labels", [
+    (4, ["A3:w1", "C2:w1", "D3:w2", "D3:w3"]),
+    (8, ["A7:w1", "C4:w1", "D4:w1", "D4:w3", "D4:w4"]),  # spin rank = n/2
+    (16, ["A15:w1", "C8:w1", "D5:w4", "D5:w5", "D8:w1"]),
+    (32, ["A31:w1", "C16:w1", "D6:w5", "D6:w6", "D16:w1"]),
+    (56, ["A7:w3", "A55:w1", "C28:w1", "D28:w1", "E7:w7"]),
+    (120, ["A9:w3", "A15:w2", "A119:w1", "C60:w1", "D60:w1"]),
+    (210, ["A9:w4", "A20:w2", "A209:w1", "C105:w1", "D105:w1"]),
+    (1540, ["A21:w3", "A55:w2", "A1539:w1", "C770:w1", "D770:w1"]),
+    (3003, ["A13:w6", "A14:w5", "A77:w2", "A3002:w1", "B1501:w1"]),
+    (7140, ["A35:w3", "A119:w2", "A7139:w1", "C3570:w1", "D3570:w1"]),
+    (11628, ["A18:w5", "A152:w2", "A11627:w1", "C5814:w1", "D5814:w1"]),
+    (24310, ["A16:w8", "A220:w2", "A24309:w1", "C12155:w1", "D12155:w1"]),
+])
+def test_candidate_order_where_entries_share_a_dimension(n, labels):
+    assert _labels(minuscule_candidates(n)) == labels
 
 
 def test_candidates_at_extreme_dimensions():
