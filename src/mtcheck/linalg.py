@@ -7,13 +7,15 @@ Products, ``rank`` and the rank-based span tests keep integer input
 integer; the monodromy layer is integer-only and uses nothing else.
 ``mat_mul`` checks the shapes once, transposes ``b`` once and sums each
 cell as ``sum(map(mul, row, col))``, so the per-cell work runs at C level.
-``prefix_ranks`` clears each row's denominators with one ``lcm`` (an
-all-integer row is copied as it is) and runs fraction-free Bareiss
-elimination row by row: each new row is zipped with every earlier pivot
-row in order, so one pass gives the rank of every leading block of rows.
-``rank`` is its last entry.  ``det`` is Bareiss by columns and returns a
-``Fraction``.  ``rref``, ``inverse`` and ``nullspace`` run Gauss-Jordan
-elimination over ``Fraction``.
+One fraction-free Bareiss pass, ``_bareiss``, clears each row's
+denominators with one ``lcm`` (an all-integer row is used as it is) and
+eliminates row by row: each new row is zipped with every earlier pivot row
+in order.  ``prefix_ranks`` reads the rank of every leading block of rows
+off it, ``rank`` the number of pivots, and ``det`` (a ``Fraction``) the
+last pivot, signed by the order of the pivot columns and divided by the
+row scales.  ``rref``, ``inverse`` and ``nullspace`` run Gauss-Jordan
+elimination over ``Fraction``, apart from that pass, so the tests can use
+them as its oracle.
 
 No runtime module calls ``rref``, ``inverse``, ``nullspace``, ``det``,
 ``same_span`` or ``row_space_contains``; the root-system oracle and the
@@ -65,33 +67,30 @@ def is_zero_matrix(m: Matrix) -> bool:
     return all(x == 0 for row in m for x in row)
 
 
-def _int_rows(m: Matrix) -> tuple[list[list[int]], int]:
-    """Each row scaled by the lcm of its denominators, and the product of
-    those scales (rank ignores it; det divides by it).  An int has
-    denominator 1, so an all-integer row is copied unchanged."""
-    out = []
+def _bareiss(m: Matrix) -> tuple[list[int], list[int], int, int]:
+    """Row-ordered fraction-free (Bareiss-style) elimination of m.
+
+    Each row is first scaled by the lcm of its denominators (an all-integer
+    row is used as it is).  It then receives every earlier pivot step in
+    order.  After step j its entry in column x is the (j + 1)-minor of the
+    scaled m on the first j pivot rows and the row itself, and on the first
+    j pivot columns, in pivot order, and x; so the division by the pivot of
+    step j - 1 is exact.  A row left nonzero becomes the next pivot row, at
+    its first nonzero column.
+
+    Returns the pivot columns in pivot order, the rank of each leading
+    block of rows, the last pivot (1 before the first) and the product of
+    the row scales.
+    """
+    steps = []  # row, column, pivot, divisor
+    ranks = []
+    prev = 1
     scales = 1
     for row in m:
         scale = lcm(*(x.denominator for x in row))
-        out.append(list(row) if scale == 1 else [int(x * scale) for x in row])
-        scales *= scale
-    return out, scales
-
-
-def prefix_ranks(m: Matrix) -> tuple[int, ...]:
-    """Rank of each leading block of rows: entry k - 1 is rank(m[:k]).
-
-    Row-ordered fraction-free (Bareiss-style) elimination.  Each new row
-    receives every earlier pivot step in order, so after step j its entries
-    are (j + 1)-minors of m and the division by the pivot of step j - 1 is
-    exact.  A row left nonzero becomes the next pivot row, at its first
-    nonzero column.
-    """
-    rows, _ = _int_rows(m)
-    steps: list[tuple[list[int], int, int, int]] = []  # row, column, pivot, divisor
-    ranks = []
-    prev = 1
-    for row in rows:
+        if scale != 1:
+            row = [int(x * scale) for x in row]
+            scales *= scale
         # every step must be applied, even with a zero in its pivot column,
         # or the later exact divisions lose their guarantee
         for top, c, piv, div in steps:
@@ -102,12 +101,17 @@ def prefix_ranks(m: Matrix) -> tuple[int, ...]:
             steps.append((row, c, row[c], prev))
             prev = row[c]
         ranks.append(len(steps))
-    return tuple(ranks)
+    return [c for _, c, _, _ in steps], ranks, prev, scales
+
+
+def prefix_ranks(m: Matrix) -> tuple[int, ...]:
+    """Rank of each leading block of rows: entry k - 1 is rank(m[:k])."""
+    return tuple(_bareiss(m)[1])
 
 
 def rank(m: Matrix) -> int:
-    """Rank by fraction-free elimination: the last of the prefix ranks."""
-    return prefix_ranks(m)[-1] if m else 0
+    """Rank by fraction-free elimination: the number of pivots."""
+    return len(_bareiss(m)[0])
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -136,30 +140,20 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def det(m: Matrix) -> Fraction:
-    """Determinant by Bareiss elimination (exact)."""
+    """Determinant, read off the elimination of ``_bareiss`` (exact).
+
+    Below full rank it is 0.  Otherwise every row is a pivot row, and the
+    last pivot is the determinant of the scaled m with its columns in pivot
+    order; the parity of that order gives the sign.
+    """
     n = len(m)
-    if n == 0:
-        return Fraction(1)
     if any(len(row) != n for row in m):
         raise ValueError("determinant requires a square matrix")
-    rows, denom = _int_rows(m)
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        top = rows[c]
-        piv = top[c]
-        for i in range(c + 1, n):
-            row = rows[i]
-            factor = row[c]
-            rows[i] = [(piv * x - factor * y) // prev for x, y in zip(row, top)]
-        prev = piv
-    return Fraction(sign * rows[n - 1][n - 1], 1) / denom
+    cols, _, last, scales = _bareiss(m)
+    if len(cols) < n:
+        return Fraction(0)
+    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    return Fraction(-last if inversions % 2 else last, scales)
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -193,10 +193,7 @@ def build_instance(g: int, r: int, seed: int) -> SpecializationInstance:
     # standard form gives x Theta = (-x[g:], x[:g]) for a row x
     duals = tuple(tuple(-x for x in w[g:]) + w[:g] for w in w_basis)
     tau = linalg.mat_mul(linalg.mat_mul(linalg.transpose(w_basis), s_block), duals)
-    monodromy = tuple(
-        tuple(x + (1 if i == j else 0) for j, x in enumerate(row))
-        for i, row in enumerate(tau)
-    )
+    monodromy = tuple(map(linalg.vec_add, tau, linalg.identity(2 * g)))
     return SpecializationInstance(
         space=space,
         inertia_invariants=images[:g] + images[g + r:],

@@ -38,6 +38,10 @@ def test_rank_edge_cases():
     assert linalg.rank(((0, 0), (0, 0))) == 0
     assert linalg.rank(linalg.identity(5)) == 5
     assert linalg.rank(((1, 2), (2, 4))) == 1
+    with pytest.raises(ValueError, match="matrix is singular"):
+        linalg.inverse(((1, 2), (2, 4)))
+    with pytest.raises(ValueError):
+        linalg.det(((1, 2),))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -203,6 +207,10 @@ def test_prefix_ranks_edge_cases():
     assert linalg.prefix_ranks(((0, 0, 0),) * 3) == (0, 0, 0)
     assert linalg.prefix_ranks(((),) * 2) == (0, 0)
     assert linalg.rank(((),) * 2) == 0
+    # the empty matrix: no pivots, so rank 0 and determinant 1
+    d = linalg.det(())
+    assert d == 1 and isinstance(d, Fraction)
+    assert linalg.nullspace(()) == ()
     # Fraction rows: the second is twice the first and leaves the rank as it is
     third = Fraction(1, 3)
     assert linalg.prefix_ranks(((1, Fraction(1, 2), 0), (2, 1, 0),

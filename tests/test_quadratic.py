@@ -2,13 +2,15 @@
 
 The type-A ranks are re-derived here by building the derivation that a
 rank-1 square-zero element of sl(U) induces on an exterior power and
-computing its matrix rank.  The classical minimal ranks are anchored by a
-box search showing so_n admits no rank-1 element together with explicit
-rank-1 (symplectic) and rank-2 (orthogonal) square-zero witnesses.
+computing its matrix rank.  The classical minimal ranks are anchored by
+explicit rank-1 (symplectic) and rank-2 (orthogonal) square-zero witnesses
+and by the fact that so_n admits no rank-1 element, shown by parity (G X is
+alternating for X in so(G)) and, independently, by a box search.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from math import comb, prod
 
@@ -94,9 +96,48 @@ def test_exterior_power_ranks(m):
         assert _exterior_derivation_rank(m, s) == expected
 
 
-@pytest.mark.parametrize("n, bound", [(5, 2), (6, 1), (7, 1)])
+@pytest.mark.parametrize("n, bound", [(5, 2), (6, 1)])
 def test_orthogonal_algebras_admit_no_rank_one(n, bound):
     assert rank_one_search_orthogonal(n, bound) == []
+
+
+def _is_alternating(m: linalg.Matrix) -> bool:
+    return all(m[i][j] == -m[j][i] for i in range(len(m)) for j in range(i, len(m)))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_orthogonal_algebras_have_even_ranks(n):
+    """Every X in so(G) has even rank, so none has rank 1: G X is
+    alternating, an alternating matrix has even rank, and G is invertible,
+    so rank X = rank G X."""
+    g = split_orthogonal_form(n)
+    assert linalg.rank(g) == n
+    # X^T G + G X = 0 as a linear system in the entries of X, X[k][l] at k * n + l
+    system = tuple(
+        tuple((g[k][j] if l == i else 0) + (g[i][k] if l == j else 0)
+              for k in range(n) for l in range(n))
+        for i in range(n) for j in range(n)
+    )
+    basis = linalg.nullspace(system)
+    assert len(basis) == n * (n - 1) // 2
+    for v in basis:
+        x = tuple(v[k * n:(k + 1) * n] for k in range(n))
+        assert in_orthogonal_algebra(x, g)
+        # by linearity G X is then alternating for all of so(G)
+        assert _is_alternating(linalg.mat_mul(g, x))
+    rng = random.Random(n)
+    ranks = set()
+    for k in range(n // 2 + 2):
+        for _ in range(3):
+            # a sum of k wedges u v^T - v u^T is alternating, of rank at most 2k
+            a = ((0,) * n,) * n
+            for _ in range(k):
+                u, v = ([rng.randint(-3, 3) for _ in range(n)] for _ in range(2))
+                a = tuple(tuple(x + u[i] * v[j] - v[i] * u[j] for j, x in enumerate(row))
+                          for i, row in enumerate(a))
+            assert _is_alternating(a)
+            ranks.add(linalg.rank(a))
+    assert ranks == set(range(0, n + 1, 2))
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])

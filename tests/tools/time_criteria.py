@@ -1,19 +1,24 @@
-"""Time acceptance-criterion bodies in fresh interpreters, alternating two
-source trees, and write the runs as JSON in the layout of the
-``BENCH_*.json`` files.
+"""Time acceptance-criterion bodies, or Tier-1 as a whole, in fresh
+interpreters, alternating two source trees, and write the runs as JSON in
+the layout of the ``BENCH_*.json`` files.
 
     python3 tests/tools/time_criteria.py PARENT_TREE CHANGE_TREE \\
-        --runs 6 --out FILE test_criterion_4_exception_closure ...
+        --runs 6 --out FILE test_criterion_4_exception_closure ... tier1
 
 A tree is a checkout of this repository; its ``src`` and ``tests`` are put
 first on ``sys.path``, so each side runs its own code at its own bounds.
 Run k calls every named test of ``tests/test_acceptance.py`` once per tree,
 each in a new interpreter, and alternates which tree goes first.  A body's
 time is the process time of the call alone (imports excluded), so other
-processes on the host weigh less than in wall time.  The ``total`` entry
-sums the named bodies of one tree within one run.  Only tests that take no
-pytest fixture can be timed.  Standard library only; the file name keeps
-pytest from collecting it.
+processes on the host weigh less than in wall time.  Only tests that take
+no pytest fixture can be timed.  The name ``tier1`` runs the Tier-1 command
+(``python -m pytest -q --continue-on-collection-errors``, with
+``-p no:cacheprovider``) in the tree, with its ``src`` first on
+``PYTHONPATH``, and takes the process time of that child and the processes
+it waited for, from ``resource.getrusage(RUSAGE_CHILDREN)``.  A failing
+body or Tier-1 run stops the timing.  The ``total`` entry sums the named
+entries of one tree within one run.  Standard library only; the file name
+keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -50,6 +56,20 @@ def _time_body(tree: Path, name: str) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def _time_tier1(tree: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+                           "-p", "no:cacheprovider"], cwd=tree, env=env, capture_output=True,
+                          text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    if done.returncode != 0:
+        raise SystemExit(f"tier1 failed in {tree}:\n{done.stdout[-4000:]}{done.stderr}")
+    elapsed = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    return {"s": elapsed, "printed": done.stdout.strip().splitlines()[-1]}
+
+
 def _git_sha(tree: Path) -> str:
     done = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
                           capture_output=True, text=True)
@@ -66,12 +86,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("tests", nargs="+", help="test function names in test_acceptance.py")
+    ap.add_argument("tests", nargs="+",
+                    help="test function names in test_acceptance.py, or tier1")
     ap.add_argument("--runs", type=int, default=6)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--parent-sha", help="default: the parent tree's git HEAD")
     ap.add_argument("--change-sha", help="default: the change tree's git HEAD")
-    ap.add_argument("--what", default="Acceptance-criterion bodies, parent against change.")
+    ap.add_argument("--what",
+                    default="Acceptance-criterion bodies or Tier-1, parent against change.")
     args = ap.parse_args(argv)
     if args.runs < 2:
         ap.error("--runs must be >= 2")
@@ -84,7 +106,8 @@ def main(argv=None) -> int:
         for side in order:
             total = 0.0
             for name in args.tests:
-                result = _time_body(sides[side], name)
+                result = (_time_tier1(sides[side]) if name == "tier1"
+                          else _time_body(sides[side], name))
                 times[name][side].append(result["s"])
                 printed[name][side] = result["printed"]
                 total += result["s"]
