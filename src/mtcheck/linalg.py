@@ -80,13 +80,16 @@ def _bareiss(m: Matrix) -> tuple[list[int], list[int], int, int]:
 
     Returns the pivot columns in pivot order, the rank of each leading
     block of rows, the last pivot (1 before the first) and the product of
-    the row scales.
+    the row scales.  Rows of different lengths raise ValueError.
     """
     steps = []  # row, column, pivot, divisor
     ranks = []
     prev = 1
     scales = 1
+    width = len(m[0]) if m else 0
     for row in m:
+        if len(row) != width:
+            raise ValueError("rows of a matrix must have one length")
         scale = lcm(*(x.denominator for x in row))
         if scale != 1:
             row = [int(x * scale) for x in row]

@@ -8,17 +8,22 @@ isomorphism.  Instances are built in an adapted symplectic basis and
 conjugated by a seeded integer symplectic element, so every entry stays an
 exact integer and runs reproduce bit for bit.
 
-Each invariant is stated once.  SpecializationInstance enforces the shape
-on construction: the dimensions 2g - r and r, independent bases, W inside
-V^I, V = V^I + T and tau^2 = 0; the ranks of V^I, V^I + W and
-V^I + W + T come from one prefix-rank pass, and tau and its basis images
-(tau of each V^I and T basis row) are computed once per instance; tau^2 = 0
-is read off those images.  The named theorems are *verified*, not assumed:
-verify_orthogonality (W = (V^I)-perp), verify_filtration (tau kills V^I,
-maps into W, T -> W onto), is_form_compatible (tau in sp, which with
-tau^2 = 0 is N in Sp) and the rank of tau in verify_instance.  The
-verifiers take any SymplecticSpace form and never read the construction,
-so a construction shortcut cannot vouch for itself.  Every check is a
+Each invariant is checked once, by a verifier.  SpecializationInstance
+is a record: on construction it checks only 1 <= r <= g and the row
+counts 2g - r, r and r that the verifiers index by, so a defective
+instance still builds and its defects show as False keys of
+verify_instance.  Each instance computes, once and only when a verifier
+asks, tau, its basis images (tau of each V^I and T basis row) and its
+rank facts: rank W = r and, from one prefix-rank pass over V^I + W + T,
+rank V^I = 2g - r and the flag W in V^I, V = V^I + T.  The named
+theorems are *verified*, not assumed: invariant_dim (rank V^I = 2g - r),
+verify_orthogonality (W = (V^I)-perp), verify_filtration (the flag; tau
+kills V^I and maps T onto W), is_form_compatible (tau in sp), and in
+verify_instance tau^2 = 0 and the rank of tau, read off the filtration
+when it holds, and N in Sp, read off form compatibility when tau^2 = 0;
+each is computed by its own product or rank otherwise.  The verifiers
+take any SymplecticSpace form and never read the construction, so a
+construction shortcut cannot vouch for itself.  Every check is a
 statement about integer products and Bareiss ranks, so nothing here needs
 rational elimination.
 """
@@ -57,7 +62,11 @@ class SymplecticSpace:
 
 @dataclass(frozen=True)
 class SpecializationInstance:
-    """One seeded monodromy model; see the module docstring for the roles."""
+    """One seeded monodromy model; see the module docstring for the roles.
+
+    Construction checks only the shape the verifiers index by; every rank
+    and product is a verifier's, so dataclasses.replace runs none.
+    """
 
     space: SymplecticSpace
     inertia_invariants: Matrix  # rows span V^I
@@ -74,31 +83,6 @@ class SpecializationInstance:
             raise ValueError("V^I must have dimension 2g - r")
         if len(self.toric_sub) != r or len(self.lift) != r:
             raise ValueError("W and T must have dimension r")
-        vi, w, t = self.inertia_invariants, self.toric_sub, self.lift
-        # rank V^I, rank V^I + W and rank V^I + W + T from one elimination.
-        # With W in the span of V^I the full rank is rank(V^I + T), and
-        # 2g - r rows of V^I and r rows of T of rank 2g are independent, so a
-        # complementary pair needs only W's rank.  With W outside V^I an
-        # error below is certain, and checking every basis in order raises
-        # the first one.
-        ranks = linalg.prefix_ranks(vi + w + t)
-        vi_rank = ranks[n - r - 1]
-        complementary = ranks[n - 1] == vi_rank and ranks[-1] == n
-        if vi_rank != n - r:
-            raise ValueError("basis of V^I is not independent")
-        for name, basis in (("W", w),) if complementary else (("W", w), ("T", t)):
-            if linalg.rank(basis) != len(basis):
-                raise ValueError(f"basis of {name} is not independent")
-        if ranks[n - 1] != n - r:
-            raise ValueError("W must lie inside V^I")
-        if not complementary:
-            raise ValueError("V^I and T must be complementary")
-        # V^I + T is a basis by now, so tau^2 = 0 exactly when tau kills the
-        # image of every basis row; only the nonzero images need a product
-        nonzero = [x for x in self.basis_images if any(x)]
-        if not linalg.is_zero_matrix(
-                linalg.mat_mul(nonzero, linalg.transpose(self.log_matrix))):
-            raise ValueError("N - I must square to zero")
 
     @cached_property
     def log_matrix(self) -> Matrix:
@@ -111,6 +95,20 @@ class SpecializationInstance:
         instance."""
         return linalg.mat_mul(self.inertia_invariants + self.lift,
                               linalg.transpose(self.log_matrix))
+
+    @cached_property
+    def _rank_facts(self) -> tuple[bool, bool, bool]:
+        """rank V^I = 2g - r; rank W = r; the flag W in V^I, V = V^I + T.
+
+        The ranks of V^I, V^I + W and V^I + W + T come from one prefix-rank
+        pass.  W lies in V^I when it adds no rank to V^I; then
+        rank V^I + W + T is rank V^I + T, which is 2g exactly when the 2g
+        rows of V^I and T are a basis.  Computed once per instance.
+        """
+        n, r = self.space.dim, self.toric_rank
+        ranks = linalg.prefix_ranks(self.inertia_invariants + self.toric_sub + self.lift)
+        return (ranks[n - r - 1] == n - r, linalg.rank(self.toric_sub) == r,
+                ranks[n - 1] == ranks[n - r - 1] and ranks[-1] == n)
 
 
 def standard_symplectic_form(g: int) -> Matrix:
@@ -208,29 +206,28 @@ def verify_orthogonality(inst: SpecializationInstance) -> bool:
     """Does W equal the form-orthogonal complement of V^I?
 
     W pairs to zero with V^I, so it lies in the complement, whose dimension
-    is 2g - dim V^I = r.  The instance invariants make W and V^I independent
-    bases of sizes r and 2g - r, so dim W = r and the inclusion is an
-    equality.
+    is 2g - rank V^I.  With rank V^I = 2g - r that is r, and rank W = r
+    makes the inclusion an equality.  The ranks are read only once the
+    pairing vanishes.
     """
     vi, w = inst.inertia_invariants, inst.toric_sub
     pairing = linalg.mat_mul(linalg.mat_mul(w, inst.space.form), linalg.transpose(vi))
-    return linalg.is_zero_matrix(pairing)
+    return linalg.is_zero_matrix(pairing) and all(inst._rank_facts[:2])
 
 
 def verify_filtration(inst: SpecializationInstance) -> bool:
-    """tau kills V^I, maps into W, and restricts to an iso T -> W of rank r.
+    """The flag W in V^I in V = V^I + T, with rank W = r; tau kills V^I and
+    restricts to an iso T -> W of rank r.
 
     The instance's basis images are tau(v) for the V^I rows and then the r
-    T rows, a product of the instance's own fields.  Once the V^I images
-    are zero, the instance invariant V = V^I + T makes the T images tau(T)
-    span the image of tau.  One prefix-rank pass over tau(T) + W gives
-    rank tau(T) and rank(tau(T) + W).  The instance invariants make the
-    rows of W an independent basis of size r, so dim W = r; tau(T) and W
-    together have rank r, so the image lies in W; tau(T) has rank r, so T
-    maps onto W and tau itself has rank r.
+    T rows.  Once the V^I images are zero, V = V^I + T makes the T images
+    tau(T) span the image of tau.  One prefix-rank pass over tau(T) + W
+    gives rank tau(T) and rank(tau(T) + W).  With rank W = r, tau(T) and W
+    together of rank r put the image inside W; tau(T) of rank r makes T
+    map onto W and tau itself of rank r.
     """
     images, r = inst.basis_images, inst.toric_rank
-    if not linalg.is_zero_matrix(images[:-r]):
+    if not (all(inst._rank_facts) and linalg.is_zero_matrix(images[:-r])):
         return False
     ranks = linalg.prefix_ranks(images[-r:] + inst.toric_sub)
     return ranks[r - 1] == r and ranks[-1] == r
@@ -249,25 +246,26 @@ def is_form_compatible(inst: SpecializationInstance) -> bool:
 def verify_instance(inst: SpecializationInstance) -> dict[str, bool]:
     """All verified invariants by name (used by the CLI and the sweeps).
 
-    tau_square_zero and invariant_dim (dim V^I = 2g - r) are enforced by
-    SpecializationInstance on construction, so they read True on every
-    instance; they are reported with the rest.  tau_rank_r needs its own
-    rank only when the filtration fails: the filtration gives image tau =
-    tau(T) of rank r.  monodromy_symplectic (N^T Theta N = Theta) is
-    form_compatible restated: tau^2 = 0 gives N^-1 = I - tau, so
-    N^T Theta N = Theta, i.e. N^T Theta = Theta N^-1, reads
-    Theta + tau^T Theta = Theta - Theta tau, which is
-    tau^T Theta + Theta tau = 0.
+    invariant_dim is rank V^I = 2g - r, one of the instance's rank facts.
+    Three keys are read off others that imply them, and computed by their
+    own product or rank otherwise.  The filtration gives tau^2 = 0 (tau(V)
+    = tau(T) lies in W, inside V^I = ker tau) and image tau = tau(T) of
+    rank r.  With tau^2 = 0, N^-1 = I - tau, so N^T Theta N = Theta, i.e.
+    N^T Theta = Theta N^-1, reads Theta + tau^T Theta = Theta - Theta tau,
+    which is tau^T Theta + Theta tau = 0: monodromy_symplectic is
+    form_compatible restated.
     """
     filtration = verify_filtration(inst)
+    tau, form, n_mat = inst.log_matrix, inst.space.form, inst.monodromy
+    square_zero = filtration or linalg.is_zero_matrix(linalg.mat_mul(tau, tau))
     form_compatible = is_form_compatible(inst)
     return {
-        "tau_square_zero": True,
-        "tau_rank_r": (filtration
-                       or linalg.rank(inst.log_matrix) == inst.toric_rank),
-        "invariant_dim": True,
+        "tau_square_zero": square_zero,
+        "tau_rank_r": filtration or linalg.rank(tau) == inst.toric_rank,
+        "invariant_dim": inst._rank_facts[0],
         "orthogonality": verify_orthogonality(inst),
         "filtration": filtration,
         "form_compatible": form_compatible,
-        "monodromy_symplectic": form_compatible,
+        "monodromy_symplectic": form_compatible if square_zero else linalg.mat_mul(
+            linalg.transpose(n_mat), linalg.mat_mul(form, n_mat)) == form,
     }

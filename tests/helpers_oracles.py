@@ -11,11 +11,14 @@ box; the monodromy oracles restate orthogonality and the filtration by
 rational nullspaces and span tests, the formulation the library's
 product-and-rank verifiers replaced, ``preserves_form`` tests
 N^T Theta N = Theta by full products, the check ``verify_instance`` reads
-off form compatibility instead, ``symplectic_inverse`` is the
+off form compatibility once tau^2 = 0, ``symplectic_inverse`` is the
 signed-transpose inverse of a standard-form symplectic matrix, and
-``instance_error_by_ranks`` runs the instance checks in their order with
-the separate ranks of V^I + T and V^I + W that one prefix-rank pass
-replaced and the full tau . tau product that the basis images replaced; the exception-pair oracle is
+``failing_keys_by_ranks`` computes every key of ``verify_instance`` on
+its own, from separate ranks of V^I, W, V^I + W and V^I + T, the full
+tau . tau and N^T Theta N products and the nullspace and span oracles,
+where the library reads the flag ranks off one prefix-rank pass and
+tau^2 = 0, the rank of tau and N in Sp off the filtration and form
+compatibility; the exception-pair oracle is
 the closed form (56, 15) plus the triangular family (m(m+1)/2, m-1),
 m != 3 mod 4, that the verdict engine's exclusion sweep must reproduce;
 the lemma oracle tests every s with a fresh binomial, without the early
@@ -39,6 +42,7 @@ the dim-n candidates, the ranks the exclusion sweeps query.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb, isqrt
 
@@ -158,8 +162,10 @@ def catalog_dims_by_brute_force(n: int, max_rank: int) -> set[str]:
     return labels
 
 
+@cache
 def symplectic_complement(space: SymplecticSpace, basis: linalg.Matrix) -> linalg.Matrix:
-    """Basis of the form-orthogonal complement of the row span."""
+    """Basis of the form-orthogonal complement of the row span; cached, as
+    the key oracle meets the same V^I under many defects of W, T and N."""
     pairing_rows = tuple(mat_vec(space.form, v) for v in basis)
     return linalg.nullspace(pairing_rows)
 
@@ -205,33 +211,28 @@ def filtration_by_spans(inst: SpecializationInstance) -> bool:
     return linalg.rank(t_images) == r and linalg.same_span(t_images, inst.toric_sub)
 
 
-def instance_error_by_ranks(space: SymplecticSpace, inertia_invariants,
-                            toric_sub, lift, monodromy, toric_rank) -> str | None:
-    """The ValueError text SpecializationInstance must raise on these
-    fields, or None: rank(V^I + T) decides complementarity and
-    rank(V^I + W) the inclusion of W."""
-    n, r = space.dim, toric_rank
-    vi, w, t = inertia_invariants, toric_sub, lift
-    if not 1 <= r <= n // 2:
-        return "toric rank must satisfy 1 <= r <= g"
-    if len(vi) != n - r:
-        return "V^I must have dimension 2g - r"
-    if len(w) != r or len(t) != r:
-        return "W and T must have dimension r"
-    complementary = linalg.rank(vi + t) == n
-    bases = ((("W", w),) if complementary else
-             (("V^I", vi), ("W", w), ("T", t)))
-    for name, basis in bases:
-        if linalg.rank(basis) != len(basis):
-            return f"basis of {name} is not independent"
-    if linalg.rank(vi + w) != n - r:
-        return "W must lie inside V^I"
-    if not complementary:
-        return "V^I and T must be complementary"
-    tau = linalg.mat_sub(monodromy, linalg.identity(n))
-    if not linalg.is_zero_matrix(linalg.mat_mul(tau, tau)):
-        return "N - I must square to zero"
-    return None
+def failing_keys_by_ranks(inst: SpecializationInstance) -> set[str]:
+    """The keys ``verify_instance`` must report False on inst, each invariant
+    computed on its own: separate ranks of V^I, W, V^I + W and V^I + T, the
+    full tau . tau product, the rank of tau, the nullspace orthogonality,
+    the span filtration, tau^T Theta + Theta tau and N^T Theta N = Theta by
+    full products."""
+    n, r = inst.space.dim, inst.toric_rank
+    vi, w, t = inst.inertia_invariants, inst.toric_sub, inst.lift
+    tau = linalg.mat_sub(inst.monodromy, linalg.identity(n))
+    vi_rank = linalg.rank(vi)
+    holds = {
+        "tau_square_zero": linalg.is_zero_matrix(linalg.mat_mul(tau, tau)),
+        "tau_rank_r": linalg.rank(tau) == r,
+        "invariant_dim": vi_rank == n - r,
+        "orthogonality": orthogonality_by_nullspace(inst),
+        "filtration": (linalg.rank(w) == r and linalg.rank(vi + w) == vi_rank
+                       and linalg.rank(vi + t) == n and filtration_by_spans(inst)),
+        # tau^T Theta + Theta tau = 0 is the so(G) identity with Theta for G
+        "form_compatible": in_orthogonal_algebra(tau, inst.space.form),
+        "monodromy_symplectic": preserves_form(inst),
+    }
+    return {key for key, ok in holds.items() if not ok}
 
 
 def triangular_m(g: int) -> int | None:

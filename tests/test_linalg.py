@@ -217,6 +217,16 @@ def test_prefix_ranks_edge_cases():
                                 (0, third, 1), (third, 0, 0))) == (1, 1, 2, 3)
 
 
+
+def test_eliminations_reject_ragged_rows():
+    # zip would cut the longer row short: the rank read 1 here, and the
+    # prefix ranks indexed past the short row
+    for ragged in (((1,), (0, 5)), ((0, 1), (1,)), ((1, 2), (3, 4), (5,))):
+        with pytest.raises(ValueError, match="one length"):
+            linalg.rank(ragged)
+        with pytest.raises(ValueError, match="one length"):
+            linalg.prefix_ranks(ragged)
+
 @_PROPERTY
 @given(st.integers(1, 6).flatmap(lambda n: _matrices(n, n)))
 def test_det_matches_fraction_elimination(m):

@@ -10,8 +10,10 @@ first on ``sys.path``, so each side runs its own code at its own bounds.
 Run k calls every named test of ``tests/test_acceptance.py`` once per tree,
 each in a new interpreter, and alternates which tree goes first.  A body's
 time is the process time of the call alone (imports excluded), so other
-processes on the host weigh less than in wall time.  Only tests that take
-no pytest fixture can be timed.  The name ``tier1`` runs the Tier-1 command
+processes on the host weigh less than in wall time.  A body may take the
+``capsys`` fixture: it gets a stand-in whose ``readouterr().out`` drains
+what the body printed so far; a body that takes any other fixture is
+refused.  The name ``tier1`` runs the Tier-1 command
 (``python -m pytest -q --continue-on-collection-errors``, with
 ``-p no:cacheprovider``) in the tree, with its ``src`` first on
 ``PYTHONPATH``, and takes the process time of that child and the processes
@@ -34,15 +36,27 @@ import sys
 from pathlib import Path
 
 _BODY = """
-import contextlib, io, json, sys, time
+import contextlib, inspect, io, json, sys, time, types
 tree, name = sys.argv[1], sys.argv[2]
 sys.path[:0] = [tree + "/src", tree + "/tests"]
 import test_acceptance
 body = getattr(test_acceptance, name)
 printed = io.StringIO()
+
+class Capsys:
+    def readouterr(self):
+        out = printed.getvalue()
+        printed.seek(0)
+        printed.truncate()
+        return types.SimpleNamespace(out=out, err="")
+
+fixtures = {"capsys": Capsys()}
+wanted = list(inspect.signature(body).parameters)
+if not set(wanted) <= set(fixtures):
+    sys.exit(f"{name} takes fixtures {wanted}; only capsys has a stand-in")
 with contextlib.redirect_stdout(printed):
     start = time.process_time()
-    body()
+    body(*(fixtures[f] for f in wanted))
     elapsed = time.process_time() - start
 print(json.dumps({"s": elapsed, "printed": printed.getvalue().strip()}))
 """
