@@ -5,15 +5,19 @@ are ints or ``fractions.Fraction`` and are never widened to floats.
 
 Products, ``rank`` and the rank-based span tests keep integer input
 integer; the monodromy layer is integer-only and uses nothing else.
-``mat_mul`` checks the shapes once, transposes ``b`` once and sums each
-cell as ``sum(map(mul, row, col))``, so the per-cell work runs at C level.
+``mat_mul`` is one packed kernel (Kronecker substitution): each row of
+``b`` becomes one big int with a slot of w = 64·s bits per column, w chosen
+from the cell bound max|a|·max|b|·inner < 2^(w - 1), so each row of the
+product is one C-level big-int dot product, read back as little-endian
+two's-complement slots.  Fraction operands are scaled to integers for it.
 One fraction-free Bareiss pass, ``_bareiss``, clears each row's
-denominators with one ``lcm`` (an all-integer row is used as it is) and
+denominators with one ``lcm`` (skipped when every entry is an int) and
 eliminates row by row: each new row is zipped with every earlier pivot row
-in order.  ``prefix_ranks`` reads the rank of every leading block of rows
-off it, ``rank`` the number of pivots, and ``det`` (a ``Fraction``) the
-last pivot, signed by the order of the pivot columns and divided by the
-row scales.  ``rref``, ``inverse`` and ``nullspace`` run Gauss-Jordan
+in order, and each step drops its pivot column, whose entry it has made 0,
+from the row.  ``prefix_ranks`` reads the rank of every leading block of
+rows off it, ``rank`` the number of pivots, and ``det`` (a ``Fraction``)
+the last pivot, signed by the order of the pivot columns and divided by
+the row scales.  ``rref``, ``inverse`` and ``nullspace`` run Gauss-Jordan
 elimination over ``Fraction``, apart from that pass, so the tests can use
 them as its oracle.
 
@@ -27,12 +31,17 @@ benchmark change first.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from itertools import chain, compress, count
+from math import lcm, prod
+from operator import attrgetter, lshift, mul
+from struct import Struct
 
 Scalar = Fraction | int
 Vector = tuple[Scalar, ...]
 Matrix = tuple[Vector, ...]
+
+_INT = frozenset((int,))
+_denominator = attrgetter("denominator")
 
 
 def identity(n: int) -> Matrix:
@@ -51,12 +60,71 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
+def _int_scaled(rows: Matrix) -> tuple[list[Vector], list[int]]:
+    """Each row times the lcm of its denominators, and that lcm."""
+    scaled, scales = [], []
+    for row in rows:
+        scale = lcm(*map(_denominator, row))
+        scaled.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return scaled, scales
+
+
+def _all_int(m: Matrix) -> bool:
+    return _INT.issuperset(map(type, chain.from_iterable(m)))
+
+
+def _lengths_are(n: int, m: Matrix) -> bool:
+    return {n}.issuperset(map(len, m))
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a·b, one packed big-int row per row of a.
+
+    Row k of b is packed into the int sum_j b[k][j]·2^(w·j), with one slot
+    width w = 64·s bits (``word_bytes`` = 8·s) for all cells, chosen so
+    that every cell c of the product has |c| <= max|a|·max|b|·inner
+    < 2^(w - 1).  Row i of a·b is then sum_k a[i][k]·packed[k], a dot
+    product of big ints at C level.  Adding 2^(w - 1) to each slot makes
+    every slot a digit in [0, 2^w) with no borrow between slots, and
+    XOR-ing that bias back out leaves each slot in w-bit two's complement,
+    which is read as little-endian signed words.  Fraction operands are
+    scaled to integers first (each row of a by the lcm of its denominators,
+    b by one lcm) and the integer cells divided back; a cell is a Fraction
+    only where that scale is not 1.
+    """
     inner = len(b)
-    if any(len(row) != inner for row in a):
+    if not _lengths_are(inner, a):
         raise ValueError("matrix product needs len(row of a) == rows of b")
-    bt = transpose(b)
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+    p = len(b[0]) if b else 0
+    if not _lengths_are(p, b):
+        raise ValueError("rows of a matrix must have one length")
+    if not (a and inner and p):
+        return tuple((0,) * p for _ in a)
+    denominators = None
+    if not _all_int(a):
+        a, denominators = _int_scaled(a)
+    if not _all_int(b):
+        scale = lcm(*map(_denominator, chain.from_iterable(b)))
+        b = [[x.numerator * (scale // x.denominator) for x in row] for row in b]
+        denominators = [d * scale for d in denominators or [1] * len(a)]
+    bound = (max(map(abs, chain.from_iterable(a)))
+             * max(map(abs, chain.from_iterable(b))) * inner)
+    word_bytes = 8 * (bound.bit_length() // 64 + 1)
+    shifts = range(0, 8 * word_bytes * p, 8 * word_bytes)
+    packed = [sum(map(lshift, row, shifts)) for row in b]
+    bias = int.from_bytes((bytes(word_bytes - 1) + b"\x80") * p, "little")
+    rows = [((sum(map(mul, row, packed)) + bias) ^ bias).to_bytes(word_bytes * p, "little")
+            for row in a]
+    if word_bytes == 8:
+        cells = list(map(Struct(f"<{p}q").unpack, rows))
+    else:
+        cells = [tuple(int.from_bytes(raw[j:j + word_bytes], "little", signed=True)
+                       for j in range(0, len(raw), word_bytes)) for raw in rows]
+    if denominators is None:
+        return tuple(cells)
+    return tuple(row if d == 1 else tuple(Fraction(c, d) for c in row)
+                 for row, d in zip(cells, denominators))
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -70,41 +138,47 @@ def is_zero_matrix(m: Matrix) -> bool:
 def _bareiss(m: Matrix) -> tuple[list[int], list[int], int, int]:
     """Row-ordered fraction-free (Bareiss-style) elimination of m.
 
-    Each row is first scaled by the lcm of its denominators (an all-integer
-    row is used as it is).  It then receives every earlier pivot step in
+    Each row is first scaled by the lcm of its denominators (skipped when
+    every entry is an int).  It then receives every earlier pivot step in
     order.  After step j its entry in column x is the (j + 1)-minor of the
     scaled m on the first j pivot rows and the row itself, and on the first
     j pivot columns, in pivot order, and x; so the division by the pivot of
-    step j - 1 is exact.  A row left nonzero becomes the next pivot row, at
-    its first nonzero column.
+    step j - 1 is exact.  The minor on column x = the pivot column of step j
+    is 0, so step j drops that column from the row, as it was dropped from
+    its pivot row; no later step reads it.  A row left nonzero becomes the
+    next pivot row, at its first nonzero column.
 
-    Returns the pivot columns in pivot order, the rank of each leading
-    block of rows, the last pivot (1 before the first) and the product of
-    the row scales.  Rows of different lengths raise ValueError.
+    Returns the pivot columns (indices of m) in pivot order, the rank of
+    each leading block of rows, the last pivot (1 before the first) and the
+    product of the row scales.  Rows of different lengths raise ValueError.
     """
-    steps = []  # row, column, pivot, divisor
+    width = len(m[0]) if m else 0
+    if not _lengths_are(width, m):
+        raise ValueError("rows of a matrix must have one length")
+    scales = 1
+    if not _all_int(m):
+        m, row_scales = _int_scaled(m)
+        scales = prod(row_scales)
+    live = list(range(width))  # the column of m at each place of a row
+    steps = []  # pivot row without its pivot column, column, pivot, divisor
+    cols = []
     ranks = []
     prev = 1
-    scales = 1
-    width = len(m[0]) if m else 0
     for row in m:
-        if len(row) != width:
-            raise ValueError("rows of a matrix must have one length")
-        scale = lcm(*(x.denominator for x in row))
-        if scale != 1:
-            row = [int(x * scale) for x in row]
-            scales *= scale
+        row = list(row)
         # every step must be applied, even with a zero in its pivot column,
         # or the later exact divisions lose their guarantee
         for top, c, piv, div in steps:
-            factor = row[c]
+            factor = row.pop(c)
             row = [(piv * x - factor * y) // div for x, y in zip(row, top)]
-        c = next((j for j, x in enumerate(row) if x), None)
+        c = next(compress(count(), row), None)
         if c is not None:
-            steps.append((row, c, row[c], prev))
-            prev = row[c]
-        ranks.append(len(steps))
-    return [c for _, c, _, _ in steps], ranks, prev, scales
+            pivot = row.pop(c)
+            steps.append((row, c, pivot, prev))
+            prev = pivot
+            cols.append(live.pop(c))
+        ranks.append(len(cols))
+    return cols, ranks, prev, scales
 
 
 def prefix_ranks(m: Matrix) -> tuple[int, ...]:

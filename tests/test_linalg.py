@@ -220,12 +220,65 @@ def test_prefix_ranks_edge_cases():
 
 def test_eliminations_reject_ragged_rows():
     # zip would cut the longer row short: the rank read 1 here, and the
-    # prefix ranks indexed past the short row
-    for ragged in (((1,), (0, 5)), ((0, 1), (1,)), ((1, 2), (3, 4), (5,))):
+    # prefix ranks indexed past the short row; in the last shape the short
+    # row would lose its first entry to the dropped pivot column and still
+    # zip with the pivot row
+    for ragged in (((1,), (0, 5)), ((0, 1), (1,)), ((1, 2), (3, 4), (5,)),
+                   ((1, 2, 3), (4, 5))):
         with pytest.raises(ValueError, match="one length"):
             linalg.rank(ragged)
         with pytest.raises(ValueError, match="one length"):
             linalg.prefix_ranks(ragged)
+    with pytest.raises(ValueError, match="one length"):
+        linalg.mat_mul(((1, 2),), ((1, 2), (3,)))
+
+
+def test_pivot_columns_out_of_order():
+    # first nonzeros in columns 2, 0, 1: two inversions, so det is +24
+    m = ((0, 0, 3), (2, 0, 1), (1, 4, 5))
+    assert linalg._bareiss(m)[0] == [2, 0, 1]
+    assert linalg.det(m) == _fraction_rank_det(m)[1] == 24
+    # one inversion: the sign flips
+    swapped = ((0, 0, 3), (0, 2, 1), (4, 1, 5))
+    assert linalg._bareiss(swapped)[0] == [2, 1, 0]
+    assert linalg.det(swapped) == _fraction_rank_det(swapped)[1] == -24
+    for n in range(1, 7):
+        anti = tuple(tuple(k + 1 if j == n - 1 - k else 0 for j in range(n))
+                     for k in range(n))
+        assert linalg._bareiss(anti)[0] == list(range(n - 1, -1, -1))
+        assert linalg.det(anti) == _fraction_rank_det(anti)[1]
+
+
+@_PROPERTY
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.one_of(_matrices(n, n), _matrices(n, n, _INT_ENTRY)), st.permutations(range(n)))))
+def test_column_permutations_match_fraction_elimination(case):
+    # permuted columns put the pivot columns out of order, which only the
+    # sign of det and the original column indices kept by the pass see
+    m, perm = case
+    permuted = tuple(tuple(row[j] for j in perm) for row in m)
+    rank, d = _fraction_rank_det(permuted)
+    assert linalg.det(permuted) == d
+    assert linalg.prefix_ranks(permuted) == tuple(
+        _fraction_rank_det(permuted[:k])[0] for k in range(1, len(m) + 1))
+    cols = linalg._bareiss(permuted)[0]
+    assert len(cols) == rank == len(set(cols))
+
+
+def test_rows_that_become_zero_partway():
+    # row 2 is twice row 1 and vanishes at the first step; row 4 is row 1
+    # plus row 3 and vanishes at the second; the rows after each still
+    # receive every step
+    m = ((1, 2, 3, 0), (2, 4, 6, 0), (0, 1, 1, 2), (1, 3, 4, 2), (0, 0, 1, 5), (3, 1, 4, 1))
+    assert linalg.prefix_ranks(m) == tuple(
+        _fraction_rank_det(m[:k])[0] for k in range(1, len(m) + 1)) == (1, 1, 2, 2, 3, 4)
+    assert linalg.det(m[:4]) == 0
+    square = (m[0], m[2], m[4], m[5])
+    assert linalg.det(square) == _fraction_rank_det(square)[1] != 0
+    # a zero row between pivots, and a dependent row with fractions
+    half = Fraction(1, 2)
+    assert linalg.prefix_ranks(((0, 2, 4), (0, 0, 0), (0, 1, 2), (1, half, 1))) == (1, 1, 1, 2)
+
 
 @_PROPERTY
 @given(st.integers(1, 6).flatmap(lambda n: _matrices(n, n)))
@@ -235,15 +288,80 @@ def test_det_matches_fraction_elimination(m):
     assert d == _fraction_rank_det(m)[1]
 
 
+def _triple_loop(a, b):
+    n, k, p = len(a), len(b), len(b[0])
+    return tuple(tuple(sum((a[i][j] * b[j][q] for j in range(k)), 0)
+                       for q in range(p)) for i in range(n))
+
+
 @_PROPERTY
 @given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
     lambda nkp: st.tuples(_matrices(*nkp[:2]), _matrices(*nkp[1:]))))
 def test_mat_mul_matches_triple_loop(factors):
     a, b = factors
-    n, k, p = len(a), len(b), len(b[0])
-    expected = tuple(tuple(sum((a[i][j] * b[j][q] for j in range(k)), 0)
-                           for q in range(p)) for i in range(n))
-    assert linalg.mat_mul(a, b) == expected
+    assert linalg.mat_mul(a, b) == _triple_loop(a, b)
+
+
+# up to 10^30 a cell needs more than one 64-bit slot; zeros and small
+# entries next to large ones put slots of different signs side by side
+_BIG_ENTRY = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**30, 10**30))
+
+
+@_PROPERTY
+@given(st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda nkp: st.tuples(_matrices(*nkp[:2], _BIG_ENTRY), _matrices(*nkp[1:], _BIG_ENTRY))))
+def test_packed_product_matches_triple_loop_on_large_entries(factors):
+    a, b = factors
+    product = linalg.mat_mul(a, b)
+    assert product == _triple_loop(a, b)
+    assert all(type(x) is int for row in product for x in row)
+
+
+def test_packed_product_at_the_slot_limits():
+    top = 2**63 - 1
+    # one 64-bit slot: +-(2^63 - 1) side by side, and next to 0 and -1
+    assert linalg.mat_mul(((top,), (-top,), (1,)), ((1, -1, 0, -1),)) == (
+        (top, -top, 0, -top), (-top, top, 0, top), (1, -1, 0, -1))
+    # -2^63 needs a bound of 2^63, so two words; the cells are exact
+    bottom = -2**63
+    assert linalg.mat_mul(((bottom,), (top,)), ((1, -1, 1),)) == (
+        (bottom, -bottom, bottom), (top, -top, top))
+    # a sum that lands exactly on the limits
+    assert linalg.mat_mul(((2**62, 2**62 - 1), (-2**62, -2**62)), ((1, 0), (1, 1))) == (
+        (top, 2**62 - 1), (bottom, -2**62))
+    # each term fits one slot but the sum does not, so the bound counts
+    # the inner dimension
+    assert linalg.mat_mul(((2**62, 2**62), (-2**62, -2**62 - 1)), ((1,), (1,))) == (
+        (2**63,), (bottom - 1,))
+    for cells in (((top,),), ((-top,),), ((bottom,),)):
+        assert linalg.mat_mul(cells, ((1,),)) == cells
+        assert all(type(x) is int for x in linalg.mat_mul(cells, ((1,),))[0])
+
+
+def test_product_edge_shapes():
+    # b with zero columns, inner dimension 0, and no rows in a
+    assert linalg.mat_mul(((1, 2), (3, 4)), ((), ())) == ((), ())
+    assert linalg.mat_mul(((), ()), ()) == ((), ())
+    assert linalg.mat_mul((), ((1, 2), (3, 4))) == ()
+    assert linalg.mat_mul((), ()) == ()
+    # a zero factor: the cell bound is 0
+    assert linalg.mat_mul(((0, 0),), ((5, 6), (7, 8))) == ((0, 0),)
+
+
+def test_product_of_mixed_int_and_fraction_operands():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    a = ((1, half), (2, 3), (third, Fraction(4)))
+    b = ((6, -1), (third, 0))
+    for x, y in ((a, b), (a, ((1, 2), (3, 4))), (((1, 2), (3, 4)), b[:1] + ((half, 1),))):
+        product = linalg.mat_mul(x, y)
+        assert product == _triple_loop(x, y)
+    # an all-int row of a times an all-int b stays int; a row with a
+    # denominator gives Fraction cells
+    product = linalg.mat_mul(a, ((1, 2), (3, 4)))
+    assert all(type(x) is int for x in product[1])
+    assert all(type(x) is Fraction for x in product[0])
+    # a Fraction with denominator 1 is scaled to an int like any other
+    assert linalg.mat_mul(((Fraction(2),),), ((3,),)) == ((6,),)
 
 
 @_PROPERTY

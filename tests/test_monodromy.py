@@ -467,6 +467,7 @@ def _construction_cases(inst: SpecializationInstance) -> dict:
     doubled = tuple(tuple(2 * x for x in row) for row in linalg.identity(n))
     # unipotent with tau the shift e_i -> e_(i-1): tau^2 != 0 from 2g = 4
     jordan = tuple(tuple(1 if j in (i, i + 1) else 0 for j in range(n)) for i in range(n))
+    zero_last = vi[:-1] + ((0,) * n,)
     cases = {
         "honest": {},
         "W = T, outside V^I": {"toric_sub": t},
@@ -474,10 +475,9 @@ def _construction_cases(inst: SpecializationInstance) -> dict:
         "W zero": {"toric_sub": ((0,) * n,) * r},
         "T = W, inside V^I": {"lift": w},
         "T inside V^I": {"lift": vi[:r]},
-        "V^I dependent, W outside": {"inertia_invariants": vi[:-1] + (vi[0],),
-                                     "toric_sub": t},
-        "V^I dependent, T inside": {"inertia_invariants": vi[:-1] + (vi[0],),
-                                    "lift": vi[:r]},
+        # a zero row, so that V^I is dependent even when it has one row
+        "V^I dependent, W outside": {"inertia_invariants": zero_last, "toric_sub": t},
+        "V^I dependent, T inside": {"inertia_invariants": zero_last, "lift": vi[:r]},
         "V^I holds t_1": {"inertia_invariants": vi[:-1] + (t[0],)},
         "V^I holds t_1, W outside": {"inertia_invariants": vi[:-1] + (t[0],),
                                      "toric_sub": t},
@@ -487,7 +487,7 @@ def _construction_cases(inst: SpecializationInstance) -> dict:
         # in Sp on the standard form, but not unipotent, so the N-in-Sp key
         # cannot be read off form compatibility
         "N a symplectic shear product": {"monodromy": random_symplectic(n // 2, random.Random(n))},
-        "V^I with a zero row": {"inertia_invariants": vi[:-1] + ((0,) * n,)},
+        "V^I with a zero row": {"inertia_invariants": zero_last},
         "W and the image of tau leave V^I at w_1": image_follows(
             (linalg.vec_add(w[0], t[0]),) + w[1:]),
         "W and the image of tau leave V^I at w_r": image_follows(
@@ -538,6 +538,8 @@ def test_construction_cases_match_the_key_oracle():
                         label = (g, r, seed, form, name, failing)
                         assert failing == failing_keys_by_ranks(case), label
                         assert bool(failing) is (name != "honest"), label
+                        if name.startswith("V^I dependent"):
+                            assert "invariant_dim" in failing, label
                         seen |= failing
     # the table reaches every key
     assert seen == set(results)
