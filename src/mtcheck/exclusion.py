@@ -136,6 +136,8 @@ def check_pair(pair: CandidatePair, r: int) -> ExclusionVerdict:
     """
     if pair.inner.dim <= 4:
         raise ValueError("the exclusion engine assumes ambient dimension > 4")
+    if r < 1:
+        raise ValueError(f"quadratic rank {r} must be at least 1")
     return ExclusionVerdict(*_ladder(pair.inner, pair.outer, r))
 
 
@@ -149,6 +151,8 @@ def surviving_inners(n: int, form: FormClass, r: int) -> tuple[IrrepDescriptor, 
     outer itself is skipped."""
     if n <= 4:
         raise ValueError("the exclusion engine assumes ambient dimension > 4")
+    if r < 1:
+        raise ValueError(f"quadratic rank {r} must be at least 1")
     if gcd(r, n) != 1:
         raise ValueError(f"gcd({r}, {n}) != 1 violates the coprimality hypothesis")
     candidates = minuscule_candidates(n)

@@ -1,25 +1,25 @@
-"""Exact linear algebra over the integers and the rationals.
+"""Exact linear algebra over the integers.
 
-Matrices are immutable tuples of row tuples; vectors are tuples.  Entries
-are ints or ``fractions.Fraction`` and are never widened to floats.
+Matrices are immutable tuples of row tuples; vectors are tuples.  The
+kernels take and return ints only and never widen them to floats.
 
-Products, ``rank`` and the rank-based span tests keep integer input
-integer; the monodromy layer is integer-only and uses nothing else.
 ``mat_mul`` is one packed kernel (Kronecker substitution): each row of
 ``b`` becomes one big int with a slot of w = 64·s bits per column, w chosen
 from the cell bound max|a|·max|b|·inner < 2^(w - 1), so each row of the
 product is one C-level big-int dot product, read back as little-endian
-two's-complement slots.  Fraction operands are scaled to integers for it.
-One fraction-free Bareiss pass, ``_bareiss``, clears each row's
-denominators with one ``lcm`` (skipped when every entry is an int) and
+two's-complement slots.  One fraction-free Bareiss pass, ``_bareiss``,
 eliminates row by row: each new row is zipped with every earlier pivot row
 in order, and each step drops its pivot column, whose entry it has made 0,
 from the row.  ``prefix_ranks`` reads the rank of every leading block of
-rows off it, ``rank`` the number of pivots, and ``det`` (a ``Fraction``)
-the last pivot, signed by the order of the pivot columns and divided by
-the row scales.  ``rref``, ``inverse`` and ``nullspace`` run Gauss-Jordan
-elimination over ``Fraction``, apart from that pass, so the tests can use
-them as its oracle.
+rows off it, ``rank`` the number of pivots, and ``det`` the last pivot,
+signed by the order of the pivot columns.  A non-int entry raises: a
+``Fraction`` would make the pass's exact divisions floor.
+
+Only ``rref``, ``inverse`` and ``nullspace`` use ``fractions.Fraction``,
+since a reduced row echelon form and an inverse have intrinsic
+denominators.  They run Gauss-Jordan elimination, apart from that pass, so
+the tests can use them as its oracle; ``nullspace`` scales each basis
+vector back to a primitive integer vector.
 
 No runtime module calls ``rref``, ``inverse``, ``nullspace``, ``det``,
 ``same_span`` or ``row_space_contains``; the root-system oracle and the
@@ -32,16 +32,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress, count
-from math import lcm, prod
-from operator import attrgetter, lshift, mul
+from math import lcm
+from operator import lshift, mul
 from struct import Struct
 
-Scalar = Fraction | int
+Scalar = int
 Vector = tuple[Scalar, ...]
 Matrix = tuple[Vector, ...]
 
 _INT = frozenset((int,))
-_denominator = attrgetter("denominator")
 
 
 def identity(n: int) -> Matrix:
@@ -60,20 +59,6 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def _int_scaled(rows: Matrix) -> tuple[list[Vector], list[int]]:
-    """Each row times the lcm of its denominators, and that lcm."""
-    scaled, scales = [], []
-    for row in rows:
-        scale = lcm(*map(_denominator, row))
-        scaled.append([x.numerator * (scale // x.denominator) for x in row])
-        scales.append(scale)
-    return scaled, scales
-
-
-def _all_int(m: Matrix) -> bool:
-    return _INT.issuperset(map(type, chain.from_iterable(m)))
-
-
 def _lengths_are(n: int, m: Matrix) -> bool:
     return {n}.issuperset(map(len, m))
 
@@ -88,10 +73,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     product of big ints at C level.  Adding 2^(w - 1) to each slot makes
     every slot a digit in [0, 2^w) with no borrow between slots, and
     XOR-ing that bias back out leaves each slot in w-bit two's complement,
-    which is read as little-endian signed words.  Fraction operands are
-    scaled to integers first (each row of a by the lcm of its denominators,
-    b by one lcm) and the integer cells divided back; a cell is a Fraction
-    only where that scale is not 1.
+    which is read as little-endian signed words.  A ``Fraction`` or float
+    entry raises in the packing (at the cell bound's ``bit_length``, a
+    shift or the bias XOR), so no non-int cell is ever returned.
     """
     inner = len(b)
     if not _lengths_are(inner, a):
@@ -101,13 +85,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("rows of a matrix must have one length")
     if not (a and inner and p):
         return tuple((0,) * p for _ in a)
-    denominators = None
-    if not _all_int(a):
-        a, denominators = _int_scaled(a)
-    if not _all_int(b):
-        scale = lcm(*map(_denominator, chain.from_iterable(b)))
-        b = [[x.numerator * (scale // x.denominator) for x in row] for row in b]
-        denominators = [d * scale for d in denominators or [1] * len(a)]
     bound = (max(map(abs, chain.from_iterable(a)))
              * max(map(abs, chain.from_iterable(b))) * inner)
     word_bytes = 8 * (bound.bit_length() // 64 + 1)
@@ -117,14 +94,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rows = [((sum(map(mul, row, packed)) + bias) ^ bias).to_bytes(word_bytes * p, "little")
             for row in a]
     if word_bytes == 8:
-        cells = list(map(Struct(f"<{p}q").unpack, rows))
-    else:
-        cells = [tuple(int.from_bytes(raw[j:j + word_bytes], "little", signed=True)
-                       for j in range(0, len(raw), word_bytes)) for raw in rows]
-    if denominators is None:
-        return tuple(cells)
-    return tuple(row if d == 1 else tuple(Fraction(c, d) for c in row)
-                 for row, d in zip(cells, denominators))
+        return tuple(map(Struct(f"<{p}q").unpack, rows))
+    return tuple(tuple(int.from_bytes(raw[j:j + word_bytes], "little", signed=True)
+                       for j in range(0, len(raw), word_bytes)) for raw in rows)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -135,30 +107,28 @@ def is_zero_matrix(m: Matrix) -> bool:
     return all(x == 0 for row in m for x in row)
 
 
-def _bareiss(m: Matrix) -> tuple[list[int], list[int], int, int]:
+def _bareiss(m: Matrix) -> tuple[list[int], list[int], int]:
     """Row-ordered fraction-free (Bareiss-style) elimination of m.
 
-    Each row is first scaled by the lcm of its denominators (skipped when
-    every entry is an int).  It then receives every earlier pivot step in
-    order.  After step j its entry in column x is the (j + 1)-minor of the
-    scaled m on the first j pivot rows and the row itself, and on the first
-    j pivot columns, in pivot order, and x; so the division by the pivot of
-    step j - 1 is exact.  The minor on column x = the pivot column of step j
-    is 0, so step j drops that column from the row, as it was dropped from
-    its pivot row; no later step reads it.  A row left nonzero becomes the
-    next pivot row, at its first nonzero column.
+    Each row receives every earlier pivot step in order.  After step j its
+    entry in column x is the (j + 1)-minor of m on the first j pivot rows
+    and the row itself, and on the first j pivot columns, in pivot order,
+    and x; so the division by the pivot of step j - 1 is exact.  The minor
+    on column x = the pivot column of step j is 0, so step j drops that
+    column from the row, as it was dropped from its pivot row; no later
+    step reads it.  A row left nonzero becomes the next pivot row, at its
+    first nonzero column.
 
     Returns the pivot columns (indices of m) in pivot order, the rank of
-    each leading block of rows, the last pivot (1 before the first) and the
-    product of the row scales.  Rows of different lengths raise ValueError.
+    each leading block of rows and the last pivot (1 before the first).
+    Rows of different lengths raise ValueError, and a non-int entry, on
+    which ``//`` would floor, raises TypeError.
     """
     width = len(m[0]) if m else 0
     if not _lengths_are(width, m):
         raise ValueError("rows of a matrix must have one length")
-    scales = 1
-    if not _all_int(m):
-        m, row_scales = _int_scaled(m)
-        scales = prod(row_scales)
+    if not _INT.issuperset(map(type, chain.from_iterable(m))):
+        raise TypeError("elimination needs int entries")
     live = list(range(width))  # the column of m at each place of a row
     steps = []  # pivot row without its pivot column, column, pivot, divisor
     cols = []
@@ -178,7 +148,7 @@ def _bareiss(m: Matrix) -> tuple[list[int], list[int], int, int]:
             prev = pivot
             cols.append(live.pop(c))
         ranks.append(len(cols))
-    return cols, ranks, prev, scales
+    return cols, ranks, prev
 
 
 def prefix_ranks(m: Matrix) -> tuple[int, ...]:
@@ -191,7 +161,7 @@ def rank(m: Matrix) -> int:
     return len(_bareiss(m)[0])
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+def rref(m: Matrix) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form and pivot column indices."""
     rows = [[Fraction(x) for x in row] for row in m]
     n_rows = len(rows)
@@ -216,24 +186,24 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
-def det(m: Matrix) -> Fraction:
+def det(m: Matrix) -> int:
     """Determinant, read off the elimination of ``_bareiss`` (exact).
 
     Below full rank it is 0.  Otherwise every row is a pivot row, and the
-    last pivot is the determinant of the scaled m with its columns in pivot
-    order; the parity of that order gives the sign.
+    last pivot is the determinant of m with its columns in pivot order; the
+    parity of that order gives the sign.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant requires a square matrix")
-    cols, _, last, scales = _bareiss(m)
+    cols, _, last = _bareiss(m)
     if len(cols) < n:
-        return Fraction(0)
+        return 0
     inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
-    return Fraction(-last if inversions % 2 else last, scales)
+    return -last if inversions % 2 else last
 
 
-def inverse(m: Matrix) -> Matrix:
+def inverse(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
     n = len(m)
     aug = tuple(tuple(Fraction(x) for x in row) + tuple(identity(n)[i])
                 for i, row in enumerate(m))
@@ -243,8 +213,10 @@ def inverse(m: Matrix) -> Matrix:
     return tuple(row[n:] for row in red[:n])
 
 
-def nullspace(m: Matrix) -> tuple[Vector, ...]:
-    """Basis of the right kernel."""
+def nullspace(m: Matrix) -> Matrix:
+    """Basis of the right kernel, one primitive integer vector per free
+    column: the rational vector with a 1 there, times the lcm of its
+    denominators."""
     if not m:
         return ()
     n_cols = len(m[0])
@@ -256,7 +228,8 @@ def nullspace(m: Matrix) -> tuple[Vector, ...]:
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
             v[c] = -red[r][f]
-        basis.append(tuple(v))
+        scale = lcm(*(x.denominator for x in v))
+        basis.append(tuple(x.numerator * (scale // x.denominator) for x in v))
     return tuple(basis)
 
 

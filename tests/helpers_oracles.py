@@ -123,16 +123,17 @@ def in_orthogonal_algebra(m: linalg.Matrix, g: linalg.Matrix) -> bool:
 def rank_one_search_orthogonal(n: int, bound: int = 2) -> list[linalg.Matrix]:
     """All nonzero rank-1 members u v^T of so(split form) with u in the
     integer box [-bound, bound]^n (first nonzero entry positive) and v
-    rational.  Membership is linear in v once u is fixed -- entrywise it
-    reads v_i a_j + a_i v_j = 0 with a = g u -- so the v candidates are
-    exactly the kernel of that system."""
+    rational, up to scale.  Membership is linear in v once u is fixed --
+    entrywise it reads v_i a_j + a_i v_j = 0 with a = g u -- so the v
+    candidates are exactly the kernel of that system, whose integer basis
+    ``nullspace`` returns."""
     g = split_orthogonal_form(n)
     found = []
     box = [v for v in product(range(-bound, bound + 1), repeat=n) if any(v)]
     # normalize u so its first nonzero entry is positive
     unormed = [v for v in box if v[next(i for i, x in enumerate(v) if x)] > 0]
     for u in unormed:
-        a = mat_vec(g, tuple(Fraction(x) for x in u))
+        a = mat_vec(g, u)
         system = tuple(
             tuple((a[j] if k == i else 0) + (a[i] if k == j else 0) for k in range(n))
             for i in range(n) for j in range(i, n)

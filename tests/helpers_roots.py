@@ -24,8 +24,12 @@ from math import prod
 
 from mtcheck import linalg
 from mtcheck.catalog import IrrepDescriptor
-from mtcheck.linalg import Matrix, Scalar, Vector
 from mtcheck.roots import FormClass, LieType
+
+# rational data: ``linalg``'s own Matrix and Vector are integer-only
+Scalar = Fraction | int
+Vector = tuple[Scalar, ...]
+Matrix = tuple[Vector, ...]
 
 
 @dataclass(frozen=True)

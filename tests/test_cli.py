@@ -136,6 +136,18 @@ def test_survivors_gcd_violation_is_an_error(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["survivors", "--dim", "6", "--form", "nsd", "--rank-tau", "-1"],
+    ["survivors", "--dim", "56", "--form", "nsd", "--rank-tau", "0"],
+    ["pair", "--inner", "A:4:2", "--outer", "A:9:1", "--rank-tau", "-3"],
+    ["pair", "--inner", "A:7:3", "--outer", "A:55:1", "--rank-tau", "0"],
+], ids=["survivors-negative", "survivors-zero", "pair-negative", "pair-zero"])
+def test_quadratic_rank_below_one_is_an_error(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: quadratic rank {argv[-1]} must be at least 1\n"
+
+
 def test_lemma(capsys):
     code, out, _ = _run(capsys, ["lemma", "--mmax", "10"])
     assert code == 0

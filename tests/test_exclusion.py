@@ -429,6 +429,16 @@ def test_surviving_inners_preconditions():
         surviving_inners(10, FormClass.NON_SELF_DUAL, 5)
 
 
+@pytest.mark.parametrize("r", [0, -1, -3, -15])
+def test_quadratic_rank_below_one_is_rejected(r):
+    # gcd(-1, n) = 1, so without the check a negative rank reached the ladder
+    for form in FormClass:
+        with pytest.raises(ValueError, match="must be at least 1"):
+            surviving_inners(56, form, r)
+    with pytest.raises(ValueError, match="must be at least 1"):
+        check_pair(_pair(A7W3, A55), r)
+
+
 def test_surviving_inners_match_pairwise_oracle():
     def agree(n):
         for r in candidate_min_ranks(n) | {1, 2, n - 1}:

@@ -1,8 +1,10 @@
 """The package's import graph: one exact-arithmetic path, and runtime code
 kept apart from the test oracles.
 
-Only ``mtcheck.linalg`` imports ``fractions``; every other runtime module
-stays on integers or reaches rationals through linalg.  No runtime module
+Only ``mtcheck.linalg`` imports ``fractions``, and inside it only the
+Gauss-Jordan oracles ``rref``, ``inverse`` and ``nullspace`` name
+``Fraction``: every other runtime module and every kernel of linalg stays
+on integers, and ``nullspace`` hands back integer vectors.  No runtime module
 imports from ``tests/``, where the oracles live, and ``mtcheck.roots``, the
 runtime types every layer uses, imports nothing from the package.  The
 exclusion engine and the shape lemmas look modules of a dimension up in
@@ -48,6 +50,14 @@ def test_package_is_found():
 def test_only_linalg_imports_fractions(path):
     uses_fractions = "fractions" in {_top(name) for name in _imports(path)}
     assert uses_fractions == (path.stem == "linalg")
+
+
+def test_only_the_gauss_jordan_oracles_name_fraction():
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    owners = {getattr(top, "name", "<module level>") for top in tree.body
+              if any(isinstance(node, ast.Name) and node.id == "Fraction"
+                     for node in ast.walk(top))}
+    assert owners == {"rref", "inverse", "nullspace"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,8 +1,9 @@
 """Exact linear algebra: rank/rref/det/nullspace agree with each other and
-with hand values; everything stays rational."""
+with hand values; the kernels stay on ints and refuse anything else."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +14,8 @@ from helpers_roots import solve
 from mtcheck import linalg
 
 
-def _random_matrix(rng, rows, cols, frac=False):
-    def entry():
-        if frac and rng.random() < 0.3:
-            return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-        return rng.randint(-9, 9)
-    return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+def _random_matrix(rng, rows, cols):
+    return tuple(tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows))
 
 
 def _rank_by_rref(m):
@@ -29,7 +26,7 @@ def _rank_by_rref(m):
 @pytest.mark.parametrize("seed", range(30))
 def test_rank_matches_rref(seed):
     rng = random.Random(seed)
-    m = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), frac=True)
+    m = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
     assert linalg.rank(m) == _rank_by_rref(m)
 
 
@@ -54,10 +51,11 @@ def test_det_and_inverse(seed):
         assert linalg.rank(m) < n
         return
     inv = linalg.inverse(m)
-    assert linalg.mat_mul(m, inv) == tuple(
-        tuple(Fraction(x) for x in row) for row in linalg.identity(n)
-    )
-    assert d * linalg.det(inv) == 1
+    assert _triple_loop(m, inv) == linalg.identity(n)
+    # d * inv is the adjugate, an integer matrix of determinant d^(n - 1)
+    adjugate = tuple(tuple(d * x for x in row) for row in inv)
+    assert all(x.denominator == 1 for row in adjugate for x in row)
+    assert linalg.det(tuple(tuple(x.numerator for x in row) for row in adjugate)) == d ** (n - 1)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -69,6 +67,14 @@ def test_nullspace_is_kernel(seed):
     assert len(basis) == n_cols - linalg.rank(m)
     for v in basis:
         assert all(x == 0 for x in mat_vec(m, v))
+    _assert_primitive_int_vectors(basis)
+    assert linalg.rank(basis) == len(basis)
+
+
+def _assert_primitive_int_vectors(basis):
+    for v in basis:
+        assert all(type(x) is int for x in v)
+        assert gcd(*v) == 1
 
 
 def test_solve_consistent_and_inconsistent():
@@ -131,15 +137,13 @@ def test_rank_additivity_of_row_sums(seed):
     assert linalg.rank(summed) == linalg.rank(m)
 
 
-# Hypothesis properties: the integer kernels (row-lcm scaling, zipped
-# Bareiss updates, C-level products) against plain Fraction references.
+# Hypothesis properties: the integer kernels (zipped Bareiss updates,
+# C-level products) against plain Fraction references.
 
 _PROPERTY = settings(derandomize=True, database=None, max_examples=100,
                      deadline=None)
 # zeros are drawn often, so zero pivot columns and dependent rows are common
-_ENTRY = st.one_of(st.just(0), st.integers(-5, 5),
-                   st.fractions(min_value=-5, max_value=5, max_denominator=6))
-_INT_ENTRY = st.one_of(st.just(0), st.integers(-9, 9))
+_ENTRY = st.one_of(st.just(0), st.integers(-9, 9))
 
 
 def _matrices(rows, cols, entry=_ENTRY):
@@ -157,8 +161,8 @@ def _any_matrix(draw):
     # where a skipped Bareiss update loses the exact division
     rows = draw(st.integers(2, 6))
     cols = draw(st.integers(rows, 6))
-    return linalg.mat_mul(draw(_matrices(rows, rows - 1, _INT_ENTRY)),
-                          draw(_matrices(rows - 1, cols, _INT_ENTRY)))
+    return linalg.mat_mul(draw(_matrices(rows, rows - 1)),
+                          draw(_matrices(rows - 1, cols)))
 
 
 def _fraction_rank_det(m):
@@ -209,13 +213,8 @@ def test_prefix_ranks_edge_cases():
     assert linalg.rank(((),) * 2) == 0
     # the empty matrix: no pivots, so rank 0 and determinant 1
     d = linalg.det(())
-    assert d == 1 and isinstance(d, Fraction)
+    assert d == 1 and type(d) is int
     assert linalg.nullspace(()) == ()
-    # Fraction rows: the second is twice the first and leaves the rank as it is
-    third = Fraction(1, 3)
-    assert linalg.prefix_ranks(((1, Fraction(1, 2), 0), (2, 1, 0),
-                                (0, third, 1), (third, 0, 0))) == (1, 1, 2, 3)
-
 
 
 def test_eliminations_reject_ragged_rows():
@@ -251,7 +250,7 @@ def test_pivot_columns_out_of_order():
 
 @_PROPERTY
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-    st.one_of(_matrices(n, n), _matrices(n, n, _INT_ENTRY)), st.permutations(range(n)))))
+    _matrices(n, n), st.permutations(range(n)))))
 def test_column_permutations_match_fraction_elimination(case):
     # permuted columns put the pivot columns out of order, which only the
     # sign of det and the original column indices kept by the pass see
@@ -275,16 +274,15 @@ def test_rows_that_become_zero_partway():
     assert linalg.det(m[:4]) == 0
     square = (m[0], m[2], m[4], m[5])
     assert linalg.det(square) == _fraction_rank_det(square)[1] != 0
-    # a zero row between pivots, and a dependent row with fractions
-    half = Fraction(1, 2)
-    assert linalg.prefix_ranks(((0, 2, 4), (0, 0, 0), (0, 1, 2), (1, half, 1))) == (1, 1, 1, 2)
+    # a zero row between pivots, then a dependent row and a new pivot
+    assert linalg.prefix_ranks(((0, 2, 4), (0, 0, 0), (0, 1, 2), (2, 1, 2))) == (1, 1, 1, 2)
 
 
 @_PROPERTY
 @given(st.integers(1, 6).flatmap(lambda n: _matrices(n, n)))
 def test_det_matches_fraction_elimination(m):
     d = linalg.det(m)
-    assert isinstance(d, Fraction)
+    assert type(d) is int
     assert d == _fraction_rank_det(m)[1]
 
 
@@ -348,20 +346,30 @@ def test_product_edge_shapes():
     assert linalg.mat_mul(((0, 0),), ((5, 6), (7, 8))) == ((0, 0),)
 
 
-def test_product_of_mixed_int_and_fraction_operands():
-    half, third = Fraction(1, 2), Fraction(1, 3)
-    a = ((1, half), (2, 3), (third, Fraction(4)))
-    b = ((6, -1), (third, 0))
-    for x, y in ((a, b), (a, ((1, 2), (3, 4))), (((1, 2), (3, 4)), b[:1] + ((half, 1),))):
-        product = linalg.mat_mul(x, y)
-        assert product == _triple_loop(x, y)
-    # an all-int row of a times an all-int b stays int; a row with a
-    # denominator gives Fraction cells
-    product = linalg.mat_mul(a, ((1, 2), (3, 4)))
-    assert all(type(x) is int for x in product[1])
-    assert all(type(x) is Fraction for x in product[0])
-    # a Fraction with denominator 1 is scaled to an int like any other
-    assert linalg.mat_mul(((Fraction(2),),), ((3,),)) == ((6,),)
+def test_kernels_refuse_non_int_entries():
+    # the pass's exact // would floor a Fraction, so the guard raises first
+    for m in (((Fraction(1, 2), 1), (1, 1)), ((1, 2), (3, Fraction(4))), ((2.0, 1), (1, 1))):
+        for kernel in (linalg.rank, linalg.prefix_ranks, linalg.det):
+            with pytest.raises(TypeError, match="int entries"):
+                kernel(m)
+    # the packing refuses a non-int operand: at the cell bound's bit_length
+    # when it is the largest entry, else at a shift or the bias XOR
+    ints = ((1, 2), (3, 4))
+    for bad in (Fraction(1, 2), Fraction(4), 0.5, 4.0):
+        for odd in (((bad, 1), (1, 1)), ((bad, 9), (1, 1))):
+            for a, b in ((odd, ints), (ints, odd), (odd, odd)):
+                with pytest.raises((TypeError, AttributeError)):
+                    linalg.mat_mul(a, b)
+
+
+def test_nullspace_returns_primitive_int_vectors():
+    # the rational basis vectors are (-1/2, 1, 0) and (-1/3, 0, 1)
+    assert linalg.nullspace(((6, 3, 2),)) == ((-1, 2, 0), (-1, 0, 3))
+    # Fraction input is fine for the Gauss-Jordan oracle; the basis is int
+    basis = linalg.nullspace(((Fraction(1, 2), Fraction(1, 3), 1),))
+    assert basis == ((-2, 3, 0), (-2, 0, 1))
+    _assert_primitive_int_vectors(basis)
+    assert linalg.mat_mul(((3, 2, 6),), linalg.transpose(basis)) == ((0, 0),)
 
 
 @_PROPERTY
