@@ -131,8 +131,8 @@ def standard_module(family: str, n: int) -> IrrepDescriptor | None:
     return IrrepDescriptor(t, 1, dim, form) if dim == n else None
 
 
-# a memory bound, about 2.5 MB (see the module docstring); a sweep over
-# every dimension up to 25000 would keep about 15 MB without one
+# a memory bound (see the module docstring); a sweep over every dimension
+# up to 25000 would keep about 15 MB without one
 CANDIDATE_MEMO_SIZE = 4096
 
 _E_ENTRIES = [e for m in E_RANKS for e in enumerate_minuscule(LieType("E", m))]
@@ -167,10 +167,9 @@ def minuscule_candidates(n: int) -> tuple[IrrepDescriptor, ...]:
     """All cataloged modules of dimension n, A-family entries reported once
     up to duality (s <= (m+1)/2), in ``sort_key`` order.
 
-    Memoized per process for the last CANDIDATE_MEMO_SIZE dimensions (about
-    620 B each, at most about 2.5 MB).  The value is an immutable tuple of
-    frozen descriptors, shared by every caller.  n < 2 raises on every call:
-    the memo keeps no exceptions."""
+    Memoized per process for the last CANDIDATE_MEMO_SIZE dimensions, with
+    one shared, immutable value each (see the module docstring).  n < 2
+    raises on every call: the memo keeps no exceptions."""
     if n < 2:
         raise ValueError("dimension must be >= 2")
     # the A entries by rising rank: m falls as s rises, so the s >= 3 hits

@@ -18,20 +18,43 @@ import sys
 from contextlib import redirect_stdout
 from functools import cache, partial
 
-from .catalog import IrrepDescriptor, descriptor, enumerate_minuscule
+from .catalog import (IrrepDescriptor, descriptor, enumerate_minuscule,
+                      minuscule_weight_indices)
 from .checker import (AVDescriptor, Conclusion, EndoType, InputInconsistentError,
                       Reduction, Verdict, decide, explain)
 from .divisibility import divisibility_solutions, exception_pairs
-from .exclusion import CandidatePair, check_pair, surviving_inners
+from .exclusion import check_pair, surviving_inners
 from .monodromy import build_instance, verify_instance
 from .roots import FormClass, LieType
+
+
+# Python prints and parses ints of at most 4300 digits by default, and
+# every dimension below 2^14284 has at most 4300 digits
+_MAX_DIM_BITS = 14284
+
+
+def _printable_descriptor(t: LieType, s: int) -> IrrepDescriptor:
+    """``descriptor(t, s)``, refused if its dimension is 2^_MAX_DIM_BITS or
+    more.  A lower bound on its log2 refuses first, so no refused dimension
+    is computed: m - 1 for a half-spin of D_m, and k floor(log2((m+1) // k))
+    for (A_m, ws), k = min(s, m + 1 - s), as binom(m+1, k) >= ((m+1) / k)^k.
+    A binomial past that has k < _MAX_DIM_BITS, so it is cheap."""
+    m, low = t.rank, 0
+    if t.family == "D" and s in (m - 1, m):
+        low = m - 1
+    elif t.family == "A" and 1 <= s <= m:
+        k = min(s, m + 1 - s)
+        low = k * (((m + 1) // k).bit_length() - 1)
+    if low < _MAX_DIM_BITS and (entry := descriptor(t, s)).dim.bit_length() <= _MAX_DIM_BITS:
+        return entry
+    raise ValueError(f"the dimension of {t}:w{s} is 2^{_MAX_DIM_BITS} or more, too large to print")
 
 
 def _parse_irrep(text: str) -> IrrepDescriptor:
     """family:rank:weight, e.g. A:7:3."""
     try:
         family, rank, weight = text.split(":")
-        return descriptor(LieType(family, int(rank)), int(weight))
+        return _printable_descriptor(LieType(family, int(rank)), int(weight))
     except ValueError as exc:
         raise ValueError(f"bad module spec {text!r}: {exc}") from exc
 
@@ -51,14 +74,15 @@ def _catalog_line(entry: IrrepDescriptor, machine: bool) -> str:
 
 def _cmd_catalog(args) -> int:
     t = LieType(args.family, args.rank)
+    if indices := minuscule_weight_indices(t):  # check the largest: middle A weight, else last
+        _printable_descriptor(t, (t.rank + 1) // 2 if t.family == "A" else indices[-1])
     for entry in enumerate_minuscule(t):
         print(_catalog_line(entry, args.format == "machine"))
     return 0
 
 
 def _cmd_pair(args) -> int:
-    pair = CandidatePair(_parse_irrep(args.inner), _parse_irrep(args.outer))
-    verdict = check_pair(pair, args.rank_tau)
+    verdict = check_pair(_parse_irrep(args.inner), _parse_irrep(args.outer), args.rank_tau)
     print(f"{'admissible' if verdict.admissible else 'excluded'}: {verdict.reason}")
     return 0
 

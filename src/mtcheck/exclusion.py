@@ -6,8 +6,9 @@ dimension n could sit properly inside the forced outer shape.  Outer
 shapes: non-self-dual forces sl_n standard, symplectic forces sp_n
 standard, orthogonal forces so_n standard [Thm 6.1]: the w1 entry of
 family A, C, or B/D by parity among the catalog's
-``minuscule_candidates(n)``, found by one pass over them.  The inners, those same candidates, are then
-excluded rule by rule; every exclusion carries a bracketed rule tag.
+``minuscule_candidates(n)``, found by one pass over them.  The inners,
+those same candidates, are then excluded rule by rule; every exclusion
+carries a bracketed rule tag.
 
 Rule order: exceptional inner [0.5.1]; non-classical or non-standard outer
 [Thm 6.1]; gcd hypothesis [6.2]; half-spin inner [Lem 6.3 / Prop 6.3 D4];
@@ -19,8 +20,8 @@ the lemma only s = 2 and (m, s) = (7, 3) do [Prop 6.3].
 
 The ladder is written once, as a private walk over (inner, outer, r) that
 returns the admissible flag and the reason.  ``check_pair`` wraps its
-answer in an ``ExclusionVerdict``; ``surviving_inners`` walks it once per
-(inner, outer) and builds no ``CandidatePair`` or ``ExclusionVerdict``.
+answer in an ``ExclusionVerdict``; ``surviving_inners`` checks its
+preconditions once per query and keeps only the flag per inner.
 """
 
 from __future__ import annotations
@@ -37,20 +38,6 @@ from .roots import FormClass
 class ExclusionVerdict:
     admissible: bool
     reason: str
-
-
-@dataclass(frozen=True)
-class CandidatePair:
-    """A would-be proper inclusion inner < outer of equal-dimension modules."""
-
-    inner: IrrepDescriptor
-    outer: IrrepDescriptor
-
-    def __post_init__(self):
-        if self.inner.dim != self.outer.dim:
-            raise ValueError("inner and outer must act on the same dimension")
-        if self.inner == self.outer:
-            raise ValueError("a proper inclusion needs inner != outer")
 
 
 def _outer(n: int, form: FormClass,
@@ -122,10 +109,11 @@ def _ladder(inner: IrrepDescriptor, outer: IrrepDescriptor,
                   f"{s_norm}({m + 1}-{s_norm}) [Prop 6.3]")
 
 
-def check_pair(pair: CandidatePair, r: int) -> ExclusionVerdict:
-    """Verdict on one candidate proper inclusion, given the quadratic rank r:
-    the reason of the first rung that excludes it, or the admissible text.
-    It wraps the same rung walk that ``surviving_inners`` runs per pair.
+def check_pair(inner: IrrepDescriptor, outer: IrrepDescriptor, r: int) -> ExclusionVerdict:
+    """Verdict on one candidate proper inclusion inner < outer, given the
+    quadratic rank r: the reason of the first rung that excludes it, or the
+    admissible text.  It raises unless, checked in this order, the
+    dimensions agree, inner != outer, n > 4 and r >= 1.
 
     An (A_m, ws) inner that passes the gcd rung and the rank rung
     (n = binom(m+1, s), r = binom(m-1, s-1)) is admissible, because
@@ -134,21 +122,23 @@ def check_pair(pair: CandidatePair, r: int) -> ExclusionVerdict:
 
     makes r divide n * s(m+1-s), and gcd(r, n) = 1 leaves r | s(m+1-s).
     """
-    if pair.inner.dim <= 4:
+    if inner.dim != outer.dim:
+        raise ValueError("inner and outer must act on the same dimension")
+    if inner == outer:
+        raise ValueError("a proper inclusion needs inner != outer")
+    if inner.dim <= 4:
         raise ValueError("the exclusion engine assumes ambient dimension > 4")
     if r < 1:
         raise ValueError(f"quadratic rank {r} must be at least 1")
-    return ExclusionVerdict(*_ladder(pair.inner, pair.outer, r))
+    return ExclusionVerdict(*_ladder(inner, outer, r))
 
 
 def surviving_inners(n: int, form: FormClass, r: int) -> tuple[IrrepDescriptor, ...]:
     """Admissible proper-inclusion inners; empty means the algebras coincide.
 
     One pass over the candidates finds the forced outer (Theorem 6.1
-    forces at most one).  Each inner then goes through the ladder of
-    ``check_pair`` once against it, with no ``CandidatePair`` or
-    ``ExclusionVerdict`` built: every candidate has dimension n, and the
-    outer itself is skipped."""
+    forces at most one).  Each other candidate then goes through the
+    ladder once against it."""
     if n <= 4:
         raise ValueError("the exclusion engine assumes ambient dimension > 4")
     if r < 1:

@@ -3,16 +3,12 @@
 Matrices are immutable tuples of row tuples; vectors are tuples.  The
 kernels take and return ints only and never widen them to floats.
 
-``mat_mul`` is one packed kernel (Kronecker substitution): each row of
-``b`` becomes one big int with a slot of w = 64·s bits per column, w chosen
-from the cell bound max|a|·max|b|·inner < 2^(w - 1), so each row of the
-product is one C-level big-int dot product, read back as little-endian
-two's-complement slots.  One fraction-free Bareiss pass, ``_bareiss``,
-eliminates row by row: each new row is zipped with every earlier pivot row
-in order, and each step drops its pivot column, whose entry it has made 0,
-from the row.  ``prefix_ranks`` reads the rank of every leading block of
-rows off it, ``rank`` the number of pivots, and ``det`` the last pivot,
-signed by the order of the pivot columns.  A non-int entry raises: a
+Two kernels do the work, and each one's docstring gives its scheme:
+``mat_mul``, one packed big-int product (Kronecker substitution), and
+``_bareiss``, one row-ordered fraction-free elimination pass.
+``prefix_ranks`` reads the rank of every leading block of rows off the
+pass, ``rank`` the number of pivots, and ``det`` the last pivot, signed by
+the order of the pivot columns.  A non-int entry raises in both kernels: a
 ``Fraction`` would make the pass's exact divisions floor.
 
 Only ``rref``, ``inverse`` and ``nullspace`` use ``fractions.Fraction``,

@@ -9,13 +9,14 @@ conjugated by a seeded integer symplectic element, so every entry stays an
 exact integer and runs reproduce bit for bit.
 
 Each invariant is checked once, by a verifier.  SpecializationInstance
-is a record: on construction it checks only 1 <= r <= g and the row
-counts 2g - r, r and r that the verifiers index by, so a defective
-instance still builds and its defects show as False keys of
-verify_instance.  Each instance computes, once and only when a verifier
-asks, tau, its basis images (tau of each V^I and T basis row) and its
-rank facts: rank W = r and, from one prefix-rank pass over V^I + W + T,
-rank V^I = 2g - r and the flag W in V^I, V = V^I + T.  The named
+is a record whose toric rank r is the row count of W: on construction it
+checks only 1 <= r <= g and the row counts 2g - r of V^I and r of T that
+the verifiers index by, so a defective instance still builds and its
+defects show as False keys of verify_instance.  Each instance computes,
+once and only when a verifier asks, tau, its basis images (tau of each
+V^I and T basis row) and its rank facts: rank W = r and, from one
+prefix-rank pass over V^I + W + T, rank V^I = 2g - r and the flag W in
+V^I, V = V^I + T.  The named
 theorems are *verified*, not assumed: invariant_dim (rank V^I = 2g - r),
 verify_orthogonality (W = (V^I)-perp), verify_filtration (the flag; tau
 kills V^I and maps T onto W), is_form_compatible (tau in sp), and in
@@ -43,15 +44,18 @@ _MAX_GENUS = 64
 
 @dataclass(frozen=True)
 class SymplecticSpace:
-    """Q^dim with a nondegenerate alternating form (given as a matrix)."""
+    """Q^dim with a nondegenerate alternating form, a matrix of dim rows."""
 
-    dim: int
     form: Matrix
+
+    @property
+    def dim(self) -> int:
+        return len(self.form)
 
     def __post_init__(self):
         if self.dim < 2 or self.dim % 2 != 0:
             raise ValueError("symplectic spaces have positive even dimension")
-        if len(self.form) != self.dim or any(len(r) != self.dim for r in self.form):
+        if any(len(r) != self.dim for r in self.form):
             raise ValueError("form matrix has wrong shape")
         mt = linalg.transpose(self.form)
         if any(a != -b for row_a, row_b in zip(self.form, mt) for a, b in zip(row_a, row_b)):
@@ -73,7 +77,10 @@ class SpecializationInstance:
     toric_sub: Matrix           # rows span W
     lift: Matrix                # rows span T
     monodromy: Matrix           # N
-    toric_rank: int
+
+    @property
+    def toric_rank(self) -> int:
+        return len(self.toric_sub)
 
     def __post_init__(self):
         n, r = self.space.dim, self.toric_rank
@@ -81,8 +88,8 @@ class SpecializationInstance:
             raise ValueError("toric rank must satisfy 1 <= r <= g")
         if len(self.inertia_invariants) != n - r:
             raise ValueError("V^I must have dimension 2g - r")
-        if len(self.toric_sub) != r or len(self.lift) != r:
-            raise ValueError("W and T must have dimension r")
+        if len(self.lift) != r:
+            raise ValueError("T must have dimension r")
 
     @cached_property
     def log_matrix(self) -> Matrix:
@@ -129,7 +136,7 @@ def standard_symplectic_form(g: int) -> Matrix:
 def _standard_space(g: int) -> SymplecticSpace:
     """The standard space of genus g, validated once and shared by every
     instance of that genus."""
-    return SymplecticSpace(2 * g, standard_symplectic_form(g))
+    return SymplecticSpace(standard_symplectic_form(g))
 
 
 def _random_symmetric(n: int, rng: random.Random, invertible: bool) -> Matrix:
@@ -198,7 +205,6 @@ def build_instance(g: int, r: int, seed: int) -> SpecializationInstance:
         toric_sub=w_basis,
         lift=images[g:g + r],
         monodromy=monodromy,
-        toric_rank=r,
     )
 
 

@@ -50,7 +50,7 @@ from helpers_roots import (Weight, ambient_weight, coroot_pairings, fundamental_
                            reflect, simple_roots, vec_dot)
 from mtcheck import linalg
 from mtcheck.catalog import IrrepDescriptor, descriptor, enumerate_minuscule, standard_module
-from mtcheck.exclusion import CandidatePair, check_pair, minuscule_candidates
+from mtcheck.exclusion import check_pair, minuscule_candidates
 from mtcheck.monodromy import SpecializationInstance, SymplecticSpace
 from mtcheck.quadratic import RankUnavailableError, quadratic_rank_profile
 from mtcheck.roots import FormClass, LieType
@@ -337,7 +337,7 @@ def surviving_inners_by_pairs(n: int, form: FormClass, r: int) -> tuple[IrrepDes
     outer = standard_module(theorem61_family(n, form), n)
     outers = (outer,) if outer else ()
     return tuple(inner for inner in minuscule_candidates(n) if any(
-        inner != outer and check_pair(CandidatePair(inner, outer), r).admissible
+        inner != outer and check_pair(inner, outer, r).admissible
         for outer in outers))
 
 

@@ -1,7 +1,8 @@
 """End-to-end CLI tests driven through main(argv).
 
 Covers every subcommand's text and machine output, the exit-code contract
-(0 verdict, 1 usage/value error, 2 inconsistent input), batch mode,
+(0 verdict, 1 usage/value error, 2 inconsistent input), the order of the
+``pair`` preconditions, the printable-dimension bound, batch mode,
 byte-stability of the golden descriptor corpus, and the README's examples:
 every ``$ mtcheck`` line and the Python session.
 """
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from mtcheck.catalog import descriptor
 from mtcheck.cli import _descriptor_from_args, _parse_row, build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -99,6 +101,111 @@ def test_pair_bad_module_spec(capsys):
     assert err.startswith("error: bad module spec 'X:2:1'")
 
 
+_BIG = 10**30
+# argv, the refused entry, and whether its dimension is computed first
+_REFUSED_SPECS = {
+    "catalog-d-half-spin": (["catalog", "--family", "D", "--rank", "20000"],
+                            "D20000:w20000", False),
+    "catalog-a-middle": (["catalog", "--family", "A", "--rank", "20000"],
+                         "A20000:w10000", True),
+    "catalog-a-huge": (["catalog", "--family", "A", "--rank", str(_BIG)],
+                       f"A{_BIG}:w{_BIG // 2}", False),
+    "pair-d-half-spin": (["pair", "--inner", f"D:{_BIG}:{_BIG - 1}", "--outer", "A:5:1",
+                          "--rank-tau", "1"], f"D{_BIG}:w{_BIG - 1}", False),
+    "pair-a-middle": (["pair", "--inner", "A:30000:15000", "--outer", "A:5:1",
+                       "--rank-tau", "1"], "A30000:w15000", False),
+}
+
+
+def _spy_on_descriptor(monkeypatch) -> list[str]:
+    """The labels of the entries the CLI computes from now on.  An entry of
+    rank past 10^5 raises instead, so a regression fails at once rather than
+    computing a dimension for hours."""
+    computed = []
+
+    def spy(t, s):
+        computed.append(f"{t}:w{s}")
+        if t.rank > 10**5:
+            raise AssertionError(f"computed the dimension of {t}:w{s}")
+        return descriptor(t, s)
+
+    monkeypatch.setattr("mtcheck.cli.descriptor", spy)
+    return computed
+
+
+@pytest.mark.parametrize("argv, label, computed", _REFUSED_SPECS.values(), ids=_REFUSED_SPECS)
+def test_unprintable_dimensions_are_refused_at_once(capsys, monkeypatch, argv, label, computed):
+    # a lower bound on the dimension refuses a half-spin or a far-off A
+    # entry uncomputed, and leaves only cheap binomials to compute
+    spied = _spy_on_descriptor(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, spied) == (1, "", [label] if computed else [])
+    prefix = "error: " if argv[0] == "catalog" else f"error: bad module spec {argv[2]!r}: "
+    assert err == f"{prefix}the dimension of {label} is 2^14284 or more, too large to print\n"
+
+
+def test_dimension_bound(capsys, monkeypatch):
+    # D14284's half-spins, 2^14283, are the largest that print
+    code, out, _ = _run(capsys, ["catalog", "--family", "D", "--rank", "14284"])
+    assert code == 0
+    assert [len(line.split()[2]) for line in out.splitlines()] == [4 + 5, 4 + 4300, 4 + 4300]
+    # huge w1 entries stay well inside it
+    code, out, _ = _run(capsys, ["catalog", "--family", "C", "--rank", str(_BIG)])
+    assert (code, out) == (0, f"C{_BIG} w1 dim={2 * _BIG} form=symp\n")
+    code, out, _ = _run(capsys, ["pair", "--inner", f"A:{_BIG}:1",
+                                 "--outer", f"B:{_BIG // 2}:1", "--rank-tau", "7"])
+    assert (code, out) == (0, "excluded: inner and outer duality classes must agree [6.2]\n")
+    # a lowered bound keeps the edges cheap: dimensions below 2^10 = 1024
+    # pass, and 1024 or more is refused (the half-spins of D11 and more in
+    # test_refusal_at_a_lowered_bound_computes_nothing)
+    monkeypatch.setattr("mtcheck.cli._MAX_DIM_BITS", 10)
+    for argv, fits in [
+        (["catalog", "--family", "A", "--rank", "11"], True),     # binom(12, 6) = 924
+        (["catalog", "--family", "A", "--rank", "12"], False),    # binom(13, 6) = 1716
+        (["catalog", "--family", "D", "--rank", "10"], True),     # 2^9
+        (["catalog", "--family", "B", "--rank", "511"], True),    # 1023
+        (["catalog", "--family", "B", "--rank", "512"], False),   # 1025
+        (["catalog", "--family", "C", "--rank", "512"], False),   # 1024
+        (["catalog", "--family", "E", "--rank", "7"], True),      # 56
+        (["pair", "--inner", "A:12:4", "--outer", "A:714:1", "--rank-tau", "1"], True),
+        (["pair", "--inner", "A:12:9", "--outer", "A:714:1", "--rank-tau", "1"], True),
+        (["pair", "--inner", "A:100:100", "--outer", "A:100:1", "--rank-tau", "1"], True),
+        (["pair", "--inner", "A:1022:1", "--outer", "B:511:1", "--rank-tau", "1"], True),
+        (["pair", "--inner", "A:21:1", "--outer", "D:11:1", "--rank-tau", "1"], True),
+    ]:
+        code, out, err = _run(capsys, argv)
+        assert (code == 0, bool(out), "2^10 or more" in err) == (fits, fits, not fits), argv
+
+
+def test_refusal_at_a_lowered_bound_computes_nothing(capsys, monkeypatch):
+    # at 2^10 the lower bound alone refuses the half-spins 2^10 of D11, the
+    # 1024-dimensional w1 and w1023 of A1023, and binom(101, 50)
+    monkeypatch.setattr("mtcheck.cli._MAX_DIM_BITS", 10)
+    computed = _spy_on_descriptor(monkeypatch)
+    for spec in ("D:11:11", "D:11:10", "A:1023:1", "A:1023:1023", "A:100:50"):
+        code, out, err = _run(capsys, ["pair", "--inner", spec, "--outer", "A:5:1",
+                                       "--rank-tau", "1"])
+        assert (code, out) == (1, "") and err.endswith("too large to print\n"), spec
+    assert _run(capsys, ["catalog", "--family", "D", "--rank", "11"])[:2] == (1, "")
+    assert computed == []
+    # binom(13, 7) = 1716 passes the lower bound 6 and is refused once computed
+    code, out, err = _run(capsys, ["pair", "--inner", "A:12:7", "--outer", "A:5:1",
+                                   "--rank-tau", "1"])
+    assert (code, out, computed) == (1, "", ["A12:w7"])
+
+
+@pytest.mark.parametrize("spec", ["A:5:0", "A:5:6", "D:20000:5", "E:8:1"])
+def test_uncataloged_weights_are_spec_errors(capsys, spec):
+    code, out, err = _run(capsys, ["pair", "--inner", spec, "--outer", "A:55:1",
+                                   "--rank-tau", "3"])
+    family, rank, weight = spec.split(":")
+    assert (code, out) == (1, "")
+    assert err == (f"error: bad module spec {spec!r}: {family}{rank} carries no cataloged "
+                   f"module at w{weight}\n")
+
+
 def test_survivors(capsys):
     code, out, _ = _run(capsys, ["survivors", "--dim", "56", "--form", "nsd",
                                  "--rank-tau", "15"])
@@ -136,16 +243,32 @@ def test_survivors_gcd_violation_is_an_error(capsys):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("argv", [
-    ["survivors", "--dim", "6", "--form", "nsd", "--rank-tau", "-1"],
-    ["survivors", "--dim", "56", "--form", "nsd", "--rank-tau", "0"],
-    ["pair", "--inner", "A:4:2", "--outer", "A:9:1", "--rank-tau", "-3"],
-    ["pair", "--inner", "A:7:3", "--outer", "A:55:1", "--rank-tau", "0"],
-], ids=["survivors-negative", "survivors-zero", "pair-negative", "pair-zero"])
-def test_quadratic_rank_below_one_is_an_error(capsys, argv):
-    code, out, err = _run(capsys, argv)
-    assert (code, out) == (1, "")
-    assert err == f"error: quadratic rank {argv[-1]} must be at least 1\n"
+_PAIR_SHAPE_ERRORS = {
+    "pair-dimension-first": ("A:7:3", "A:10:1",
+                             "inner and outer must act on the same dimension"),
+    "pair-proper-first": ("A:3:1", "A:3:1", "a proper inclusion needs inner != outer"),
+    "pair-ambient-first": ("A:3:1", "C:2:1",
+                           "the exclusion engine assumes ambient dimension > 4"),
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["survivors", "--dim", "6", "--form", "nsd", "--rank-tau", "-1"],
+     "quadratic rank -1 must be at least 1"),
+    (["survivors", "--dim", "56", "--form", "nsd", "--rank-tau", "0"],
+     "quadratic rank 0 must be at least 1"),
+    (["pair", "--inner", "A:4:2", "--outer", "A:9:1", "--rank-tau", "-3"],
+     "quadratic rank -3 must be at least 1"),
+    (["pair", "--inner", "A:7:3", "--outer", "A:55:1", "--rank-tau", "0"],
+     "quadratic rank 0 must be at least 1"),
+] + [(["pair", "--inner", inner, "--outer", outer, "--rank-tau", "0"], message)
+     for inner, outer, message in _PAIR_SHAPE_ERRORS.values()],
+    ids=["survivors-negative", "survivors-zero", "pair-negative", "pair-zero",
+         *_PAIR_SHAPE_ERRORS])
+def test_quadratic_rank_below_one_is_an_error(capsys, argv, message):
+    # a bad rank is the last precondition of pair: a pair of unequal
+    # dimension, an improper pair or one of dimension <= 4 is reported first
+    assert _run(capsys, argv) == (1, "", f"error: {message}\n")
 
 
 def test_lemma(capsys):

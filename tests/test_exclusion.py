@@ -13,11 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtcheck import catalog, exclusion
-from mtcheck.catalog import descriptor, enumerate_minuscule, standard_module
+from mtcheck.catalog import IrrepDescriptor, descriptor, enumerate_minuscule, standard_module
 from mtcheck.divisibility import divisibility_solutions
-from mtcheck.exclusion import (CandidatePair, ExclusionVerdict, check_pair,
-                               minuscule_candidates, surviving_inners,
-                               theorem61_outer_shapes)
+from mtcheck.exclusion import (ExclusionVerdict, check_pair, minuscule_candidates,
+                               surviving_inners, theorem61_outer_shapes)
 from mtcheck.roots import FormClass, LieType
 
 from helpers_oracles import (candidate_min_ranks, minuscule_candidates_by_descriptor,
@@ -205,8 +204,9 @@ def test_candidate_memo_is_bounded():
     assert info.maxsize == info.currsize == catalog.CANDIDATE_MEMO_SIZE
 
 
-def _pair(inner_args, outer_args) -> CandidatePair:
-    return CandidatePair(descriptor(*inner_args), descriptor(*outer_args))
+def _pair(inner_args, outer_args) -> tuple[IrrepDescriptor, IrrepDescriptor]:
+    """The inner and outer descriptors that check_pair takes first."""
+    return descriptor(*inner_args), descriptor(*outer_args)
 
 
 A55 = (LieType("A", 55), 1)
@@ -216,56 +216,56 @@ C28 = (LieType("C", 28), 1)
 
 def test_gcd_hypothesis_fires_before_structure_rules():
     pair = _pair((LieType("A", 5), 3), (LieType("C", 10), 1))
-    verdict = check_pair(pair, 6)
+    verdict = check_pair(*pair, 6)
     assert not verdict.admissible
     assert "gcd(6, 20)" in verdict.reason
     assert verdict.reason.endswith("[6.2]")
 
 
 def test_classical_w1_rigidity():
-    verdict = check_pair(_pair((LieType("D", 6), 1), (LieType("A", 11), 1)), 5)
+    verdict = check_pair(*_pair((LieType("D", 6), 1), (LieType("A", 11), 1)), 5)
     assert not verdict.admissible
     assert "no proper overalgebra" in verdict.reason
     assert verdict.reason.endswith("[Prop 6.3]")
-    verdict = check_pair(_pair((LieType("B", 6), 1), (LieType("A", 12), 1)), 5)
+    verdict = check_pair(*_pair((LieType("B", 6), 1), (LieType("A", 12), 1)), 5)
     assert not verdict.admissible
     assert verdict.reason.endswith("[Prop 6.3]")
 
 
 def test_exceptional_inner_excluded():
-    verdict = check_pair(_pair((LieType("E", 7), 7), A55), 15)
+    verdict = check_pair(*_pair((LieType("E", 7), 7), A55), 15)
     assert not verdict.admissible
     assert verdict.reason.endswith("[0.5.1]")
 
 
 def test_nonstandard_outer_excluded():
-    verdict = check_pair(_pair(A55, (LieType("E", 7), 7)), 15)
+    verdict = check_pair(*_pair(A55, (LieType("E", 7), 7)), 15)
     assert not verdict.admissible
     assert verdict.reason.endswith("[Thm 6.1]")
-    verdict = check_pair(_pair((LieType("A", 7), 1), (LieType("D", 4), 4)), 3)
+    verdict = check_pair(*_pair((LieType("A", 7), 1), (LieType("D", 4), 4)), 3)
     assert verdict.reason.endswith("[Thm 6.1]")
 
 
 def test_half_spin_inners_excluded():
-    verdict = check_pair(_pair((LieType("D", 5), 5), (LieType("A", 15), 1)), 3)
+    verdict = check_pair(*_pair((LieType("D", 5), 5), (LieType("A", 15), 1)), 3)
     assert not verdict.admissible
     assert "half-spin" in verdict.reason
     assert verdict.reason.endswith("[Lem 6.3]")
-    verdict = check_pair(_pair((LieType("D", 4), 4), (LieType("A", 7), 1)), 3)
+    verdict = check_pair(*_pair((LieType("D", 4), 4), (LieType("A", 7), 1)), 3)
     assert not verdict.admissible
     assert "(D4, half-spin)" in verdict.reason
     assert verdict.reason.endswith("[Prop 6.3]")
 
 
 def test_duality_class_mismatch():
-    verdict = check_pair(_pair(A7W3, C28), 15)
+    verdict = check_pair(*_pair(A7W3, C28), 15)
     assert not verdict.admissible
     assert "duality classes" in verdict.reason
     assert verdict.reason.endswith("[6.2]")
 
 
 def test_dual_standard_inner_is_not_proper():
-    verdict = check_pair(_pair((LieType("A", 9), 9), (LieType("A", 9), 1)), 1)
+    verdict = check_pair(*_pair((LieType("A", 9), 9), (LieType("A", 9), 1)), 1)
     assert not verdict.admissible
     assert "not proper" in verdict.reason
 
@@ -273,29 +273,29 @@ def test_dual_standard_inner_is_not_proper():
 def test_middle_weight_excluded():
     # middle weights are self-dual, so the outer must be the matching
     # classical standard for the ladder to reach the middle-weight rule
-    verdict = check_pair(_pair((LieType("A", 7), 4), (LieType("D", 35), 1)), 3)
+    verdict = check_pair(*_pair((LieType("A", 7), 4), (LieType("D", 35), 1)), 3)
     assert not verdict.admissible
     assert "self-dual middle weight" in verdict.reason
-    verdict = check_pair(_pair((LieType("A", 5), 3), (LieType("C", 10), 1)), 3)
+    verdict = check_pair(*_pair((LieType("A", 5), 3), (LieType("C", 10), 1)), 3)
     assert not verdict.admissible
     assert "self-dual middle weight" in verdict.reason
 
 
 def test_rank_realizability():
-    verdict = check_pair(_pair(A7W3, A55), 11)
+    verdict = check_pair(*_pair(A7W3, A55), 11)
     assert not verdict.admissible
     assert "forces quadratic rank 15, not 11" in verdict.reason
     assert verdict.reason.endswith("[PS]")
 
 
 def test_admissible_survivors():
-    verdict = check_pair(_pair(A7W3, A55), 15)
+    verdict = check_pair(*_pair(A7W3, A55), 15)
     assert verdict.admissible
     assert "binom(6, 2) divides" in verdict.reason
     assert verdict.reason.endswith("[Prop 6.3]")
-    verdict = check_pair(_pair((LieType("A", 9), 2), (LieType("A", 44), 1)), 8)
+    verdict = check_pair(*_pair((LieType("A", 9), 2), (LieType("A", 44), 1)), 8)
     assert verdict.admissible
-    verdict = check_pair(_pair((LieType("A", 5), 2), (LieType("A", 14), 1)), 4)
+    verdict = check_pair(*_pair((LieType("A", 5), 2), (LieType("A", 14), 1)), 4)
     assert verdict.admissible
 
 
@@ -349,7 +349,7 @@ _REASONS = [
                          [case[1:] for case in _REASONS],
                          ids=[case[0] for case in _REASONS])
 def test_reason_texts_byte_for_byte(inner, outer, r, admissible, reason):
-    assert check_pair(_pair(inner, outer), r) == ExclusionVerdict(admissible, reason)
+    assert check_pair(*_pair(inner, outer), r) == ExclusionVerdict(admissible, reason)
 
 
 def test_gcd_hypothesis_subsumes_divisibility_failure():
@@ -380,18 +380,24 @@ def test_admissible_a_inners_satisfy_divisibility(ms):
     # a divisibility rung, so every admissible verdict must meet the lemma
     m, s = ms
     n, r = comb(m + 1, s), comb(m - 1, s - 1)
-    verdict = check_pair(_pair((LieType("A", m), s), (LieType("A", n - 1), 1)), r)
+    verdict = check_pair(*_pair((LieType("A", m), s), (LieType("A", n - 1), 1)), r)
     if verdict.admissible:
         assert s * (m + 1 - s) % r == 0, (m, s)
 
 
-def test_pair_construction_validation():
-    with pytest.raises(ValueError, match="same dimension"):
-        _pair((LieType("A", 7), 3), (LieType("A", 10), 1))
-    with pytest.raises(ValueError, match="inner != outer"):
-        _pair(A55, A55)
-    with pytest.raises(ValueError, match="> 4"):
-        check_pair(_pair((LieType("A", 3), 1), (LieType("C", 2), 1)), 1)
+def test_check_pair_preconditions():
+    # each precondition is reported before the later ones, down to r >= 1
+    a3, a7w3 = (LieType("A", 3), 1), (LieType("A", 7), 3)
+    for inner, outer, message in [
+        (a7w3, (LieType("A", 10), 1), "same dimension"),
+        (a3, a7w3, "same dimension"),
+        (A55, A55, "inner != outer"),
+        (a3, a3, "inner != outer"),
+        (a3, (LieType("C", 2), 1), "> 4"),
+    ]:
+        for r in (1, 0):
+            with pytest.raises(ValueError, match=message):
+                check_pair(*_pair(inner, outer), r)
 
 
 def test_a_family_branch_agrees_with_divisibility_table():
@@ -403,7 +409,7 @@ def test_a_family_branch_agrees_with_divisibility_table():
             if gcd(r, n) != 1:
                 continue
             pair = _pair((LieType("A", m), s), (LieType("A", n - 1), 1))
-            admissible = check_pair(pair, r).admissible
+            admissible = check_pair(*pair, r).admissible
             assert admissible == ((m, s) in solutions), (m, s)
             assert admissible == ((s * (m + 1 - s)) % r == 0), (m, s)
 
@@ -436,7 +442,7 @@ def test_quadratic_rank_below_one_is_rejected(r):
         with pytest.raises(ValueError, match="must be at least 1"):
             surviving_inners(56, form, r)
     with pytest.raises(ValueError, match="must be at least 1"):
-        check_pair(_pair(A7W3, A55), r)
+        check_pair(*_pair(A7W3, A55), r)
 
 
 def test_surviving_inners_match_pairwise_oracle():

@@ -41,7 +41,7 @@ from mtcheck.monodromy import (SpecializationInstance, SymplecticSpace,
 def test_standard_form_pairing():
     # form[i][j] is Theta(b_i, b_j) on the basis e_1..e_g, f_1..f_g
     g = 3
-    form = SymplecticSpace(2 * g, standard_symplectic_form(g)).form
+    form = SymplecticSpace(standard_symplectic_form(g)).form
     for i in range(g):
         for j in range(g):
             assert form[i][g + j] == (1 if i == j else 0)
@@ -51,20 +51,21 @@ def test_standard_form_pairing():
 
 
 def test_symplectic_space_validation():
-    with pytest.raises(ValueError, match="even dimension"):
-        SymplecticSpace(3, ((0,) * 3,) * 3)
+    # the dimension is the row count of the form
+    assert SymplecticSpace(standard_symplectic_form(3)).dim == 6
+    for rows in ((), ((0,),), ((0,) * 3,) * 3, standard_symplectic_form(2)[:3]):
+        with pytest.raises(ValueError, match="even dimension"):
+            SymplecticSpace(rows)
     with pytest.raises(ValueError, match="wrong shape"):
-        SymplecticSpace(4, standard_symplectic_form(1))
-    with pytest.raises(ValueError, match="wrong shape"):
-        SymplecticSpace(4, standard_symplectic_form(2)[:3])  # rows of length 4
+        SymplecticSpace(standard_symplectic_form(2)[:2])  # 2 rows of length 4
     short_row = standard_symplectic_form(2)[:3] + ((0, -1, 0),)
     with pytest.raises(ValueError, match="wrong shape"):
-        SymplecticSpace(4, short_row)  # 4 rows, one of length 3
+        SymplecticSpace(short_row)  # 4 rows, one of length 3
     with pytest.raises(ValueError, match="alternating"):
-        SymplecticSpace(2, ((1, 0), (0, 1)))
+        SymplecticSpace(((1, 0), (0, 1)))
     degenerate = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
     with pytest.raises(ValueError, match="nondegenerate"):
-        SymplecticSpace(4, degenerate)
+        SymplecticSpace(degenerate)
 
 
 def test_random_symplectic_preserves_form():
@@ -307,12 +308,11 @@ def _move(inst: SpecializationInstance, p, p_inv) -> SpecializationInstance:
     pt = linalg.transpose(p)
     form = linalg.mat_mul(linalg.transpose(p_inv), linalg.mat_mul(inst.space.form, p_inv))
     return SpecializationInstance(
-        space=SymplecticSpace(inst.space.dim, form),
+        space=SymplecticSpace(form),
         inertia_invariants=linalg.mat_mul(inst.inertia_invariants, pt),
         toric_sub=linalg.mat_mul(inst.toric_sub, pt),
         lift=linalg.mat_mul(inst.lift, pt),
         monodromy=linalg.mat_mul(p, linalg.mat_mul(inst.monodromy, p_inv)),
-        toric_rank=inst.toric_rank,
     )
 
 
@@ -418,7 +418,6 @@ def test_conjugation_invariance():
         toric_sub=tuple(mat_vec(m, v) for v in inst.toric_sub),
         lift=tuple(mat_vec(m, v) for v in inst.lift),
         monodromy=linalg.mat_mul(m, linalg.mat_mul(inst.monodromy, m_inv)),
-        toric_rank=inst.toric_rank,
     )
     assert all(verify_instance(moved).values())
 
@@ -426,20 +425,29 @@ def test_conjugation_invariance():
 def test_instance_validation_errors():
     # construction checks the shape only; a rank or product defect builds
     # and shows as False keys (test_construction_cases_match_the_key_oracle)
-    inst = build_instance(2, 1, 3)
+    inst = build_instance(3, 2, 3)
+    assert (inst.space.dim, inst.toric_rank) == (6, 2)
     with pytest.raises(ValueError, match="dimension 2g - r"):
-        replace(inst, inertia_invariants=inst.inertia_invariants[:2])
-    for short in ({"lift": inst.lift[:-1]}, {"toric_sub": inst.toric_sub[:-1]}):
-        with pytest.raises(ValueError, match="W and T must have dimension r"):
-            replace(inst, **short)
-    for toric_rank in (0, inst.space.dim // 2 + 1):
+        replace(inst, inertia_invariants=inst.inertia_invariants[:3])
+    for lift in (inst.lift[:-1], inst.lift + inst.lift[:1]):
+        with pytest.raises(ValueError, match="T must have dimension r"):
+            replace(inst, lift=lift)
+    # r is the row count of W, so a W of another size changes r, and the
+    # row count of V^I or T no longer fits it
+    for toric_sub in (inst.toric_sub[:-1], inst.toric_sub + inst.lift[:1]):
+        with pytest.raises(ValueError, match="dimension 2g - r"):
+            replace(inst, toric_sub=toric_sub)
+        fitting = (inst.inertia_invariants + inst.lift)[:6 - len(toric_sub)]
+        with pytest.raises(ValueError, match="T must have dimension r"):
+            replace(inst, toric_sub=toric_sub, inertia_invariants=fitting)
+    for toric_sub in ((), inst.toric_sub + inst.lift[:2]):
         with pytest.raises(ValueError, match="toric rank must satisfy 1 <= r <= g"):
-            replace(inst, toric_rank=toric_rank)
+            replace(inst, toric_sub=toric_sub)
 
 
 def test_symplectic_complement_dimensions():
     g = 3
-    space = SymplecticSpace(2 * g, standard_symplectic_form(g))
+    space = SymplecticSpace(standard_symplectic_form(g))
     basis = linalg.identity(2 * g)
     comp = symplectic_complement(space, basis[:2])
     assert len(comp) == 2 * g - 2
@@ -630,9 +638,9 @@ def test_log_and_space_caches():
     assert build_instance(3, 1, 3).space is not inst.space
     # and a space built directly is still validated
     with pytest.raises(ValueError, match="alternating"):
-        SymplecticSpace(8, identity)
+        SymplecticSpace(identity)
     # the standard form of genus 4 with the pair e_4, f_4 cut out
     degenerate = tuple(tuple(0 if {i, j} & {3, 7} else x for j, x in enumerate(row))
                        for i, row in enumerate(standard_symplectic_form(4)))
     with pytest.raises(ValueError, match="nondegenerate"):
-        SymplecticSpace(8, degenerate)
+        SymplecticSpace(degenerate)
