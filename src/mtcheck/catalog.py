@@ -19,9 +19,10 @@ Every "entries of dimension n" lookup goes through the catalog:
 from the closed forms, since w1 is cataloged in every classical family)
 and ``minuscule_candidates`` (every entry, the E ones from a table built
 at import).  ``LieType`` alone decides which ranks exist.
-``minuscule_candidates`` emits its entries in ``sort_key`` order as it
-finds them, so it sorts nothing; the tests compare it with a build that
-takes every entry from ``descriptor`` and sorts.
+``minuscule_candidates`` emits its entries in ascending (family, rank,
+weight index), the dataclass order, as it finds them, so it sorts nothing;
+the tests compare it with a build that takes every entry from
+``descriptor`` and sorts.
 
 ``minuscule_candidates`` is memoized per process, so the entries of a
 dimension are built once however many ranks r are asked about it.  The
@@ -39,10 +40,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt
 
-from .roots import E_RANKS, FormClass, LieType
+from .roots import FormClass, LieType
+
+# the E entries (rank, index s) with their dimension and duality class
+_E = {(6, 1): (27, FormClass.NON_SELF_DUAL), (6, 6): (27, FormClass.NON_SELF_DUAL),
+      (7, 7): (56, FormClass.SYMPLECTIC)}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, order=True, slots=True)
 class IrrepDescriptor:
     """One cataloged module: type, index s of its highest weight ws, dimension, form."""
 
@@ -55,9 +60,6 @@ class IrrepDescriptor:
     def label(self) -> str:
         return f"{self.lie_type}:w{self.weight_index}"
 
-    def sort_key(self):
-        return (self.lie_type.family, self.lie_type.rank, self.weight_index)
-
 
 def minuscule_weight_indices(t: LieType) -> range | tuple[int, ...]:
     f, m = t.family, t.rank
@@ -67,11 +69,7 @@ def minuscule_weight_indices(t: LieType) -> range | tuple[int, ...]:
         return (1,)
     if f == "D":
         return (1, m - 1, m)
-    if m == 6:
-        return (1, 6)
-    if m == 7:
-        return (7,)
-    return ()
+    return tuple(s for k, s in _E if k == m)
 
 
 def _dim_and_form(t: LieType, s: int) -> tuple[int, FormClass]:
@@ -94,9 +92,7 @@ def _dim_and_form(t: LieType, s: int) -> tuple[int, FormClass]:
         if m % 2 == 1:
             return half_spin, FormClass.NON_SELF_DUAL
         return half_spin, FormClass.ORTHOGONAL if m % 4 == 0 else FormClass.SYMPLECTIC
-    if m == 6:
-        return 27, FormClass.NON_SELF_DUAL
-    return 56, FormClass.SYMPLECTIC
+    return _E[m, s]
 
 
 def descriptor(t: LieType, s: int) -> IrrepDescriptor:
@@ -132,10 +128,11 @@ def standard_module(family: str, n: int) -> IrrepDescriptor | None:
 
 
 # a memory bound (see the module docstring); a sweep over every dimension
-# up to 25000 would keep about 15 MB without one
+# up to 35000, the bound of the acceptance sweeps, would keep about 22 MB
+# without one
 CANDIDATE_MEMO_SIZE = 4096
 
-_E_ENTRIES = [e for m in E_RANKS for e in enumerate_minuscule(LieType("E", m))]
+_E_ENTRIES = [descriptor(LieType("E", m), s) for m, s in _E]
 _E_BY_DIM = {e.dim: tuple(f for f in _E_ENTRIES if f.dim == e.dim) for e in _E_ENTRIES}
 
 
@@ -165,7 +162,8 @@ def _least_m(n: int, s: int, hi: int) -> int:
 @lru_cache(maxsize=CANDIDATE_MEMO_SIZE)
 def minuscule_candidates(n: int) -> tuple[IrrepDescriptor, ...]:
     """All cataloged modules of dimension n, A-family entries reported once
-    up to duality (s <= (m+1)/2), in ``sort_key`` order.
+    up to duality (s <= (m+1)/2), in ascending (family, rank, weight
+    index), the dataclass order.
 
     Memoized per process for the last CANDIDATE_MEMO_SIZE dimensions, with
     one shared, immutable value each (see the module docstring).  n < 2

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ExceptionPair:
     """An exception pair (g, r), as ``exception_pairs`` lists them."""
 
@@ -70,4 +70,4 @@ def exception_pairs(g_max: int) -> tuple[ExceptionPair, ...]:
         m += 1
     if g_max >= 56:
         pairs.append(ExceptionPair(56, 15))
-    return tuple(sorted(pairs, key=lambda p: (p.g, p.r)))
+    return tuple(sorted(pairs))

@@ -120,16 +120,8 @@ class SpecializationInstance:
 
 def standard_symplectic_form(g: int) -> Matrix:
     """Theta(e_i, f_j) = delta_ij on the ordered basis e_1..e_g, f_1..f_g."""
-    n = 2 * g
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        if i < g:
-            row[g + i] = 1
-        else:
-            row[i - g] = -1
-        rows.append(tuple(row))
-    return tuple(rows)
+    zero, eye = ((0,) * g,) * g, linalg.identity(g)
+    return _block(zero, eye, linalg.mat_sub(zero, eye), zero)
 
 
 @cache

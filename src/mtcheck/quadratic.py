@@ -7,7 +7,8 @@ D_m forces rank 2^(m-3) or 2^(m-2).  ``quadratic_rank_profile`` states
 these once, as a plain tuple of ranks, minimal first; the tests check on
 every entry up to rank 50 that the ranks are ascending, at least 1 and at
 most half the dimension.  The exceptional types deliberately carry no rank
-data: callers must exclude them rather than read a number.
+data: asking for one raises ``ValueError``, so callers must exclude them
+rather than read a number.
 """
 
 from __future__ import annotations
@@ -19,16 +20,12 @@ from .catalog import IrrepDescriptor, descriptor, standard_module
 from .roots import FormClass, LieType
 
 
-class RankUnavailableError(ValueError):
-    """No quadratic rank data; the caller must exclude this candidate."""
-
-
 def quadratic_rank_profile(irrep: IrrepDescriptor) -> tuple[int, ...]:
     """The recorded quadratic ranks of irrep, minimal first."""
     f, m = irrep.lie_type.family, irrep.lie_type.rank
     s = irrep.weight_index
     if f == "E":
-        raise RankUnavailableError(f"no quadratic rank data for {irrep.lie_type}")
+        raise ValueError(f"no quadratic rank data for {irrep.lie_type}")
     if f == "A":
         return (comb(m - 1, s - 1),)
     if f == "C":

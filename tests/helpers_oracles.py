@@ -52,7 +52,7 @@ from mtcheck import linalg
 from mtcheck.catalog import IrrepDescriptor, descriptor, enumerate_minuscule, standard_module
 from mtcheck.exclusion import check_pair, minuscule_candidates
 from mtcheck.monodromy import SpecializationInstance, SymplecticSpace
-from mtcheck.quadratic import RankUnavailableError, quadratic_rank_profile
+from mtcheck.quadratic import quadratic_rank_profile
 from mtcheck.roots import FormClass, LieType
 
 
@@ -278,14 +278,14 @@ def minuscule_candidates_by_scan(n: int) -> tuple[IrrepDescriptor, ...]:
         out.append(descriptor(LieType("E", 6), 6))
     if n == 56:
         out.append(descriptor(LieType("E", 7), 7))
-    return tuple(sorted(out, key=IrrepDescriptor.sort_key))
+    return tuple(sorted(out))
 
 
 def minuscule_candidates_by_descriptor(n: int) -> tuple[IrrepDescriptor, ...]:
     """``catalog.minuscule_candidates`` as built before it emitted its
     entries in order: every entry from the checked ``descriptor``, the A
     entries of each s >= 2 found by a doubling bisection of their own, and
-    the whole list ``sorted`` by ``sort_key``."""
+    the whole list ``sorted`` in the dataclass order."""
     out = []
     for family in ("A", "B") if n % 2 else ("A", "C", "D"):
         try:
@@ -310,7 +310,7 @@ def minuscule_candidates_by_descriptor(n: int) -> tuple[IrrepDescriptor, ...]:
         out += [descriptor(LieType("D", spin_m), spin_m - 1),
                 descriptor(LieType("D", spin_m), spin_m)]
     out += [e for m in (6, 7) for e in enumerate_minuscule(LieType("E", m)) if e.dim == n]
-    return tuple(sorted(out, key=IrrepDescriptor.sort_key))
+    return tuple(sorted(out))
 
 
 def theorem61_family(n: int, form: FormClass) -> str:
@@ -321,14 +321,10 @@ def theorem61_family(n: int, form: FormClass) -> str:
 
 
 def candidate_min_ranks(n: int) -> set[int]:
-    """The minimal quadratic ranks of the dim-n candidates that record one."""
-    ranks = set()
-    for entry in minuscule_candidates(n):
-        try:
-            ranks.add(quadratic_rank_profile(entry)[0])
-        except RankUnavailableError:
-            continue
-    return ranks
+    """The minimal quadratic ranks of the dim-n candidates that record one:
+    every family but E."""
+    return {quadratic_rank_profile(entry)[0] for entry in minuscule_candidates(n)
+            if entry.lie_type.family != "E"}
 
 
 def surviving_inners_by_pairs(n: int, form: FormClass, r: int) -> tuple[IrrepDescriptor, ...]:

@@ -167,11 +167,16 @@ def test_catalog_sizes(t, count):
     assert len(enumerate_minuscule(t)) == count
 
 
-def test_sort_key_orders_by_family_rank_index():
-    entries = [descriptor(LieType("D", 5), 5), descriptor(LieType("A", 7), 3),
-               descriptor(LieType("C", 4), 1), descriptor(LieType("A", 7), 1)]
-    ordered = sorted(entries, key=IrrepDescriptor.sort_key)
-    assert [e.label for e in ordered] == ["A7:w1", "A7:w3", "C4:w1", "D5:w5"]
+def test_dataclass_order_is_family_rank_index():
+    # D4's w1, w3 and w4 (and E6's w1 and w6) share a rank, a dimension and
+    # a form, so the weight index alone orders them
+    entries = [descriptor(LieType("E", 6), 6), descriptor(LieType("D", 5), 5),
+               descriptor(LieType("D", 4), 4), descriptor(LieType("A", 7), 3),
+               descriptor(LieType("D", 4), 1), descriptor(LieType("E", 6), 1),
+               descriptor(LieType("C", 4), 1), descriptor(LieType("D", 4), 3),
+               descriptor(LieType("A", 7), 1)]
+    assert [e.label for e in sorted(entries)] == [
+        "A7:w1", "A7:w3", "C4:w1", "D4:w1", "D4:w3", "D4:w4", "D5:w5", "E6:w1", "E6:w6"]
 
 
 def _w1_entries_by_scan(family: str, max_rank: int) -> dict[int, list[IrrepDescriptor]]:

@@ -38,9 +38,10 @@ from mtcheck.monodromy import (SpecializationInstance, SymplecticSpace,
                                verify_orthogonality)
 
 
-def test_standard_form_pairing():
-    # form[i][j] is Theta(b_i, b_j) on the basis e_1..e_g, f_1..f_g
-    g = 3
+@pytest.mark.parametrize("g", [1, 2, 3, 8, 17])
+def test_standard_form_pairing(g):
+    # form[i][j] is Theta(b_i, b_j) on the basis e_1..e_g, f_1..f_g; g = 1
+    # has 1 x 1 blocks and g = 17 is criterion 7's bound
     form = SymplecticSpace(standard_symplectic_form(g)).form
     for i in range(g):
         for j in range(g):
