@@ -14,15 +14,21 @@ checks only 1 <= r <= g and the row counts 2g - r of V^I and r of T that
 the verifiers index by, so a defective instance still builds and its
 defects show as False keys of verify_instance.  Each instance computes,
 once and only when a verifier asks, tau, its basis images (tau of each
-V^I and T basis row) and its rank facts: rank W = r and, from one
-prefix-rank pass over V^I + W + T, rank V^I = 2g - r and the flag W in
-V^I, V = V^I + T.  The named
-theorems are *verified*, not assumed: invariant_dim (rank V^I = 2g - r),
-verify_orthogonality (W = (V^I)-perp), verify_filtration (the flag; tau
-kills V^I and maps T onto W), is_form_compatible (tau in sp), and in
-verify_instance tau^2 = 0 and the rank of tau, read off the filtration
-when it holds, and N in Sp, read off form compatibility when tau^2 = 0;
-each is computed by its own product or rank otherwise.  The verifiers
+V^I and T basis row), the pairing of W with V^I + W, and its rank facts:
+rank W = r, rank V^I = 2g - r and the flag W in V^I, V = V^I + T.  Two
+form products certify all but rank W without elimination.  The Gram
+matrix G of the 2g rows B of V^I + T has det G = det(B)^2 det Theta, so
+G with one nonzero entry in each row and column (monomial) makes B a
+basis.  Once W pairs to zero with V^I and the ranks are 2g - r and r,
+W = (V^I)-perp and V^I = W-perp, so W lies in V^I exactly when W is
+isotropic, W Theta W^T = 0.  Where a premise fails, an exact rank
+decides instead.  The named theorems are *verified*, not assumed:
+invariant_dim (rank V^I = 2g - r), verify_orthogonality
+(W = (V^I)-perp), verify_filtration (the flag; tau kills V^I and maps T
+onto W), is_form_compatible (tau in sp), and in verify_instance tau^2 = 0
+and the rank of tau, read off the filtration when it holds, and N in Sp,
+read off form compatibility when tau^2 = 0; each is computed by its own
+product or rank otherwise.  The verifiers
 take any SymplecticSpace form and never read the construction, so a
 construction shortcut cannot vouch for itself.  Every check is a
 statement about integer products and Bareiss ranks, so nothing here needs
@@ -104,18 +110,51 @@ class SpecializationInstance:
                               linalg.transpose(self.log_matrix))
 
     @cached_property
+    def _pairing_vanishes(self) -> tuple[bool, bool]:
+        """Does W pair to zero with V^I, and with itself?  Both blocks come
+        from one product W Theta (V^I + W)^T, computed once per instance."""
+        n, r = self.space.dim, self.toric_rank
+        pairing = linalg.mat_mul(linalg.mat_mul(self.toric_sub, self.space.form),
+                                 linalg.transpose(self.inertia_invariants + self.toric_sub))
+        return (not any(any(row[:n - r]) for row in pairing),
+                not any(any(row[n - r:]) for row in pairing))
+
+    @cached_property
     def _rank_facts(self) -> tuple[bool, bool, bool]:
         """rank V^I = 2g - r; rank W = r; the flag W in V^I, V = V^I + T.
 
-        The ranks of V^I, V^I + W and V^I + W + T come from one prefix-rank
-        pass.  W lies in V^I when it adds no rank to V^I; then
-        rank V^I + W + T is rank V^I + T, which is 2g exactly when the 2g
-        rows of V^I and T are a basis.  Computed once per instance.
+        rank W is an exact rank; two form products certify the rest.
+        The 2g rows B of V^I + T have the Gram matrix G = B Theta B^T, and
+        det G = det(B)^2 det Theta with Theta nondegenerate; so G monomial
+        (one nonzero entry in each row and column) makes B nonsingular,
+        which is rank V^I = 2g - r and V = V^I + T.  Every built instance
+        has G the form in its adapted basis, a signed permutation.  Given
+        those, rank W = r and W pairing to zero with V^I make W the
+        complement (V^I)-perp, of dimension r, and V^I = W-perp; so W lies
+        in V^I exactly when the W block of the pairing, W Theta W^T, is 0.
+        Any other G, or a failed premise, falls back to one prefix-rank pass
+        over V^I + W + T: W lies in V^I when it adds no rank to V^I, and
+        then V^I + W + T has rank 2g exactly when V^I + T is a basis.
+        Computed once per instance.
         """
         n, r = self.space.dim, self.toric_rank
-        ranks = linalg.prefix_ranks(self.inertia_invariants + self.toric_sub + self.lift)
-        return (ranks[n - r - 1] == n - r, linalg.rank(self.toric_sub) == r,
+        vi, w, t = self.inertia_invariants, self.toric_sub, self.lift
+        independent = linalg.rank(w) == r
+        gram = linalg.mat_mul(linalg.mat_mul(vi + t, self.space.form), linalg.transpose(vi + t))
+        if _is_monomial(gram):
+            orthogonal, isotropic = self._pairing_vanishes
+            if independent and orthogonal:
+                return True, True, isotropic
+        ranks = linalg.prefix_ranks(vi + w + t)
+        return (ranks[n - r - 1] == n - r, independent,
                 ranks[n - 1] == ranks[n - r - 1] and ranks[-1] == n)
+
+
+def _is_monomial(m: Matrix) -> bool:
+    """Does the alternating matrix m have exactly one nonzero entry in each
+    row and in each column?  Its columns are its negated rows, so the rows
+    decide."""
+    return all(len(row) - row.count(0) == 1 for row in m)
 
 
 def standard_symplectic_form(g: int) -> Matrix:
@@ -205,12 +244,12 @@ def verify_orthogonality(inst: SpecializationInstance) -> bool:
 
     W pairs to zero with V^I, so it lies in the complement, whose dimension
     is 2g - rank V^I.  With rank V^I = 2g - r that is r, and rank W = r
-    makes the inclusion an equality.  The ranks are read only once the
-    pairing vanishes.
+    makes the inclusion an equality.  The pairing is the V^I block of the
+    instance's one product W Theta (V^I + W)^T, whose W block then decides
+    W in V^I for the rank facts; the ranks are read only once the V^I
+    block vanishes.
     """
-    vi, w = inst.inertia_invariants, inst.toric_sub
-    pairing = linalg.mat_mul(linalg.mat_mul(w, inst.space.form), linalg.transpose(vi))
-    return linalg.is_zero_matrix(pairing) and all(inst._rank_facts[:2])
+    return inst._pairing_vanishes[0] and all(inst._rank_facts[:2])
 
 
 def verify_filtration(inst: SpecializationInstance) -> bool:
@@ -244,7 +283,10 @@ def is_form_compatible(inst: SpecializationInstance) -> bool:
 def verify_instance(inst: SpecializationInstance) -> dict[str, bool]:
     """All verified invariants by name (used by the CLI and the sweeps).
 
-    invariant_dim is rank V^I = 2g - r, one of the instance's rank facts.
+    invariant_dim is rank V^I = 2g - r, one of the instance's rank facts:
+    a monomial Gram matrix of V^I + T certifies it, and W Theta W^T = 0
+    certifies W in V^I once W = (V^I)-perp, each with an exact rank as
+    its fallback (see SpecializationInstance._rank_facts).
     Three keys are read off others that imply them, and computed by their
     own product or rank otherwise.  The filtration gives tau^2 = 0 (tau(V)
     = tau(T) lies in W, inside V^I = ker tau) and image tau = tau(T) of

@@ -14,7 +14,10 @@ nullspace and span formulations kept in helpers_oracles, the N-in-Sp key
 against N^T Theta N = Theta by full products, the False keys of every
 construction defect against a key oracle that computes each invariant on
 its own, and the rank and product calls of one build and verify are
-counted.  A digest pins every seeded instance bit for bit.
+counted.  The Gram-matrix certificates for the rank facts must decide as
+their elimination fallbacks do, and rebased instances, whose Gram matrix
+is not monomial, must verify through the fallbacks alone.  A digest pins
+every seeded instance bit for bit.
 """
 
 from __future__ import annotations
@@ -38,10 +41,10 @@ from mtcheck.monodromy import (SpecializationInstance, SymplecticSpace,
                                verify_orthogonality)
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 8, 17])
+@pytest.mark.parametrize("g", [1, 2, 3, 8, 19])
 def test_standard_form_pairing(g):
     # form[i][j] is Theta(b_i, b_j) on the basis e_1..e_g, f_1..f_g; g = 1
-    # has 1 x 1 blocks and g = 17 is criterion 7's bound
+    # has 1 x 1 blocks and g = 19 is criterion 7's bound
     form = SymplecticSpace(standard_symplectic_form(g)).form
     for i in range(g):
         for j in range(g):
@@ -205,6 +208,13 @@ def _log_leaving_toric(inst: SpecializationInstance) -> SpecializationInstance:
     return replace(inst, monodromy=_monodromy(inst, u, w))
 
 
+def _image_follows(inst: SpecializationInstance, u) -> dict:
+    """W moved to the rows u, and tau = sum_i u_i (x) Theta(w_i, .): it
+    kills V^I = W-perp and maps T onto span(u), so of the filtration's
+    clauses only W in V^I can fail."""
+    return {"toric_sub": u, "monodromy": _monodromy(inst, u, inst.toric_sub)}
+
+
 def _unit_block(r: int, extra: dict) -> tuple:
     return tuple(tuple(extra.get((i, j), 1 if i == j else 0) for j in range(r))
                  for i in range(r))
@@ -340,6 +350,50 @@ def test_verifiers_on_a_non_standard_form():
                         defect, label, results)
 
 
+def _gram(inst: SpecializationInstance) -> linalg.Matrix:
+    """Theta(b, b') over the rows b, b' of V^I + T."""
+    basis = inst.inertia_invariants + inst.lift
+    return linalg.mat_mul(linalg.mat_mul(basis, inst.space.form), linalg.transpose(basis))
+
+
+def _monomial(m: linalg.Matrix) -> bool:
+    return all(sum(1 for x in row if x) == 1 for rows in (m, linalg.transpose(m)) for row in rows)
+
+
+def test_certificates_and_fallbacks_decide_alike(monkeypatch):
+    # a built instance's Gram matrix is the form in its adapted basis, in
+    # any coordinates, so the rank facts come from the certificates; with
+    # _is_monomial switched off every rank fact comes from the elimination
+    # pass, and every key and rank fact must come out the same.  Each runs
+    # at the least and the greatest r it allows; the rebased honest case
+    # of _construction_cases takes the fallback at every r.
+    rng = random.Random(4111)
+    cases = []
+    for g in range(1, 8):
+        for r in sorted({1, g - 1, g} - {0}):
+            inst = build_instance(g, r, g + r)
+            moved = [_move(inst, *_unimodular(2 * g, rng))] if g > 1 else []
+            for form, base in [("standard", inst)] + [("moved", m) for m in moved]:
+                assert _monomial(_gram(base)), (g, r, form)
+                cases.append(((g, r, form, "honest"), base))
+                if r < g:
+                    # W moved off (V^I)-perp, inside V^I, or out of it at
+                    # w_1 with the image of tau following it
+                    leaving = (linalg.vec_add(base.toric_sub[0], base.lift[0]),) + base.toric_sub[1:]
+                    cases += [((g, r, form, "perturbed"), _perturb_toric(base)),
+                              ((g, r, form, "leaving"),
+                               replace(base, **_image_follows(base, leaving)))]
+                if 2 <= r == g - 1:
+                    cases += [((g, r, form, defect), build(base))
+                              for defect, (build, _) in _DEFECTS.items()]
+    certified = [(verify_instance(case), case._rank_facts) for _, case in cases]
+    monkeypatch.setattr("mtcheck.monodromy._is_monomial", lambda m: False)
+    for (label, case), (results, facts) in zip(cases, certified):
+        fresh = replace(case)  # a new record, without the cached facts
+        assert verify_instance(fresh) == results, label
+        assert fresh._rank_facts == facts, label
+
+
 def test_image_defect_fails_only_the_image_clause():
     for g in range(2, 8):
         for r in range(1, g):
@@ -463,12 +517,6 @@ def _construction_cases(inst: SpecializationInstance) -> dict:
     vi, w, t = inst.inertia_invariants, inst.toric_sub, inst.lift
     n, r = inst.space.dim, inst.toric_rank
 
-    def image_follows(u):
-        # W moved to u, and tau = sum_i u_i (x) Theta(w_i, .) kills
-        # V^I = W-perp and maps T onto span(u), so of the filtration's
-        # clauses only W in V^I can fail
-        return {"toric_sub": u, "monodromy": _monodromy(inst, u, w)}
-
     # d pairs with the last V^I row alone among the rows of V^I, W and T, so
     # adding w_1 (x) Theta(d, .) to tau changes only the last V^I image
     d = vi[n // 2 - 1] if r < n // 2 else t[-1]
@@ -477,8 +525,24 @@ def _construction_cases(inst: SpecializationInstance) -> dict:
     # unipotent with tau the shift e_i -> e_(i-1): tau^2 != 0 from 2g = 4
     jordan = tuple(tuple(1 if j in (i, i + 1) else 0 for j in range(n)) for i in range(n))
     zero_last = vi[:-1] + ((0,) * n,)
+    # V^I with v_1 + v_g + v_(2g-r) = e_1 + e_g + f_g for v_g = e_g and v_1
+    # again for v_(2g-r) = f_g: dependent, yet every row pairs with some row
+    # of V^I + T, so their Gram matrix has no zero row.  Needs r < g.
+    paired = vi[:n // 2 - 1] + (linalg.vec_add(linalg.vec_add(vi[0], vi[n // 2 - 1]), vi[-1]),)
+    paired += vi[n // 2:-1] + vi[:1]
+    # w_1, t_1, w_3..w_r: not isotropic, Theta(w_1, t_1) = 1
+    hyperbolic = (w[0], t[0]) + w[2:]
+
+    def rebase(rows):
+        # row i plus row i + 1: a unimodular recombination, the same span
+        return tuple(linalg.vec_add(a, b) for a, b in zip(rows, rows[1:])) + rows[-1:]
+
     cases = {
         "honest": {},
+        # the same spans in another basis, whose Gram matrix is not
+        # monomial from g = 2, so only the elimination fallback verifies it
+        "honest, rebased": {"inertia_invariants": rebase(vi), "toric_sub": rebase(w),
+                            "lift": rebase(t)},
         "W = T, outside V^I": {"toric_sub": t},
         "W partly outside V^I": {"toric_sub": (linalg.vec_add(w[0], t[0]),) + w[1:]},
         "W zero": {"toric_sub": ((0,) * n,) * r},
@@ -497,10 +561,14 @@ def _construction_cases(inst: SpecializationInstance) -> dict:
         # cannot be read off form compatibility
         "N a symplectic shear product": {"monodromy": random_symplectic(n // 2, random.Random(n))},
         "V^I with a zero row": {"inertia_invariants": zero_last},
-        "W and the image of tau leave V^I at w_1": image_follows(
-            (linalg.vec_add(w[0], t[0]),) + w[1:]),
-        "W and the image of tau leave V^I at w_r": image_follows(
-            w[:-1] + (linalg.vec_add(w[-1], t[0]),)),
+        # w_1 + t_1 pairs only with v_1 = w_1, here moved to the last V^I row
+        "W partly outside V^I, V^I rotated": {
+            "inertia_invariants": vi[1:] + vi[:1],
+            "toric_sub": (linalg.vec_add(w[0], t[0]),) + w[1:]},
+        "W and the image of tau leave V^I at w_1": _image_follows(
+            inst, (linalg.vec_add(w[0], t[0]),) + w[1:]),
+        "W and the image of tau leave V^I at w_r": _image_follows(
+            inst, w[:-1] + (linalg.vec_add(w[-1], t[0]),)),
         "tau leaks on the last V^I row only": {"monodromy": mat_add(inst.monodromy, leak)},
         # Theta(w_1, t_1) = 1.  t_1 (x) Theta(w_1, .) kills V^I = W-perp and
         # fixes t_1; w_1 (x) Theta(t_1, .) kills the isotropic T and negates
@@ -509,6 +577,9 @@ def _construction_cases(inst: SpecializationInstance) -> dict:
         "N - I not square zero through T": {"monodromy": _monodromy(inst, t[:1], w[:1])},
         "N - I not square zero through V^I": {"monodromy": _monodromy(inst, w[:1], t[:1])},
     }
+    if r < n // 2:
+        cases["V^I dependent, no row pairing to zero with V^I + T"] = {
+            "inertia_invariants": paired}
     if r >= 2:
         cases.update({
             "W dependent, inside V^I": {"toric_sub": (w[0],) * 2 + w[2:]},
@@ -522,6 +593,15 @@ def _construction_cases(inst: SpecializationInstance) -> dict:
             "T dependent": {"lift": (t[0],) * 2 + t[2:]},
             "T inside V^I, W dependent": {"lift": vi[:r],
                                           "toric_sub": (w[0],) * 2 + w[2:]},
+            # V^I with t_2 for v_1 = w_1 has the complement u = hyperbolic:
+            # W = u is (V^I)-perp but leaves V^I, T completes the basis,
+            # and tau = sum_i u_i (x) Theta(u_i, .) kills V^I = u-perp and
+            # maps T onto W, so of the filtration's clauses only W in V^I
+            # fails
+            "W = (V^I)-perp, not isotropic": {
+                "inertia_invariants": t[1:2] + vi[1:], "toric_sub": hyperbolic,
+                "lift": (w[0], t[0]) + t[2:],
+                "monodromy": _monodromy(inst, hyperbolic, hyperbolic)},
         })
     return cases
 
@@ -546,7 +626,9 @@ def test_construction_cases_match_the_key_oracle():
                         failing = {k for k, ok in results.items() if not ok}
                         label = (g, r, seed, form, name, failing)
                         assert failing == failing_keys_by_ranks(case), label
-                        assert bool(failing) is (name != "honest"), label
+                        assert bool(failing) is not name.startswith("honest"), label
+                        if name == "honest, rebased" and g >= 2:
+                            assert not _monomial(_gram(case)), label
                         if name.startswith("V^I dependent"):
                             assert "invariant_dim" in failing, label
                         seen |= failing
@@ -608,19 +690,19 @@ def test_rank_and_product_calls_of_one_build_and_verify(monkeypatch):
     # for tau
     inst, built = count(lambda: build_instance(4, 2, 7))
     assert built == {"rank": 1, "mat_mul": 5}
-    # the flag pass, rank W and the pass over tau(T) + W; the basis
-    # images, Theta tau and the two products of the pairing.  The same
-    # build and verify took 2 passes, 2 ranks and 10 products when the
-    # construction checked the bases and tau^2 = 0 itself.
+    # rank W and the pass over tau(T) + W; two products each for the Gram
+    # matrix of V^I + T and the pairing of W with V^I + W, the basis
+    # images and Theta tau
     results, verified = count(lambda: verify_instance(inst))
     assert all(results.values())
-    assert verified == {"prefix_ranks": 2, "rank": 1, "mat_mul": 4}
-    # a second verify reads the cached rank facts and basis images
-    assert count(lambda: verify_instance(inst))[1] == {"prefix_ranks": 1, "mat_mul": 3}
+    assert verified == {"prefix_ranks": 1, "rank": 1, "mat_mul": 6}
+    # a second verify reads the cached rank facts, pairing and basis images
+    assert count(lambda: verify_instance(inst))[1] == {"prefix_ranks": 1, "mat_mul": 1}
     # neither construction nor replace runs a rank or a product
     bad, replaced = count(lambda: _perturb_toric(inst))
     assert replaced == {}
-    # the perturbed control stops at its nonzero pairing
+    # the perturbed control stops at its nonzero pairing, before the Gram
+    # matrix or any rank
     assert count(lambda: verify_orthogonality(bad)) == (False, {"mat_mul": 2})
 
 

@@ -98,6 +98,7 @@ ARGVS: list[list[str]] = [
     # monodromy
     ["monodromy", "--g", "3", "--r", "2", "--seed", "11", "--trials", "3"],
     ["monodromy", "--g", "5", "--r", "5", "--seed", "7", "--trials", "2"],
+    ["monodromy", "--g", "12", "--r", "7", "--seed", "3", "--trials", "2"],
     ["monodromy", "--g", "3", "--r", "2", "--seed", "1", "--trials", "0"],
     ["monodromy", "--g", "3", "--r", "0", "--seed", "1"],
     ["monodromy", "--g", "3", "--r", "4", "--seed", "1"],
