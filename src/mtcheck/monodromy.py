@@ -2,33 +2,30 @@
 
 An instance lives on a 2g-dimensional symplectic space and records the
 inertia invariants V^I (dim 2g - r), the toric subspace W inside it
-(dim r), a lift T with V = V^I + T, and a unipotent monodromy N whose log
-tau = N - I is quadratic of rank r with tau(V^I) = 0 and tau: T -> W an
-isomorphism.  Instances are built in an adapted symplectic basis and
-conjugated by a seeded integer symplectic element, so every entry stays an
-exact integer and runs reproduce bit for bit.
+(dim r), a lift T of V / V^I (dim r), and the log tau = N - I of a
+unipotent monodromy N: tau is quadratic of rank r with tau(V^I) = 0 and
+tau: T -> W an isomorphism.  The record holds tau, which every verifier
+reads; N = I + tau is formed only where a key cannot be read off tau.
+Instances are built in an adapted symplectic basis and conjugated by a
+seeded integer symplectic element, so every entry stays an exact integer
+and runs reproduce bit for bit.
 
 Each invariant is checked once, by a verifier.  SpecializationInstance
 is a record whose toric rank r is the row count of W: on construction it
 checks only 1 <= r <= g and the row counts 2g - r of V^I and r of T that
 the verifiers index by, so a defective instance still builds and its
 defects show as False keys of verify_instance.  Each instance computes,
-once and only when a verifier asks, tau, its basis images (tau of each
-V^I and T basis row), the pairing of W with V^I + W, and its rank facts:
-rank W = r, rank V^I = 2g - r and the flag W in V^I, V = V^I + T.  Two
-form products certify all but rank W without elimination.  The Gram
-matrix G of the 2g rows B of V^I + T has det G = det(B)^2 det Theta, so
-G with one nonzero entry in each row and column (monomial) makes B a
-basis.  Once W pairs to zero with V^I and the ranks are 2g - r and r,
-W = (V^I)-perp and V^I = W-perp, so W lies in V^I exactly when W is
-isotropic, W Theta W^T = 0.  Where a premise fails, an exact rank
-decides instead.  The named theorems are *verified*, not assumed:
-invariant_dim (rank V^I = 2g - r), verify_orthogonality
-(W = (V^I)-perp), verify_filtration (the flag; tau kills V^I and maps T
-onto W), is_form_compatible (tau in sp), and in verify_instance tau^2 = 0
-and the rank of tau, read off the filtration when it holds, and N in Sp,
-read off form compatibility when tau^2 = 0; each is computed by its own
-product or rank otherwise.  The verifiers
+once and only when a verifier asks, its basis images (tau of each V^I and
+T basis row), the pairing of W with V^I + W, and its rank facts: rank
+V^I = 2g - r, rank W = r and W in V^I, certified by form products where
+their premises hold (SpecializationInstance._rank_facts gives the
+argument) and decided by an exact rank otherwise.  The named theorems are
+*verified*, not assumed: invariant_dim (rank V^I = 2g - r),
+verify_orthogonality (W = (V^I)-perp), verify_filtration (the flag; tau
+kills V^I and maps T onto W), is_form_compatible (tau in sp), and in
+verify_instance tau^2 = 0 and the rank of tau, read off the filtration
+when it holds, and N in Sp, read off form compatibility when tau^2 = 0;
+each is computed by its own product or rank otherwise.  The verifiers
 take any SymplecticSpace form and never read the construction, so a
 construction shortcut cannot vouch for itself.  Every check is a
 statement about integer products and Bareiss ranks, so nothing here needs
@@ -82,7 +79,7 @@ class SpecializationInstance:
     inertia_invariants: Matrix  # rows span V^I
     toric_sub: Matrix           # rows span W
     lift: Matrix                # rows span T
-    monodromy: Matrix           # N
+    tau: Matrix                 # N - I
 
     @property
     def toric_rank(self) -> int:
@@ -98,16 +95,11 @@ class SpecializationInstance:
             raise ValueError("T must have dimension r")
 
     @cached_property
-    def log_matrix(self) -> Matrix:
-        """tau = N - I, computed once per instance."""
-        return linalg.mat_sub(self.monodromy, linalg.identity(self.space.dim))
-
-    @cached_property
     def basis_images(self) -> Matrix:
         """tau(v) for each row v of V^I, then of T, computed once per
         instance."""
         return linalg.mat_mul(self.inertia_invariants + self.lift,
-                              linalg.transpose(self.log_matrix))
+                              linalg.transpose(self.tau))
 
     @cached_property
     def _pairing_vanishes(self) -> tuple[bool, bool]:
@@ -121,33 +113,31 @@ class SpecializationInstance:
 
     @cached_property
     def _rank_facts(self) -> tuple[bool, bool, bool]:
-        """rank V^I = 2g - r; rank W = r; the flag W in V^I, V = V^I + T.
+        """rank V^I = 2g - r; rank W = r; W in V^I.
 
         rank W is an exact rank; two form products certify the rest.
         The 2g rows B of V^I + T have the Gram matrix G = B Theta B^T, and
         det G = det(B)^2 det Theta with Theta nondegenerate; so G monomial
         (one nonzero entry in each row and column) makes B nonsingular,
-        which is rank V^I = 2g - r and V = V^I + T.  Every built instance
-        has G the form in its adapted basis, a signed permutation.  Given
-        those, rank W = r and W pairing to zero with V^I make W the
-        complement (V^I)-perp, of dimension r, and V^I = W-perp; so W lies
-        in V^I exactly when the W block of the pairing, W Theta W^T, is 0.
-        Any other G, or a failed premise, falls back to one prefix-rank pass
-        over V^I + W + T: W lies in V^I when it adds no rank to V^I, and
-        then V^I + W + T has rank 2g exactly when V^I + T is a basis.
-        Computed once per instance.
+        and rank V^I = 2g - r.  Every built instance has G the form in its
+        adapted basis, a signed permutation.  Given that, rank W = r and W
+        pairing to zero with V^I make W the complement (V^I)-perp, of
+        dimension r, and V^I = W-perp; so W lies in V^I exactly when the W
+        block of the pairing, W Theta W^T, is 0.  The cheap premises are
+        read first, so G is built only when they hold.  A failed premise,
+        or any other G, falls back to one prefix-rank pass over V^I + W:
+        W lies in V^I when it adds no rank to V^I.  Computed once per
+        instance.
         """
         n, r = self.space.dim, self.toric_rank
         vi, w, t = self.inertia_invariants, self.toric_sub, self.lift
         independent = linalg.rank(w) == r
-        gram = linalg.mat_mul(linalg.mat_mul(vi + t, self.space.form), linalg.transpose(vi + t))
-        if _is_monomial(gram):
-            orthogonal, isotropic = self._pairing_vanishes
-            if independent and orthogonal:
-                return True, True, isotropic
-        ranks = linalg.prefix_ranks(vi + w + t)
-        return (ranks[n - r - 1] == n - r, independent,
-                ranks[n - 1] == ranks[n - r - 1] and ranks[-1] == n)
+        orthogonal, isotropic = self._pairing_vanishes
+        if independent and orthogonal and _is_monomial(linalg.mat_mul(
+                linalg.mat_mul(vi + t, self.space.form), linalg.transpose(vi + t))):
+            return True, True, isotropic
+        ranks = linalg.prefix_ranks(vi + w)
+        return ranks[n - r - 1] == n - r, independent, ranks[-1] == ranks[n - r - 1]
 
 
 def _is_monomial(m: Matrix) -> bool:
@@ -228,14 +218,12 @@ def build_instance(g: int, r: int, seed: int) -> SpecializationInstance:
     # conjugated, tau = sum_ij S_ij (conj e_i) (x) Theta(conj e_j, .); the
     # standard form gives x Theta = (-x[g:], x[:g]) for a row x
     duals = tuple(tuple(-x for x in w[g:]) + w[:g] for w in w_basis)
-    tau = linalg.mat_mul(linalg.mat_mul(linalg.transpose(w_basis), s_block), duals)
-    monodromy = tuple(map(linalg.vec_add, tau, linalg.identity(2 * g)))
     return SpecializationInstance(
         space=space,
         inertia_invariants=images[:g] + images[g + r:],
         toric_sub=w_basis,
         lift=images[g:g + r],
-        monodromy=monodromy,
+        tau=linalg.mat_mul(linalg.mat_mul(linalg.transpose(w_basis), s_block), duals),
     )
 
 
@@ -245,9 +233,8 @@ def verify_orthogonality(inst: SpecializationInstance) -> bool:
     W pairs to zero with V^I, so it lies in the complement, whose dimension
     is 2g - rank V^I.  With rank V^I = 2g - r that is r, and rank W = r
     makes the inclusion an equality.  The pairing is the V^I block of the
-    instance's one product W Theta (V^I + W)^T, whose W block then decides
-    W in V^I for the rank facts; the ranks are read only once the V^I
-    block vanishes.
+    instance's one product W Theta (V^I + W)^T; the rank facts
+    (SpecializationInstance._rank_facts) are read only once it vanishes.
     """
     return inst._pairing_vanishes[0] and all(inst._rank_facts[:2])
 
@@ -257,9 +244,12 @@ def verify_filtration(inst: SpecializationInstance) -> bool:
     restricts to an iso T -> W of rank r.
 
     The instance's basis images are tau(v) for the V^I rows and then the r
-    T rows.  Once the V^I images are zero, V = V^I + T makes the T images
-    tau(T) span the image of tau.  One prefix-rank pass over tau(T) + W
-    gives rank tau(T) and rank(tau(T) + W).  With rank W = r, tau(T) and W
+    T rows.  One prefix-rank pass over tau(T) + W gives rank tau(T) and
+    rank(tau(T) + W).  V = V^I + T is not checked, because the other
+    clauses imply it: a vector t of span T inside V^I has tau(t) = 0, and
+    rank tau(T) = r makes tau injective on span T, so t = 0; with rank
+    V^I = 2g - r, V = V^I (+) T.  Hence, once the V^I images are zero, the
+    T images tau(T) span the image of tau.  With rank W = r, tau(T) and W
     together of rank r put the image inside W; tau(T) of rank r makes T
     map onto W and tau itself of rank r.
     """
@@ -276,29 +266,33 @@ def is_form_compatible(inst: SpecializationInstance) -> bool:
     Theta^T = -Theta (SymplecticSpace enforces it) makes tau^T Theta equal
     to -(Theta tau)^T, so the condition says Theta tau is symmetric.
     """
-    theta_tau = linalg.mat_mul(inst.space.form, inst.log_matrix)
+    theta_tau = linalg.mat_mul(inst.space.form, inst.tau)
     return theta_tau == linalg.transpose(theta_tau)
 
 
 def verify_instance(inst: SpecializationInstance) -> dict[str, bool]:
     """All verified invariants by name (used by the CLI and the sweeps).
 
-    invariant_dim is rank V^I = 2g - r, one of the instance's rank facts:
-    a monomial Gram matrix of V^I + T certifies it, and W Theta W^T = 0
-    certifies W in V^I once W = (V^I)-perp, each with an exact rank as
-    its fallback (see SpecializationInstance._rank_facts).
-    Three keys are read off others that imply them, and computed by their
-    own product or rank otherwise.  The filtration gives tau^2 = 0 (tau(V)
-    = tau(T) lies in W, inside V^I = ker tau) and image tau = tau(T) of
-    rank r.  With tau^2 = 0, N^-1 = I - tau, so N^T Theta N = Theta, i.e.
+    invariant_dim is rank V^I = 2g - r, one of the instance's rank facts
+    (see SpecializationInstance._rank_facts).  Three keys are read off
+    others that imply them, and computed by their own product or rank
+    otherwise.  The filtration gives tau^2 = 0 (tau(V) = tau(T) lies in W,
+    inside V^I = ker tau) and image tau = tau(T) of rank r.  With
+    tau^2 = 0, N^-1 = I - tau, so N^T Theta N = Theta, i.e.
     N^T Theta = Theta N^-1, reads Theta + tau^T Theta = Theta - Theta tau,
     which is tau^T Theta + Theta tau = 0: monodromy_symplectic is
-    form_compatible restated.
+    form_compatible restated.  Otherwise N = I + tau is formed and
+    N^T Theta N compared with Theta.
     """
     filtration = verify_filtration(inst)
-    tau, form, n_mat = inst.log_matrix, inst.space.form, inst.monodromy
+    tau, form = inst.tau, inst.space.form
     square_zero = filtration or linalg.is_zero_matrix(linalg.mat_mul(tau, tau))
     form_compatible = is_form_compatible(inst)
+    if square_zero:
+        symplectic = form_compatible
+    else:
+        n_mat = tuple(row[:i] + (row[i] + 1,) + row[i + 1:] for i, row in enumerate(tau))
+        symplectic = linalg.mat_mul(linalg.transpose(n_mat), linalg.mat_mul(form, n_mat)) == form
     return {
         "tau_square_zero": square_zero,
         "tau_rank_r": filtration or linalg.rank(tau) == inst.toric_rank,
@@ -306,6 +300,5 @@ def verify_instance(inst: SpecializationInstance) -> dict[str, bool]:
         "orthogonality": verify_orthogonality(inst),
         "filtration": filtration,
         "form_compatible": form_compatible,
-        "monodromy_symplectic": form_compatible if square_zero else linalg.mat_mul(
-            linalg.transpose(n_mat), linalg.mat_mul(form, n_mat)) == form,
+        "monodromy_symplectic": symplectic,
     }

@@ -10,13 +10,15 @@ brute-forces rank-1 elements of orthogonal algebras over a small integer
 box; the monodromy oracles restate orthogonality and the filtration by
 rational nullspaces and span tests, the formulation the library's
 product-and-rank verifiers replaced, ``preserves_form`` tests
-N^T Theta N = Theta by full products, the check ``verify_instance`` reads
-off form compatibility once tau^2 = 0, ``symplectic_inverse`` is the
+N^T Theta N = Theta by full products on ``monodromy``, N = I + tau formed
+from the instance's log, the check ``verify_instance`` reads off form
+compatibility once tau^2 = 0, ``symplectic_inverse`` is the
 signed-transpose inverse of a standard-form symplectic matrix, and
 ``failing_keys_by_ranks`` computes every key of ``verify_instance`` on
 its own, from separate ranks of V^I, W, V^I + W and V^I + T, the full
 tau . tau and N^T Theta N products and the nullspace and span oracles,
-where the library reads the flag ranks off one prefix-rank pass and
+where the library certifies its rank facts by form products, leaves out
+V = V^I + T, which its other filtration clauses imply, and reads
 tau^2 = 0, the rank of tau and N in Sp off the filtration and form
 compatibility; the exception-pair oracle is
 the closed form (56, 15) plus the triangular family (m(m+1)/2, m-1),
@@ -33,7 +35,12 @@ sorts them, as the catalog did before it built its w1 entries directly
 and emitted the entries in sort order; the survivors oracle
 builds the Theorem 6.1 outer with its own ``standard_module`` lookup and
 compares every candidate with it by equality, as the exclusion engine did
-before it took the outer from the candidate tuple.  ``mat_add`` and
+before it took the outer from the candidate tuple; the shape lemmas
+``transvection_constraint`` and ``rank2_constraint`` (with
+``AlgebraShape`` and ``tensor_form``) list the algebras of a dimension
+with a rank-1 or rank-2 quadratic element by catalog lookups, for
+criteria 6 and 9, and criterion 9 checks the first against the rank-1
+entries of the runtime's rank data.  ``mat_add`` and
 ``mat_vec`` are a plain matrix sum and matrix-vector product that only
 tests use; ``candidate_min_ranks`` gives the minimal quadratic ranks of
 the dim-n candidates, the ranks the exclusion sweeps query.
@@ -41,6 +48,7 @@ the dim-n candidates, the ranks the exclusion sweeps query.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -188,9 +196,14 @@ def symplectic_inverse(m: linalg.Matrix) -> linalg.Matrix:
                        for j in range(n)) for i in range(n))
 
 
+def monodromy(inst: SpecializationInstance) -> linalg.Matrix:
+    """N = I + tau, formed by a full sum with the identity."""
+    return mat_add(linalg.identity(inst.space.dim), inst.tau)
+
+
 def preserves_form(inst: SpecializationInstance) -> bool:
     """N^T Theta N = Theta, computed as two full products."""
-    n_mat = inst.monodromy
+    n_mat = monodromy(inst)
     lhs = linalg.mat_mul(linalg.transpose(n_mat), linalg.mat_mul(inst.space.form, n_mat))
     return linalg.is_zero_matrix(linalg.mat_sub(lhs, inst.space.form))
 
@@ -198,7 +211,7 @@ def preserves_form(inst: SpecializationInstance) -> bool:
 def filtration_by_spans(inst: SpecializationInstance) -> bool:
     """tau has rank r, kills each V^I vector, sends each basis vector into W
     and maps T onto W, tested one vector at a time."""
-    tau = inst.log_matrix
+    tau = inst.tau
     r = inst.toric_rank
     if linalg.rank(tau) != r:
         return False
@@ -220,7 +233,7 @@ def failing_keys_by_ranks(inst: SpecializationInstance) -> set[str]:
     full products."""
     n, r = inst.space.dim, inst.toric_rank
     vi, w, t = inst.inertia_invariants, inst.toric_sub, inst.lift
-    tau = linalg.mat_sub(inst.monodromy, linalg.identity(n))
+    tau = inst.tau
     vi_rank = linalg.rank(vi)
     holds = {
         "tau_square_zero": linalg.is_zero_matrix(linalg.mat_mul(tau, tau)),
@@ -234,6 +247,56 @@ def failing_keys_by_ranks(inst: SpecializationInstance) -> set[str]:
         "monodromy_symplectic": preserves_form(inst),
     }
     return {key for key, ok in holds.items() if not ok}
+
+
+@dataclass(frozen=True)
+class AlgebraShape:
+    """A candidate algebra acting irreducibly: one factor, or a x sl2."""
+
+    factors: tuple[IrrepDescriptor, ...]
+
+    @property
+    def form(self) -> FormClass:
+        if len(self.factors) == 1:
+            return self.factors[0].form
+        return tensor_form(self.factors[0].form, self.factors[1].form)
+
+    @property
+    def label(self) -> str:
+        return " x ".join(f.label for f in self.factors)
+
+
+def tensor_form(a: FormClass, b: FormClass) -> FormClass:
+    """Duality class of a tensor product of irreducibles of distinct factors."""
+    if FormClass.NON_SELF_DUAL in (a, b):
+        return FormClass.NON_SELF_DUAL
+    if a == b:
+        return FormClass.ORTHOGONAL
+    return FormClass.SYMPLECTIC
+
+
+def transvection_constraint(n: int) -> tuple[IrrepDescriptor, ...]:
+    """Irreducible dim-n modules containing a rank-1 quadratic element.
+
+    Exactly the full sl(U) standard module, plus sp(U) when n is even; for
+    n = 2 the symplectic case coincides with (A_1, w1).
+    """
+    if n < 2:
+        raise ValueError("transvection constraint needs n >= 2")
+    return tuple(e for f in ("A", "C") if (e := standard_module(f, n)))
+
+
+def rank2_constraint(n: int) -> tuple[AlgebraShape, ...]:
+    """Candidate shapes for a dim-n module (n >= 8) with a rank-2 quadratic
+    element: the classical standard modules plus the products a x sl2 with
+    a in {sl(n/2), sp(n/2)} acting on a tensor split."""
+    if n < 8:
+        raise ValueError("rank-2 constraint assumes n >= 8")
+    shapes = [AlgebraShape((e,)) for f in "ABCD" if (e := standard_module(f, n))]
+    if n % 2 == 0:
+        sl2 = descriptor(LieType("A", 1), 1)
+        shapes += [AlgebraShape((a, sl2)) for a in transvection_constraint(n // 2)]
+    return tuple(shapes)
 
 
 def triangular_m(g: int) -> int | None:

@@ -13,7 +13,7 @@ import json
 from math import comb, gcd
 from pathlib import Path
 
-from helpers_oracles import candidate_min_ranks
+from helpers_oracles import candidate_min_ranks, rank2_constraint, transvection_constraint
 from helpers_roots import highest_weight, weyl_dim
 from mtcheck.catalog import descriptor, enumerate_minuscule
 from mtcheck.checker import (AVDescriptor, Conclusion, EndoType, Reduction,
@@ -22,7 +22,7 @@ from mtcheck.cli import main
 from mtcheck.divisibility import divisibility_solutions, gcd_mod4_check
 from mtcheck.exclusion import surviving_inners
 from mtcheck.monodromy import build_instance, verify_instance, verify_orthogonality
-from mtcheck.quadratic import quadratic_rank_profile, rank2_constraint, transvection_constraint
+from mtcheck.quadratic import quadratic_rank_profile
 from mtcheck.roots import FormClass, LieType
 
 DATA = Path(__file__).parent / "data"

@@ -13,11 +13,11 @@ defects.  The product-and-rank verifiers are compared against the
 nullspace and span formulations kept in helpers_oracles, the N-in-Sp key
 against N^T Theta N = Theta by full products, the False keys of every
 construction defect against a key oracle that computes each invariant on
-its own, and the rank and product calls of one build and verify are
-counted.  The Gram-matrix certificates for the rank facts must decide as
-their elimination fallbacks do, and rebased instances, whose Gram matrix
-is not monomial, must verify through the fallbacks alone.  A digest pins
-every seeded instance bit for bit.
+its own, and the rank, product and identity calls of one build and
+verify are counted.  The Gram-matrix certificates for the rank facts must
+decide as their elimination fallbacks do, and rebased instances, whose
+Gram matrix is not monomial, must verify through the fallbacks alone.  A
+digest pins every seeded instance bit for bit.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from dataclasses import replace
 import pytest
 
 from helpers_oracles import (failing_keys_by_ranks, filtration_by_spans,
-                             mat_add, mat_vec, orthogonality_by_nullspace,
-                             preserves_form, symplectic_complement,
-                             symplectic_inverse)
+                             mat_add, mat_vec, monodromy,
+                             orthogonality_by_nullspace, preserves_form,
+                             symplectic_complement, symplectic_inverse)
 from mtcheck import linalg
 from mtcheck.monodromy import (SpecializationInstance, SymplecticSpace,
                                build_instance, is_form_compatible,
@@ -116,18 +116,19 @@ def test_build_instance_sweep():
 
 def test_build_instance_is_deterministic():
     assert build_instance(4, 2, 7) == build_instance(4, 2, 7)
-    assert build_instance(4, 2, 0).monodromy != build_instance(4, 2, 1).monodromy
+    assert build_instance(4, 2, 0).tau != build_instance(4, 2, 1).tau
 
 
 def test_build_instance_digest():
-    # pins every entry (and its int type, through repr) of these instances
+    # pins every entry (and its int type, through repr) of these instances;
+    # the hashed N = I + tau is formed here, as the instances hold tau
     h = hashlib.sha256()
     for g in range(1, 7):
         for r in range(1, g + 1):
             for seed in range(5):
                 inst = build_instance(g, r, seed)
                 h.update(repr((g, r, seed, inst.inertia_invariants, inst.toric_sub,
-                               inst.lift, inst.monodromy)).encode())
+                               inst.lift, monodromy(inst))).encode())
     assert h.hexdigest() == (
         "02a96371aa075dc4a396ebbc5c0a5ec1e199016adeaac3d5bdfb0b2f35b1eafe")
 
@@ -169,16 +170,14 @@ def _leak_invariants(inst: SpecializationInstance) -> SpecializationInstance:
     """
     phi = mat_vec(linalg.transpose(inst.space.form), inst.inertia_invariants[-1])
     leaked = tuple(tuple(x + w * p for x, p in zip(row, phi))
-                   for row, w in zip(inst.monodromy, inst.toric_sub[0]))
-    return replace(inst, monodromy=leaked)
+                   for row, w in zip(inst.tau, inst.toric_sub[0]))
+    return replace(inst, tau=leaked)
 
 
-def _monodromy(inst: SpecializationInstance, images, duals):
-    """N = I + sum_i images_i (x) Theta(duals_i, .); as a matrix,
-    I + U^T . D . Theta with U and D the rows of images and duals."""
-    tau = linalg.mat_mul(linalg.transpose(images),
-                         linalg.mat_mul(duals, inst.space.form))
-    return mat_add(linalg.identity(inst.space.dim), tau)
+def _log(inst: SpecializationInstance, images, duals):
+    """tau = sum_i images_i (x) Theta(duals_i, .); as a matrix, U^T . D .
+    Theta with U and D the rows of images and duals."""
+    return linalg.mat_mul(linalg.transpose(images), linalg.mat_mul(duals, inst.space.form))
 
 
 def _log_on(inst: SpecializationInstance, basis, block) -> SpecializationInstance:
@@ -192,7 +191,7 @@ def _log_on(inst: SpecializationInstance, basis, block) -> SpecializationInstanc
     """
     # the image paired with Theta(b_j, .) is sum_i block[i][j] b_i
     images = linalg.mat_mul(linalg.transpose(block), basis)
-    return replace(inst, monodromy=_monodromy(inst, images, basis))
+    return replace(inst, tau=_log(inst, images, basis))
 
 
 def _log_leaving_toric(inst: SpecializationInstance) -> SpecializationInstance:
@@ -205,14 +204,14 @@ def _log_leaving_toric(inst: SpecializationInstance) -> SpecializationInstance:
     """
     w = inst.toric_sub
     u = (linalg.vec_add(w[0], inst.inertia_invariants[-1]),) + w[1:]
-    return replace(inst, monodromy=_monodromy(inst, u, w))
+    return replace(inst, tau=_log(inst, u, w))
 
 
 def _image_follows(inst: SpecializationInstance, u) -> dict:
     """W moved to the rows u, and tau = sum_i u_i (x) Theta(w_i, .): it
     kills V^I = W-perp and maps T onto span(u), so of the filtration's
     clauses only W in V^I can fail."""
-    return {"toric_sub": u, "monodromy": _monodromy(inst, u, inst.toric_sub)}
+    return {"toric_sub": u, "tau": _log(inst, u, inst.toric_sub)}
 
 
 def _unit_block(r: int, extra: dict) -> tuple:
@@ -233,10 +232,9 @@ _DEFECTS = {
         lambda inst: replace(inst, inertia_invariants=(
             inst.inertia_invariants[:-1] + inst.inertia_invariants[:1])),
         {"invariant_dim", "orthogonality", "filtration"}),
-    # N = 2I: tau = I is not square zero, has rank 2g and leaves sp
+    # tau = I (N = 2I) is not square zero, has rank 2g and leaves sp
     "tau_square_zero": (
-        lambda inst: replace(inst, monodromy=tuple(
-            tuple(2 * x for x in row) for row in linalg.identity(inst.space.dim))),
+        lambda inst: replace(inst, tau=linalg.identity(inst.space.dim)),
         {"tau_square_zero", "tau_rank_r", "filtration", "form_compatible",
          "monodromy_symplectic"}),
     # the identity block on w_1, t_1, w_3..w_r, a basis that is not
@@ -314,7 +312,7 @@ def _unimodular(n: int, rng: random.Random) -> tuple[linalg.Matrix, linalg.Matri
 
 def _move(inst: SpecializationInstance, p, p_inv) -> SpecializationInstance:
     """The instance in the coordinates x -> Px: the form becomes
-    P^-T Theta P^-1, N becomes P N P^-1, and each basis row v becomes
+    P^-T Theta P^-1, tau becomes P tau P^-1, and each basis row v becomes
     (Pv)^T = v P^T."""
     pt = linalg.transpose(p)
     form = linalg.mat_mul(linalg.transpose(p_inv), linalg.mat_mul(inst.space.form, p_inv))
@@ -323,7 +321,7 @@ def _move(inst: SpecializationInstance, p, p_inv) -> SpecializationInstance:
         inertia_invariants=linalg.mat_mul(inst.inertia_invariants, pt),
         toric_sub=linalg.mat_mul(inst.toric_sub, pt),
         lift=linalg.mat_mul(inst.lift, pt),
-        monodromy=linalg.mat_mul(p, linalg.mat_mul(inst.monodromy, p_inv)),
+        tau=linalg.mat_mul(p, linalg.mat_mul(inst.tau, p_inv)),
     )
 
 
@@ -399,7 +397,7 @@ def test_image_defect_fails_only_the_image_clause():
         for r in range(1, g):
             for seed in range(2):
                 bad = _log_leaving_toric(build_instance(g, r, seed))
-                tau_t = linalg.transpose(bad.log_matrix)
+                tau_t = linalg.transpose(bad.tau)
                 label = (g, r, seed)
                 # tau kills V^I and T maps onto an r-dimensional image ...
                 assert linalg.is_zero_matrix(
@@ -416,7 +414,7 @@ def test_verifiers_agree_with_span_oracles():
         for r in range(1, g + 1):
             for seed in range(3):
                 inst = build_instance(g, r, seed)
-                trivial = replace(inst, monodromy=linalg.identity(2 * g))
+                trivial = replace(inst, tau=((0,) * 2 * g,) * 2 * g)
                 cases = [(inst, True, True), (trivial, True, False)]
                 if r < g:
                     cases.append((_perturb_toric(inst), False, False))
@@ -440,7 +438,7 @@ def test_perturbed_toric_subspace_fails_orthogonality():
 
 def test_trivial_monodromy_fails_filtration():
     inst = build_instance(3, 2, 5)
-    trivial = replace(inst, monodromy=linalg.identity(6))
+    trivial = replace(inst, tau=((0,) * 6,) * 6)
     results = verify_instance(trivial)
     assert not results["filtration"]
     assert not results["tau_rank_r"]
@@ -453,7 +451,7 @@ def test_log_bridges_algebra_and_group():
     # are equivalent statements; assert both, N in Sp by the full product,
     # and the bridge identity.
     inst = build_instance(4, 3, 99)
-    tau = inst.log_matrix
+    tau = inst.tau
     theta = inst.space.form
     assert is_form_compatible(inst)
     assert preserves_form(inst)
@@ -472,7 +470,7 @@ def test_conjugation_invariance():
         inertia_invariants=tuple(mat_vec(m, v) for v in inst.inertia_invariants),
         toric_sub=tuple(mat_vec(m, v) for v in inst.toric_sub),
         lift=tuple(mat_vec(m, v) for v in inst.lift),
-        monodromy=linalg.mat_mul(m, linalg.mat_mul(inst.monodromy, m_inv)),
+        tau=linalg.mat_mul(m, linalg.mat_mul(inst.tau, m_inv)),
     )
     assert all(verify_instance(moved).values())
 
@@ -520,10 +518,9 @@ def _construction_cases(inst: SpecializationInstance) -> dict:
     # d pairs with the last V^I row alone among the rows of V^I, W and T, so
     # adding w_1 (x) Theta(d, .) to tau changes only the last V^I image
     d = vi[n // 2 - 1] if r < n // 2 else t[-1]
-    leak = linalg.mat_sub(_monodromy(inst, w[:1], (d,)), linalg.identity(n))
-    doubled = tuple(tuple(2 * x for x in row) for row in linalg.identity(n))
-    # unipotent with tau the shift e_i -> e_(i-1): tau^2 != 0 from 2g = 4
-    jordan = tuple(tuple(1 if j in (i, i + 1) else 0 for j in range(n)) for i in range(n))
+    leak = _log(inst, w[:1], (d,))
+    # N a Jordan block: tau the shift e_i -> e_(i-1), tau^2 != 0 from 2g = 4
+    shift = tuple(tuple(1 if j == i + 1 else 0 for j in range(n)) for i in range(n))
     zero_last = vi[:-1] + ((0,) * n,)
     # V^I with v_1 + v_g + v_(2g-r) = e_1 + e_g + f_g for v_g = e_g and v_1
     # again for v_(2g-r) = f_g: dependent, yet every row pairs with some row
@@ -546,6 +543,9 @@ def _construction_cases(inst: SpecializationInstance) -> dict:
         "W = T, outside V^I": {"toric_sub": t},
         "W partly outside V^I": {"toric_sub": (linalg.vec_add(w[0], t[0]),) + w[1:]},
         "W zero": {"toric_sub": ((0,) * n,) * r},
+        # V^I + T is not all of V: the verifiers check no such clause, and
+        # rank tau(T) < r must fail the filtration, as the oracle's rank of
+        # V^I + T does
         "T = W, inside V^I": {"lift": w},
         "T inside V^I": {"lift": vi[:r]},
         # a zero row, so that V^I is dependent even when it has one row
@@ -554,12 +554,13 @@ def _construction_cases(inst: SpecializationInstance) -> dict:
         "V^I holds t_1": {"inertia_invariants": vi[:-1] + (t[0],)},
         "V^I holds t_1, W outside": {"inertia_invariants": vi[:-1] + (t[0],),
                                      "toric_sub": t},
-        "W outside, N - I not square zero": {"toric_sub": t, "monodromy": doubled},
-        "N - I not square zero": {"monodromy": doubled},
-        "N a Jordan block": {"monodromy": jordan},
+        "W outside, N - I not square zero": {"toric_sub": t, "tau": linalg.identity(n)},
+        "N - I not square zero": {"tau": linalg.identity(n)},
+        "N a Jordan block": {"tau": shift},
         # in Sp on the standard form, but not unipotent, so the N-in-Sp key
         # cannot be read off form compatibility
-        "N a symplectic shear product": {"monodromy": random_symplectic(n // 2, random.Random(n))},
+        "N a symplectic shear product": {"tau": linalg.mat_sub(
+            random_symplectic(n // 2, random.Random(n)), linalg.identity(n))},
         "V^I with a zero row": {"inertia_invariants": zero_last},
         # w_1 + t_1 pairs only with v_1 = w_1, here moved to the last V^I row
         "W partly outside V^I, V^I rotated": {
@@ -569,13 +570,13 @@ def _construction_cases(inst: SpecializationInstance) -> dict:
             inst, (linalg.vec_add(w[0], t[0]),) + w[1:]),
         "W and the image of tau leave V^I at w_r": _image_follows(
             inst, w[:-1] + (linalg.vec_add(w[-1], t[0]),)),
-        "tau leaks on the last V^I row only": {"monodromy": mat_add(inst.monodromy, leak)},
+        "tau leaks on the last V^I row only": {"tau": mat_add(inst.tau, leak)},
         # Theta(w_1, t_1) = 1.  t_1 (x) Theta(w_1, .) kills V^I = W-perp and
         # fixes t_1; w_1 (x) Theta(t_1, .) kills the isotropic T and negates
         # w_1.  So tau^2 != 0 shows only through a T image, or only through
         # a V^I image.
-        "N - I not square zero through T": {"monodromy": _monodromy(inst, t[:1], w[:1])},
-        "N - I not square zero through V^I": {"monodromy": _monodromy(inst, w[:1], t[:1])},
+        "N - I not square zero through T": {"tau": _log(inst, t[:1], w[:1])},
+        "N - I not square zero through V^I": {"tau": _log(inst, w[:1], t[:1])},
     }
     if r < n // 2:
         cases["V^I dependent, no row pairing to zero with V^I + T"] = {
@@ -601,7 +602,7 @@ def _construction_cases(inst: SpecializationInstance) -> dict:
             "W = (V^I)-perp, not isotropic": {
                 "inertia_invariants": t[1:2] + vi[1:], "toric_sub": hyperbolic,
                 "lift": (w[0], t[0]) + t[2:],
-                "monodromy": _monodromy(inst, hyperbolic, hyperbolic)},
+                "tau": _log(inst, hyperbolic, hyperbolic)},
         })
     return cases
 
@@ -646,13 +647,12 @@ def test_square_zero_defects_reach_one_side_of_the_basis():
             cases = _construction_cases(inst)
             for name, side in (("N - I not square zero through T", range(n - r, n)),
                                ("N - I not square zero through V^I", range(n - r))):
-                monodromy = cases[name]["monodromy"]
-                tau = linalg.mat_sub(monodromy, linalg.identity(n))
+                tau = cases[name]["tau"]
                 images = linalg.mat_mul(inst.inertia_invariants + inst.lift,
                                         linalg.transpose(tau))
                 nonzero = {i for i, x in enumerate(images) if any(x)}
                 assert nonzero and nonzero <= set(side), (g, r, name)
-                results = verify_instance(replace(inst, monodromy=monodromy))
+                results = verify_instance(replace(inst, tau=tau))
                 assert not results["tau_square_zero"], (g, r, name)
 
 
@@ -660,21 +660,19 @@ def test_basis_images_match_the_generic_product():
     for g in range(3, 7):
         for r in range(2, g):
             inst = build_instance(g, r, g + r)
-            identity = linalg.identity(2 * g)
-            replaced = [replace(inst, monodromy=identity)]
+            replaced = [replace(inst, tau=((0,) * 2 * g,) * 2 * g)]
             replaced += [build(inst) for build, _ in _DEFECTS.values()]
             for case in [inst] + replaced:
-                tau = linalg.mat_sub(case.monodromy, identity)
                 assert case.basis_images == linalg.mat_mul(
-                    case.inertia_invariants + case.lift, linalg.transpose(tau)), (g, r)
-            # a replaced monodromy gives the instance its own images
+                    case.inertia_invariants + case.lift, linalg.transpose(case.tau)), (g, r)
+            # a replaced tau gives the instance its own images
             assert all(case.basis_images != inst.basis_images for case in replaced
-                       if case.monodromy != inst.monodromy)
+                       if case.tau != inst.tau)
 
 
 def test_rank_and_product_calls_of_one_build_and_verify(monkeypatch):
     calls = Counter()
-    for name in ("prefix_ranks", "rank", "mat_mul"):
+    for name in ("prefix_ranks", "rank", "mat_mul", "identity", "mat_sub"):
         def counted(*args, _fn=getattr(linalg, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -686,13 +684,13 @@ def test_rank_and_product_calls_of_one_build_and_verify(monkeypatch):
         return value, dict(calls)
 
     build_instance(4, 2, 7)  # validates the shared space of genus 4 once
-    # the rank of S; three products for the symplectic element and two
-    # for tau
+    # the rank of S; three products and the g x g identity for the
+    # symplectic element, and two products for tau, which the record holds
     inst, built = count(lambda: build_instance(4, 2, 7))
-    assert built == {"rank": 1, "mat_mul": 5}
+    assert built == {"rank": 1, "mat_mul": 5, "identity": 1}
     # rank W and the pass over tau(T) + W; two products each for the Gram
     # matrix of V^I + T and the pairing of W with V^I + W, the basis
-    # images and Theta tau
+    # images and Theta tau; no identity, as nothing forms N
     results, verified = count(lambda: verify_instance(inst))
     assert all(results.values())
     assert verified == {"prefix_ranks": 1, "rank": 1, "mat_mul": 6}
@@ -708,20 +706,21 @@ def test_rank_and_product_calls_of_one_build_and_verify(monkeypatch):
 
 def test_log_and_space_caches():
     inst = build_instance(4, 2, 7)
-    identity = linalg.identity(8)
-    assert inst.log_matrix == linalg.mat_sub(inst.monodromy, identity)
-    # a replaced monodromy gets its own tau, and the verifiers read it
+    assert all(verify_instance(inst).values())
+    # a tau replaced after the caches were filled gets basis images of its
+    # own, and every verifier reads it
     leaked = _leak_invariants(inst)
-    assert leaked.log_matrix == linalg.mat_sub(leaked.monodromy, identity)
-    assert leaked.log_matrix != inst.log_matrix
-    assert not verify_instance(leaked)["filtration"]
-    assert verify_instance(inst)["filtration"]
+    assert leaked.tau != inst.tau
+    assert leaked.basis_images != inst.basis_images
+    assert not verify_filtration(leaked) and not is_form_compatible(leaked)
+    assert {k for k, ok in verify_instance(leaked).items() if not ok} == {
+        "filtration", "form_compatible", "monodromy_symplectic"}
     # one validated space per genus
     assert build_instance(4, 1, 3).space is inst.space
     assert build_instance(3, 1, 3).space is not inst.space
     # and a space built directly is still validated
     with pytest.raises(ValueError, match="alternating"):
-        SymplecticSpace(identity)
+        SymplecticSpace(linalg.identity(8))
     # the standard form of genus 4 with the pair e_4, f_4 cut out
     degenerate = tuple(tuple(0 if {i, j} & {3, 7} else x for j, x in enumerate(row))
                        for i, row in enumerate(standard_symplectic_form(4)))

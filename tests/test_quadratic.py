@@ -5,7 +5,9 @@ rank-1 square-zero element of sl(U) induces on an exterior power and
 computing its matrix rank.  The classical minimal ranks are anchored by
 explicit rank-1 (symplectic) and rank-2 (orthogonal) square-zero witnesses
 and by the fact that so_n admits no rank-1 element, shown by parity (G X is
-alternating for X in so(G)) and, independently, by a box search.
+alternating for X in so(G)) and, independently, by a box search.  The
+shape lemmas that criteria 6 and 9 sweep are test oracles in
+helpers_oracles; their examples and sweeps are pinned here.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from math import comb, prod
 
 import pytest
 
-from helpers_oracles import (in_orthogonal_algebra, mat_add,
-                             rank_one_search_orthogonal, split_orthogonal_form)
+from helpers_oracles import (AlgebraShape, in_orthogonal_algebra, mat_add,
+                             rank2_constraint, rank_one_search_orthogonal,
+                             split_orthogonal_form, tensor_form,
+                             transvection_constraint)
 from mtcheck import linalg
 from mtcheck.catalog import descriptor, enumerate_minuscule
 from mtcheck.monodromy import standard_symplectic_form
-from mtcheck.quadratic import (AlgebraShape, quadratic_rank_profile, rank2_constraint,
-                               tensor_form, transvection_constraint)
+from mtcheck.quadratic import quadratic_rank_profile
 from mtcheck.roots import FormClass, LieType
 
 
