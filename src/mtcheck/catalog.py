@@ -32,6 +32,12 @@ slotted descriptors, measured with tracemalloc), so the memo holds at most
 about 2.5 MB.  Descriptors and ``LieType`` are frozen and slotted and the
 value is a tuple, so the entries are immutable and every caller can share
 one value.
+
+The search takes dimensions below 2^_MAX_CANDIDATE_BITS = 2^2048 and
+raises at or past it, before it computes anything.  Its s >= 3 loop runs
+s up to about log2(n) / 2 with binomials of about log2(n) bits, so its
+cost grows roughly as (log n)^3; the largest accepted dimensions took
+about 1 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -131,6 +137,9 @@ def standard_module(family: str, n: int) -> IrrepDescriptor | None:
 # up to 35000, the bound of the acceptance sweeps, would keep about 22 MB
 # without one
 CANDIDATE_MEMO_SIZE = 4096
+# a time bound (see the module docstring); it covers every dimension that
+# reaches the search: ``survivors --dim``, both ``check`` routes and batch rows
+_MAX_CANDIDATE_BITS = 2048
 
 _E_ENTRIES = [descriptor(LieType("E", m), s) for m, s in _E]
 _E_BY_DIM = {e.dim: tuple(f for f in _E_ENTRIES if f.dim == e.dim) for e in _E_ENTRIES}
@@ -167,9 +176,12 @@ def minuscule_candidates(n: int) -> tuple[IrrepDescriptor, ...]:
 
     Memoized per process for the last CANDIDATE_MEMO_SIZE dimensions, with
     one shared, immutable value each (see the module docstring).  n < 2
-    raises on every call: the memo keeps no exceptions."""
+    and n >= 2^_MAX_CANDIDATE_BITS raise on every call: the memo keeps no
+    exceptions."""
     if n < 2:
         raise ValueError("dimension must be >= 2")
+    if n.bit_length() > _MAX_CANDIDATE_BITS:
+        raise ValueError(f"dimension must be below 2^{_MAX_CANDIDATE_BITS}")
     # the A entries by rising rank: m falls as s rises, so the s >= 3 hits
     # come reversed, then s = 2, then A_{n-1}:w1
     out = []

@@ -1,49 +1,28 @@
-"""Independent oracles used to pin derived values before testing the
-library's own closed forms against them.
+"""Independent oracles that pin derived values before the tests check the
+library's own closed forms against them, one line each:
 
-The duality oracle walks a fundamental weight down to the antidominant
-chamber by simple reflections (reaching w0 . w) instead of trusting the
-permutation of the root-system oracle ``helpers_roots``; the minuscule
-oracle applies the coroot-pairing criterion, against which the tests pin
-the catalog's list of weight indices; the transvection oracle
-brute-forces rank-1 elements of orthogonal algebras over a small integer
-box; the monodromy oracles restate orthogonality and the filtration by
-rational nullspaces and span tests, the formulation the library's
-product-and-rank verifiers replaced, ``preserves_form`` tests
-N^T Theta N = Theta by full products on ``monodromy``, N = I + tau formed
-from the instance's log, the check ``verify_instance`` reads off form
-compatibility once tau^2 = 0, ``symplectic_inverse`` is the
-signed-transpose inverse of a standard-form symplectic matrix, and
-``failing_keys_by_ranks`` computes every key of ``verify_instance`` on
-its own, from separate ranks of V^I, W, V^I + W and V^I + T, the full
-tau . tau and N^T Theta N products and the nullspace and span oracles,
-where the library certifies its rank facts by form products, leaves out
-V = V^I + T, which its other filtration clauses imply, and reads
-tau^2 = 0, the rank of tau and N in Sp off the filtration and form
-compatibility; the exception-pair oracle is
-the closed form (56, 15) plus the triangular family (m(m+1)/2, m-1),
-m != 3 mod 4, that the verdict engine's exclusion sweep must reproduce;
-the lemma oracle tests every s with a fresh binomial, without the early
-stop; the weight oracles read a descriptor's index and label off the
-coordinates of its weight (a ``helpers_roots.Weight``: the package names a
-weight by its index alone), as the catalog did before it stored the index;
-the candidate oracle finds the A-family entries of a dimension by stepping
-m one at a time for every s, as the exclusion engine did before it read
-s = 2 off ``isqrt`` and bisected m for s >= 3; the descriptor oracle
-builds every entry of a dimension with the checked ``descriptor`` and
-sorts them, as the catalog did before it built its w1 entries directly
-and emitted the entries in sort order; the survivors oracle
-builds the Theorem 6.1 outer with its own ``standard_module`` lookup and
-compares every candidate with it by equality, as the exclusion engine did
-before it took the outer from the candidate tuple; the shape lemmas
-``transvection_constraint`` and ``rank2_constraint`` (with
-``AlgebraShape`` and ``tensor_form``) list the algebras of a dimension
-with a rank-1 or rank-2 quadratic element by catalog lookups, for
-criteria 6 and 9, and criterion 9 checks the first against the rank-1
-entries of the runtime's rank data.  ``mat_add`` and
-``mat_vec`` are a plain matrix sum and matrix-vector product that only
-tests use; ``candidate_min_ranks`` gives the minimal quadratic ranks of
-the dim-n candidates, the ranks the exclusion sweeps query.
+- ``descent_dual_index``: the dual of ws, by reflecting to the antidominant chamber;
+- ``pairing_minuscule``: the coroot-pairing criterion for a minuscule weight;
+- ``orbit_size``: the Weyl orbit of ws, by breadth-first reflection;
+- ``rank_one_search_orthogonal``: rank-1 members of so(n) over an integer box;
+- ``orthogonality_by_nullspace``: W as the complement of V^I, by a rational nullspace;
+- ``symplectic_inverse``: the signed-transpose inverse of a standard-form symplectic matrix;
+- ``preserves_form``: N^T Theta N = Theta by full products, with N = I + tau;
+- ``filtration_by_spans``: the filtration clauses, one vector at a time;
+- ``failing_keys_by_ranks``: every key of ``verify_instance``, each on its own;
+- ``transvection_constraint``, ``rank2_constraint``: the shapes with a rank-1 or rank-2
+  quadratic element, by catalog lookups (criteria 9 and 6);
+- ``is_exception_pair``: the closed form (56, 15) plus the triangular family;
+- ``minuscule_candidates_by_scan``: the candidates of n, stepping m for every s;
+- ``minuscule_candidates_by_descriptor``: the candidates of n from ``descriptor``, sorted;
+- ``surviving_inners_by_pairs``: the survivors by one ``check_pair`` per (inner, outer);
+- ``candidate_min_ranks``: the minimal quadratic ranks the closure sweeps query;
+- ``divisibility_solutions_unpruned``: the lemma with a fresh binomial per s;
+- ``fundamental_index_by_scan``, ``label_by_weight``: a weight's index and label, read off
+  its coordinates.
+
+``mat_add`` and ``mat_vec`` are a plain matrix sum and matrix-vector product
+that only tests use.
 """
 
 from __future__ import annotations
@@ -151,24 +130,6 @@ def rank_one_search_orthogonal(n: int, bound: int = 2) -> list[linalg.Matrix]:
             if not linalg.is_zero_matrix(m) and in_orthogonal_algebra(m, g):
                 found.append(m)
     return found
-
-
-def catalog_dims_by_brute_force(n: int, max_rank: int) -> set[str]:
-    """Labels of cataloged modules of dimension n found by scanning every
-    type of rank <= max_rank."""
-    from mtcheck.catalog import enumerate_minuscule
-
-    labels = set()
-    for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-        for rank in range(lo, max_rank + 1):
-            for entry in enumerate_minuscule(LieType(family, rank)):
-                if entry.dim == n:
-                    labels.add(entry.label)
-    for rank in (6, 7, 8):
-        for entry in enumerate_minuscule(LieType("E", rank)):
-            if entry.dim == n:
-                labels.add(entry.label)
-    return labels
 
 
 @cache
@@ -314,6 +275,11 @@ def is_exception_pair(g: int, r: int) -> bool:
     return m is not None and m % 4 != 3 and r == m - 1
 
 
+def _entry_order(e: IrrepDescriptor) -> tuple[str, int, int]:
+    """(family, rank, weight index), the order ``minuscule_candidates`` emits."""
+    return e.lie_type.family, e.lie_type.rank, e.weight_index
+
+
 def minuscule_candidates_by_scan(n: int) -> tuple[IrrepDescriptor, ...]:
     """``catalog.minuscule_candidates`` with a stepping scan for every s."""
     out = [descriptor(LieType("A", n - 1), 1)]
@@ -341,14 +307,14 @@ def minuscule_candidates_by_scan(n: int) -> tuple[IrrepDescriptor, ...]:
         out.append(descriptor(LieType("E", 6), 6))
     if n == 56:
         out.append(descriptor(LieType("E", 7), 7))
-    return tuple(sorted(out))
+    return tuple(sorted(out, key=_entry_order))
 
 
 def minuscule_candidates_by_descriptor(n: int) -> tuple[IrrepDescriptor, ...]:
     """``catalog.minuscule_candidates`` as built before it emitted its
     entries in order: every entry from the checked ``descriptor``, the A
     entries of each s >= 2 found by a doubling bisection of their own, and
-    the whole list ``sorted`` in the dataclass order."""
+    the whole list sorted by (family, rank, weight index)."""
     out = []
     for family in ("A", "B") if n % 2 else ("A", "C", "D"):
         try:
@@ -373,7 +339,7 @@ def minuscule_candidates_by_descriptor(n: int) -> tuple[IrrepDescriptor, ...]:
         out += [descriptor(LieType("D", spin_m), spin_m - 1),
                 descriptor(LieType("D", spin_m), spin_m)]
     out += [e for m in (6, 7) for e in enumerate_minuscule(LieType("E", m)) if e.dim == n]
-    return tuple(sorted(out))
+    return tuple(sorted(out, key=_entry_order))
 
 
 def theorem61_family(n: int, form: FormClass) -> str:

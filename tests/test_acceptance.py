@@ -1,21 +1,24 @@
 """Acceptance gate: nine exact finite verifications, one test per
 criterion, each ending in a single machine-greppable pass line (run with
 ``pytest tests/test_acceptance.py -v -s`` to see them), plus the
-un-numbered orthogonal closure sweep, which prints none.  Every bound sits
-in ``BOUNDS``, and a last test pins the README's list of criteria against
-it.  Everything is exact integer/rational arithmetic; there are no
-tolerances to tune.  ``tests/tools/time_criteria.py`` times the bodies.
+un-numbered orthogonal closure sweep, which prints none.  Criteria 4 and 5
+and the orthogonal closure read one cached walk over the dimensions, and a
+test pins that it builds each dimension once.  Every bound sits in
+``BOUNDS``, and a last test pins the README's list of criteria against it.
+Everything is exact integer/rational arithmetic; there are no tolerances
+to tune.  ``tests/tools/time_criteria.py`` times the bodies.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cache
 from math import comb, gcd
 from pathlib import Path
 
 from helpers_oracles import candidate_min_ranks, rank2_constraint, transvection_constraint
 from helpers_roots import highest_weight, weyl_dim
-from mtcheck.catalog import descriptor, enumerate_minuscule
+from mtcheck.catalog import descriptor, enumerate_minuscule, minuscule_candidates
 from mtcheck.checker import (AVDescriptor, Conclusion, EndoType, Reduction,
                              decide)
 from mtcheck.cli import main
@@ -112,27 +115,50 @@ def test_criterion_3_mod4_remark():
             f"'m even or m = 1 mod 4' for all m <= {_shown(top)}")
 
 
+@cache
+def _closure_walk() -> tuple[dict, dict, int]:
+    """The one walk over 5 <= n <= SWEEP_BOUND that criteria 4 and 5 and the
+    orthogonal closure read.  It builds the candidates of each n once, on a
+    cleared memo, and queries ``surviving_inners`` at every r coprime to n
+    among their minimal ranks: as they are for the non-self-dual class,
+    with 1 and n - 1 for the symplectic class at even n, and with 1, 2 and
+    n - 1 for the orthogonal class.  Returns the query count per class, the
+    survivors per class keyed by (n, r), and the dimensions built."""
+    minuscule_candidates.cache_clear()
+    queries = dict.fromkeys(FormClass, 0)
+    survivors = {form: {} for form in FormClass}
+    for n in range(5, SWEEP_BOUND + 1):
+        # 1 and 2 are always among these (A_{n-1}:w1 and the B or D standard
+        # module), so of the extra ranks only n - 1 adds queries
+        ranks = candidate_min_ranks(n)
+        classes = [(FormClass.NON_SELF_DUAL, ranks), (FormClass.ORTHOGONAL, ranks | {1, 2, n - 1})]
+        if n % 2 == 0:
+            classes.append((FormClass.SYMPLECTIC, ranks | {1, n - 1}))
+        for form, form_ranks in classes:
+            for r in form_ranks:
+                if gcd(r, n) != 1:
+                    continue
+                queries[form] += 1
+                if found := surviving_inners(n, form, r):
+                    survivors[form][n, r] = [e.label for e in found]
+    return queries, survivors, minuscule_candidates.cache_info().misses
+
+
 def test_criterion_4_exception_closure():
     a7w3 = descriptor(LieType("A", 7), 3)
     assert a7w3.dim == 56
     assert quadratic_rank_profile(a7w3)[0] == 15
 
     top = BOUNDS[4]["n"]
-    survivors_at = {}
-    for n in range(5, top + 1):
-        for r in sorted(candidate_min_ranks(n)):
-            if gcd(r, n) != 1:
-                continue
-            found = surviving_inners(n, FormClass.NON_SELF_DUAL, r)
-            if found:
-                survivors_at[(n, r)] = [e.label for e in found]
+    queries, survivors, _ = _closure_walk()
     expected = {(56, 15): ["A7:w3"]}
     m = 4
     while m * (m + 1) // 2 <= top:
         if m % 4 != 3:
             expected[(m * (m + 1) // 2, m - 1)] = [f"A{m}:w2"]
         m += 1
-    assert survivors_at == expected
+    assert survivors[FormClass.NON_SELF_DUAL] == expected
+    assert queries[FormClass.NON_SELF_DUAL] == 52_691  # at SWEEP_BOUND = 35000
     _passed(f"criterion 4: non-self-dual survivors over n <= {top} occur "
             f"exactly at (56, 15) and the triangular family "
             f"({len(expected)} pairs)")
@@ -140,13 +166,10 @@ def test_criterion_4_exception_closure():
 
 def test_criterion_5_symplectic_closure():
     top = BOUNDS[5]["n"]
-    checked = 0
-    for n in range(6, top + 1, 2):
-        for r in sorted(candidate_min_ranks(n) | {1, n - 1}):
-            if gcd(r, n) != 1:
-                continue
-            assert surviving_inners(n, FormClass.SYMPLECTIC, r) == (), (n, r)
-            checked += 1
+    queries, survivors, _ = _closure_walk()
+    assert survivors[FormClass.SYMPLECTIC] == {}
+    checked = queries[FormClass.SYMPLECTIC]
+    assert checked == 35_063  # at SWEEP_BOUND = 35000
     _passed(f"criterion 5: symplectic survivors are empty for every even "
             f"n <= {top} ({checked} (n, r) queries)")
 
@@ -154,14 +177,16 @@ def test_criterion_5_symplectic_closure():
 def test_orthogonal_closure():
     # ``survivors --form orth`` has no numbered criterion; this is its
     # sweep, to the same bound as criteria 4 and 5, with no PASS line
-    checked = 0
-    for n in range(5, SWEEP_BOUND + 1):
-        for r in sorted(candidate_min_ranks(n) | {1, 2, n - 1}):
-            if gcd(r, n) != 1:
-                continue
-            assert surviving_inners(n, FormClass.ORTHOGONAL, r) == (), (n, r)
-            checked += 1
-    assert checked == 87_687  # at SWEEP_BOUND = 35000
+    queries, survivors, _ = _closure_walk()
+    assert survivors[FormClass.ORTHOGONAL] == {}
+    assert queries[FormClass.ORTHOGONAL] == 87_687  # at SWEEP_BOUND = 35000
+
+
+def test_closure_walk_builds_each_dimension_once():
+    # one walk per process serves the three closures, and it builds the
+    # candidates of each n in 5..SWEEP_BOUND once
+    assert _closure_walk()[2] == SWEEP_BOUND - 4
+    assert _closure_walk.cache_info().misses == 1
 
 
 def test_criterion_6_rank2_closure():

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from mtcheck.catalog import descriptor
+from mtcheck.catalog import _least_m, descriptor, minuscule_candidates
 from mtcheck.cli import _descriptor_from_args, _parse_row, build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -225,6 +225,50 @@ def test_survivors_at_extreme_dimension_fails_fast(capsys):
                                    "--form", "nsd", "--rank-tau", "1"])
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (0, "none\n", "")
+
+
+def test_candidate_search_refuses_past_its_bound(tmp_path, capsys, monkeypatch):
+    # the search refuses 2^2048 and more; at a lowered bound of 2^10 every
+    # route into it takes 1023 and refuses 1024 before it searches: ``survivors --dim``, ``check``
+    # at 2g (the rational route) and at g (the imaginary quadratic route), and
+    # a batch row; the memo is cleared before each query, so that it neither
+    # hands back 1024 from another test nor 1023 from the query before
+    code, out, err = _run(capsys, ["survivors", "--dim", str(2**2048), "--form", "nsd",
+                                   "--rank-tau", "1"])
+    assert (code, out, err) == (1, "", "error: dimension must be below 2^2048\n")
+    monkeypatch.setattr("mtcheck.catalog._MAX_CANDIDATE_BITS", 10)
+    searched = []
+
+    def spy(n, s, hi):
+        searched.append(n)
+        return _least_m(n, s, hi)
+
+    monkeypatch.setattr("mtcheck.catalog._least_m", spy)
+    rational = ["--endo", "Q", "--toric-rank", "1", "--bad-semistable-split"]
+    for argv, fits in [
+        (["survivors", "--dim", "1023", "--form", "orth", "--rank-tau", "1"], True),
+        (["survivors", "--dim", "1024", "--form", "nsd", "--rank-tau", "1"], False),
+        (["check", "--g", "511"] + rational, True),
+        (["check", "--g", "512"] + rational, False),
+        (["check", "--g", "1023", "--endo", "k", "--degree", "2", "--signature", "1,1022",
+          "--toric-rank", "2", "--bad-semistable-split"], True),
+        (["check", "--g", "1024", "--endo", "k", "--degree", "2", "--signature", "1,1023",
+          "--toric-rank", "2", "--bad-semistable-split"], False),
+    ]:
+        searched.clear()
+        minuscule_candidates.cache_clear()
+        code, out, err = _run(capsys, argv)
+        if fits:
+            assert (code, err, bool(out), bool(searched)) == (0, "", True, True), argv
+        else:
+            assert (code, out, searched) == (1, "", []), argv
+            assert err == "error: dimension must be below 2^10\n", argv
+    batch = tmp_path / "batch.txt"
+    batch.write_text(shlex.join(["--g", "511"] + rational) + "\n"
+                     + shlex.join(["--g", "512"] + rational) + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["check", "--file", str(batch), "--format", "machine"])
+    assert (code, out.count("\n")) == (1, 1)
+    assert err == "error: line 2: dimension must be below 2^10\n"
 
 
 def test_survivors_bad_form_is_an_error(capsys):

@@ -17,8 +17,9 @@ and exits 1 if any does.
 
 The set covers every subcommand, each ``$ mtcheck`` example of the README,
 the golden batch through ``check --file`` in both formats, a batch of
-malformed rows, usage and value errors, and specs at the printable
-dimension bound.  ``{golden}`` in an argv stands for the tree's
+malformed rows, usage and value errors, specs at the printable dimension
+bound, and dimensions at the candidate-search bound and one past it.
+``{golden}`` in an argv stands for the tree's
 ``tests/data/golden_descriptors.txt``; the other files are written to a
 temporary working directory shared by both trees.  Standard library only;
 the file name keeps pytest from collecting it.
@@ -88,6 +89,8 @@ ARGVS: list[list[str]] = [
     ["survivors", "--dim", "10", "--form", "nsd", "--rank-tau", "5"],
     ["survivors", "--dim", "4", "--form", "nsd", "--rank-tau", "1"],
     ["survivors", "--dim", "56", "--form", "nsd", "--rank-tau", "0"],
+    ["survivors", "--dim", str(2**2048 - 1), "--form", "orth", "--rank-tau", "1"],
+    ["survivors", "--dim", str(2**2048), "--form", "nsd", "--rank-tau", "1"],
     # lemma and exceptions
     ["lemma", "--mmax", "8"],
     ["lemma", "--mmax", "200"],
@@ -111,6 +114,9 @@ ARGVS: list[list[str]] = [
     ["check", "--g", "3", "--endo", "k", "--degree", "2", "--signature", "1,3"],
     ["check", "--g", "3", "--endo", "k", "--degree", "2", "--signature", "1"],
     ["check", "--g", "3", "--endo", "bad"],
+    ["check", "--g", str(2**2047 - 1), "--endo", "Q", "--toric-rank", "1",
+     "--bad-semistable-split"],
+    ["check", "--g", str(2**2047), "--endo", "Q", "--toric-rank", "1", "--bad-semistable-split"],
     ["check", "--file", "{golden}"],
     ["check", "--file", "{golden}", "--format", "machine"],
     ["check", "--file", "rows_with_errors.txt"],

@@ -10,7 +10,8 @@ first on ``sys.path``, so each side runs its own code at its own bounds.
 Run k calls every named test of ``tests/test_acceptance.py`` once per tree,
 each in a new interpreter, and alternates which tree goes first.  A body's
 time is the process time of the call alone (imports excluded), so other
-processes on the host weigh less than in wall time.  A body may take the
+processes on the host weigh less than in wall time; a body that reads a
+walk cached for several bodies pays the whole walk.  A body may take the
 ``capsys`` fixture: it gets a stand-in whose ``readouterr().out`` drains
 what the body printed so far; a body that takes any other fixture is
 refused.  The name ``tier1`` runs the Tier-1 command
