@@ -128,13 +128,17 @@ def _thm65_hypothesis(d: AVDescriptor) -> bool:
     return d.endo_type is EndoType.RATIONAL and d.bad and gcd(d.toric_rank, 2 * d.g) == 1
 
 
-def _exclusion(tag: str, n: int, form: FormClass, r: int) -> tuple[bool, str]:
+def _exclusion(tag: str, dim: str, n: int, form: FormClass, r: int) -> tuple[bool, str]:
     """Whether a proper inclusion survives at (n, form, r), and the note
-    saying which."""
+    saying which.  n is the route's dimension, named dim ("g" or "2g") in
+    the error raised when n is past the candidate search's bound."""
     if n <= 4:
         return False, (f"{tag}: ambient dimension {n} <= 4 handled by the "
                        "small-dimension results; exclusion engine not consulted")
-    survivors = surviving_inners(n, form, r)
+    try:
+        survivors = surviving_inners(n, form, r)
+    except ValueError as exc:  # on these routes only the dimension bound refuses
+        raise ValueError(f"{tag} searches at {dim}: {exc}") from None
     if not survivors:
         return False, f"{tag}: survivors: none (dim {n}, {form.value}, rank {r})"
     names = ", ".join(s.label for s in survivors)
@@ -183,14 +187,14 @@ def _quadratic_coprime_half_rank(d: AVDescriptor, _: Conclusion) -> _Outcome:
     if not _thm64_hypothesis(d):
         return ("needs imaginary quadratic multiplication, bad reduction, "
                 "toric rank 2r with gcd(r, g) = 1")
-    hit, note = _exclusion("Thm 6.4", d.g, FormClass.NON_SELF_DUAL, d.toric_rank // 2)
+    hit, note = _exclusion("Thm 6.4", "g", d.g, FormClass.NON_SELF_DUAL, d.toric_rank // 2)
     return (Conclusion.EXCEPTION_PAIR_HIT if hit else Conclusion.MT), note
 
 
 def _rational_coprime_rank(d: AVDescriptor, _: Conclusion) -> _Outcome:
     if not _thm65_hypothesis(d):
         return "needs endomorphisms Q, bad reduction, toric rank prime to 2g"
-    _, note = _exclusion("Thm 6.5", 2 * d.g, FormClass.SYMPLECTIC, d.toric_rank)
+    _, note = _exclusion("Thm 6.5", "2g", 2 * d.g, FormClass.SYMPLECTIC, d.toric_rank)
     return Conclusion.MT, note
 
 

@@ -4,12 +4,15 @@ Matrices are immutable tuples of row tuples; vectors are tuples.  The
 kernels take and return ints only and never widen them to floats.
 
 Two kernels do the work, and each one's docstring gives its scheme:
-``mat_mul``, one packed big-int product (Kronecker substitution), and
-``_bareiss``, one row-ordered fraction-free elimination pass.
-``prefix_ranks`` reads the rank of every leading block of rows off the
-pass, ``rank`` the number of pivots, and ``det`` the last pivot, signed by
-the order of the pivot columns.  A non-int entry raises in both kernels: a
-``Fraction`` would make the pass's exact divisions floor.
+``mat_mul``, which applies a monomial right factor (one nonzero entry in
+each row and column, as in every form the monodromy models build) as a
+scaled column permutation and packs any other into one big-int product
+(Kronecker substitution), and ``_bareiss``, one row-ordered fraction-free
+elimination pass.  ``prefix_ranks`` reads the rank of every leading block
+of rows off the pass, ``rank`` the number of pivots, and ``det`` the last
+pivot, signed by the order of the pivot columns.  A non-int entry raises
+TypeError in both kernels: a ``Fraction`` would make the pass's exact
+divisions floor.
 
 Only ``rref``, ``inverse`` and ``nullspace`` use ``fractions.Fraction``,
 since a reduced row echelon form and an inverse have intrinsic
@@ -28,8 +31,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress, count
-from math import lcm
-from operator import lshift, mul
+from math import gcd, lcm
+from operator import itemgetter, lshift, mul
 from struct import Struct
 
 Scalar = int
@@ -60,18 +63,35 @@ def _lengths_are(n: int, m: Matrix) -> bool:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """The product a·b, one packed big-int row per row of a.
+    """The product a·b, one row per row of a.
 
-    Row k of b is packed into the int sum_j b[k][j]·2^(w·j), with one slot
-    width w = 64·s bits (``word_bytes`` = 8·s) for all cells, chosen so
-    that every cell c of the product has |c| <= max|a|·max|b|·inner
-    < 2^(w - 1).  Row i of a·b is then sum_k a[i][k]·packed[k], a dot
-    product of big ints at C level.  Adding 2^(w - 1) to each slot makes
-    every slot a digit in [0, 2^w) with no borrow between slots, and
-    XOR-ing that bias back out leaves each slot in w-bit two's complement,
-    which is read as little-endian signed words.  A ``Fraction`` or float
-    entry raises in the packing (at the cell bound's ``bit_length``, a
-    shift or the bias XOR), so no non-int cell is ever returned.
+    Every entry of a and b must be an int: each row goes through
+    ``math.gcd``, which takes integers only, so a ``Fraction`` or float
+    raises TypeError before any arithmetic, whichever path follows.  That
+    costs less than a scan of the entries' types.
+
+    A monomial b (see ``_monomial_columns``) is a scaled column
+    permutation: with src[j] the row of b whose nonzero entry lies in
+    column j, cell (i, j) of a·b is a[i][src[j]]·b[src[j]][j], so each row
+    is one gather and one elementwise product, with no packing.  A 1 × 1 b
+    takes the packed path, as an ``itemgetter`` of one index returns an
+    entry, not a tuple.
+
+    Any other b is packed (Kronecker substitution): row k of b becomes the
+    int sum_j b[k][j]·2^(w·j), with one slot width w = 64·s bits
+    (``word_bytes`` = 8·s) for all cells, chosen so that every cell c of
+    the product has |c| <= max(max|a|, 1)·max|b|·inner < 2^(w - 1).  Row i
+    of a·b is then sum_k a[i][k]·packed[k], a dot product of big ints at C
+    level.  With 8-byte slots one ``Struct`` packs a row of b as signed
+    words, and ``from_bytes`` reads them as one unsigned int U.  That
+    counts each negative word 2^64 too high, one unit of the next slot;
+    its bit 63 is set, so U - ((U & bias) << 1), with ``bias`` the sum of
+    2^(64·j + 63), takes exactly those units off.  The correction needs
+    |b| < 2^63, which the bound gives only because it counts max|a| as at
+    least 1.  Wider slots are packed by shifts.  Adding ``bias`` to each
+    row of the product makes every slot a digit in [0, 2^w) with no borrow
+    between slots, and XOR-ing it back out leaves each slot in w-bit two's
+    complement, which is read as little-endian signed words.
     """
     inner = len(b)
     if not _lengths_are(inner, a):
@@ -79,20 +99,48 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     p = len(b[0]) if b else 0
     if not _lengths_are(p, b):
         raise ValueError("rows of a matrix must have one length")
+    try:
+        for row in chain(a, b):
+            gcd(*row)
+    except TypeError:
+        raise TypeError("matrix product needs int entries") from None
     if not (a and inner and p):
         return tuple((0,) * p for _ in a)
-    bound = (max(map(abs, chain.from_iterable(a)))
+    cols = _monomial_columns(b) if inner == p > 1 else None
+    if cols is not None:
+        src = sorted(range(p), key=cols.__getitem__)
+        take, scale = itemgetter(*src), [b[k][j] for j, k in enumerate(src)]
+        # a list first: a tuple built from the map is resized as it grows
+        return tuple(tuple(list(map(mul, take(row), scale))) for row in a)
+    bound = (max(max(map(abs, chain.from_iterable(a))), 1)
              * max(map(abs, chain.from_iterable(b))) * inner)
     word_bytes = 8 * (bound.bit_length() // 64 + 1)
-    shifts = range(0, 8 * word_bytes * p, 8 * word_bytes)
-    packed = [sum(map(lshift, row, shifts)) for row in b]
     bias = int.from_bytes((bytes(word_bytes - 1) + b"\x80") * p, "little")
+    if word_bytes == 8:
+        words = Struct(f"<{p}q")
+        unsigned = (int.from_bytes(words.pack(*row), "little") for row in b)
+        packed = [u - ((u & bias) << 1) for u in unsigned]
+    else:
+        shifts = range(0, 8 * word_bytes * p, 8 * word_bytes)
+        packed = [sum(map(lshift, row, shifts)) for row in b]
     rows = [((sum(map(mul, row, packed)) + bias) ^ bias).to_bytes(word_bytes * p, "little")
             for row in a]
     if word_bytes == 8:
-        return tuple(map(Struct(f"<{p}q").unpack, rows))
+        return tuple(map(words.unpack, rows))
     return tuple(tuple(int.from_bytes(raw[j:j + word_bytes], "little", signed=True)
                        for j in range(0, len(raw), word_bytes)) for raw in rows)
+
+
+def _monomial_columns(m: Matrix) -> list[int] | None:
+    """For a square m with exactly one nonzero entry in each row and in each
+    column, the column of each row's nonzero entry; None for any other m."""
+    n = len(m)
+    cols = []
+    for row in m:
+        if row.count(0) != n - 1:
+            return None
+        cols.append(next(compress(count(), row)))
+    return cols if len(set(cols)) == n else None
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:

@@ -119,8 +119,11 @@ class SpecializationInstance:
         The 2g rows B of V^I + T have the Gram matrix G = B Theta B^T, and
         det G = det(B)^2 det Theta with Theta nondegenerate; so G monomial
         (one nonzero entry in each row and column) makes B nonsingular,
-        and rank V^I = 2g - r.  Every built instance has G the form in its
-        adapted basis, a signed permutation.  Given that, rank W = r and W
+        and rank V^I = 2g - r; ``_is_monomial`` is the test by which
+        ``linalg.mat_mul`` takes its permutation path.  Every built
+        instance has G the form in its adapted basis, a signed permutation,
+        and B Theta, with the form on the right, takes that path whenever
+        the form is monomial.  Given that, rank W = r and W
         pairing to zero with V^I make W the complement (V^I)-perp, of
         dimension r, and V^I = W-perp; so W lies in V^I exactly when the W
         block of the pairing, W Theta W^T, is 0.  The cheap premises are
@@ -141,10 +144,9 @@ class SpecializationInstance:
 
 
 def _is_monomial(m: Matrix) -> bool:
-    """Does the alternating matrix m have exactly one nonzero entry in each
-    row and in each column?  Its columns are its negated rows, so the rows
-    decide."""
-    return all(len(row) - row.count(0) == 1 for row in m)
+    """Does the square matrix m have exactly one nonzero entry in each row
+    and in each column?  The product's permutation path asks the same."""
+    return linalg._monomial_columns(m) is not None
 
 
 def standard_symplectic_form(g: int) -> Matrix:
@@ -263,11 +265,13 @@ def verify_filtration(inst: SpecializationInstance) -> bool:
 def is_form_compatible(inst: SpecializationInstance) -> bool:
     """tau lies in the symplectic algebra: tau^T Theta + Theta tau = 0.
 
-    Theta^T = -Theta (SymplecticSpace enforces it) makes tau^T Theta equal
-    to -(Theta tau)^T, so the condition says Theta tau is symmetric.
+    Theta^T = -Theta (SymplecticSpace enforces it) makes the transpose of
+    tau^T Theta equal to Theta^T tau = -Theta tau, so the condition says
+    tau^T Theta is symmetric.  Theta stands on the right, as in every form
+    product here, so a monomial form takes the product's permutation path.
     """
-    theta_tau = linalg.mat_mul(inst.space.form, inst.tau)
-    return theta_tau == linalg.transpose(theta_tau)
+    tau_theta = linalg.mat_mul(linalg.transpose(inst.tau), inst.space.form)
+    return tau_theta == linalg.transpose(tau_theta)
 
 
 def verify_instance(inst: SpecializationInstance) -> dict[str, bool]:
@@ -292,7 +296,7 @@ def verify_instance(inst: SpecializationInstance) -> dict[str, bool]:
         symplectic = form_compatible
     else:
         n_mat = tuple(row[:i] + (row[i] + 1,) + row[i + 1:] for i, row in enumerate(tau))
-        symplectic = linalg.mat_mul(linalg.transpose(n_mat), linalg.mat_mul(form, n_mat)) == form
+        symplectic = linalg.mat_mul(linalg.mat_mul(linalg.transpose(n_mat), form), n_mat) == form
     return {
         "tau_square_zero": square_zero,
         "tau_rank_r": filtration or linalg.rank(tau) == inst.toric_rank,

@@ -245,15 +245,14 @@ def test_candidate_search_refuses_past_its_bound(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("mtcheck.catalog._least_m", spy)
     rational = ["--endo", "Q", "--toric-rank", "1", "--bad-semistable-split"]
-    for argv, fits in [
-        (["survivors", "--dim", "1023", "--form", "orth", "--rank-tau", "1"], True),
-        (["survivors", "--dim", "1024", "--form", "nsd", "--rank-tau", "1"], False),
-        (["check", "--g", "511"] + rational, True),
-        (["check", "--g", "512"] + rational, False),
-        (["check", "--g", "1023", "--endo", "k", "--degree", "2", "--signature", "1,1022",
-          "--toric-rank", "2", "--bad-semistable-split"], True),
-        (["check", "--g", "1024", "--endo", "k", "--degree", "2", "--signature", "1,1023",
-          "--toric-rank", "2", "--bad-semistable-split"], False),
+    refused = "dimension must be below 2^10"
+    for argv, fits, error in [
+        (["survivors", "--dim", "1023", "--form", "orth", "--rank-tau", "1"], True, ""),
+        (["survivors", "--dim", "1024", "--form", "nsd", "--rank-tau", "1"], False, refused),
+        (["check", "--g", "511"] + rational, True, ""),
+        (["check", "--g", "512"] + rational, False, f"Thm 6.5 searches at 2g: {refused}"),
+        (_quadratic_check(1023), True, ""),
+        (_quadratic_check(1024), False, f"Thm 6.4 searches at g: {refused}"),
     ]:
         searched.clear()
         minuscule_candidates.cache_clear()
@@ -262,13 +261,40 @@ def test_candidate_search_refuses_past_its_bound(tmp_path, capsys, monkeypatch):
             assert (code, err, bool(out), bool(searched)) == (0, "", True, True), argv
         else:
             assert (code, out, searched) == (1, "", []), argv
-            assert err == "error: dimension must be below 2^10\n", argv
+            assert err == f"error: {error}\n", argv
     batch = tmp_path / "batch.txt"
     batch.write_text(shlex.join(["--g", "511"] + rational) + "\n"
                      + shlex.join(["--g", "512"] + rational) + "\n", encoding="utf-8")
     code, out, err = _run(capsys, ["check", "--file", str(batch), "--format", "machine"])
     assert (code, out.count("\n")) == (1, 1)
-    assert err == "error: line 2: dimension must be below 2^10\n"
+    assert err == f"error: line 2: Thm 6.5 searches at 2g: {refused}\n"
+
+
+def _quadratic_check(g: int) -> list[str]:
+    """A ``check`` argv on the imaginary quadratic route (Thm 6.4) at g."""
+    return ["check", "--g", str(g), "--endo", "k", "--degree", "2", "--signature",
+            f"1,{g - 1}", "--toric-rank", "2", "--bad-semistable-split"]
+
+
+def test_check_names_the_dimension_its_route_searches(tmp_path, capsys):
+    # the user gives g; the rational route (Thm 6.5) searches 2g and the
+    # imaginary quadratic one (Thm 6.4) g, so a refusal names which, with
+    # one error line and status 1, alone or as a batch row
+    rational = ["--g", str(2**2047), "--endo", "Q", "--toric-rank", "1",
+                "--bad-semistable-split"]
+    too_big = "must be below 2^2048"
+    for argv, error in [
+        (["check"] + rational, f"Thm 6.5 searches at 2g: dimension {too_big}"),
+        (_quadratic_check(2**2048), f"Thm 6.4 searches at g: dimension {too_big}"),
+    ]:
+        assert _run(capsys, argv) == (1, "", f"error: {error}\n")
+    batch = tmp_path / "batch.txt"
+    batch.write_text(shlex.join(["--g", "5", "--endo", "Q", "--toric-rank", "1",
+                                 "--bad-semistable-split"]) + "\n"
+                     + shlex.join(rational) + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["check", "--file", str(batch), "--format", "machine"])
+    assert (code, out.count("\n")) == (1, 1)
+    assert err == f"error: line 2: Thm 6.5 searches at 2g: dimension {too_big}\n"
 
 
 def test_survivors_bad_form_is_an_error(capsys):

@@ -292,6 +292,62 @@ def _triple_loop(a, b):
                        for q in range(p)) for i in range(n))
 
 
+# up to 10^30 a cell needs more than one 64-bit slot; zeros and small
+# entries next to large ones put slots of different signs side by side
+_BIG_ENTRY = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**30, 10**30))
+
+
+def _with_entry(draw, matrices, entries):
+    """A drawn matrix with one drawn entry put at a drawn place."""
+    m = [list(row) for row in draw(matrices)]
+    i, j = draw(st.integers(0, len(m) - 1)), draw(st.integers(0, len(m[0]) - 1))
+    m[i][j] = draw(entries)
+    return tuple(map(tuple, m))
+
+
+@st.composite
+def _product_case(draw, kind):
+    """(a, b) of one of the factor shapes the product tells apart."""
+    n_rows = draw(st.integers(1, 4))
+    if kind in ("monomial", "one per row", "repeated column"):
+        # a scaled permutation; or one with two rows' nonzeros in one column,
+        # so another column is empty; or one with column i copied over j
+        n = draw(st.integers(2, 5))
+        cols = list(draw(st.permutations(range(n))))
+        i, j = draw(st.permutations(range(n)))[:2]
+        if kind == "one per row":
+            cols[i] = cols[j]
+        scale = st.one_of(st.sampled_from((1, -1)), _ENTRY.filter(bool))
+        b = [[draw(scale) if q == c else 0 for q in range(n)] for c in cols]
+        if kind == "repeated column":
+            for row in b:
+                row[j] = row[i]
+        return draw(_matrices(n_rows, n)), tuple(map(tuple, b))
+    if kind == "slot limits":
+        # the cell bound max(max|a|, 1)·max|b|·inner lands on 2^63 - 1 (the
+        # last 8-byte slot) or just past it: 2^63 at one inner term, 2^63 + 6
+        # at seven, with 2^63 - 1 = 7·top exactly; a and b trade roles
+        inner = draw(st.sampled_from((1, 7)))
+        top = (2**63 - 1) // inner
+        edges = (top, -top, top + 1, -top - 1)
+        p = draw(st.integers(1, 4))
+        big_b = draw(st.booleans())
+        big_shape, small_shape = (inner, p), (n_rows, inner)
+        if not big_b:
+            big_shape, small_shape = small_shape, big_shape
+        # each factor holds its extreme, the other entries range up to it
+        big = _with_entry(draw, _matrices(*big_shape, st.sampled_from((0, 1, -1) + edges)),
+                          st.sampled_from(edges))
+        small = _with_entry(draw, _matrices(*small_shape, st.sampled_from((0, 1, -1))),
+                            st.sampled_from((1, -1)))
+        return (small, big) if big_b else (big, small)
+    inner = draw(st.integers(1, 5))
+    p = {"non-square": draw(st.integers(1, 5).filter(lambda q: q != inner)),
+         "one column": 1, "zero a": draw(st.integers(1, 5))}[kind]
+    a = ((0,) * inner,) * n_rows if kind == "zero a" else draw(_matrices(n_rows, inner))
+    return a, draw(_matrices(inner, p, _BIG_ENTRY if kind == "zero a" else _ENTRY))
+
+
 @_PROPERTY
 @given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
     lambda nkp: st.tuples(_matrices(*nkp[:2]), _matrices(*nkp[1:]))))
@@ -300,9 +356,15 @@ def test_mat_mul_matches_triple_loop(factors):
     assert linalg.mat_mul(a, b) == _triple_loop(a, b)
 
 
-# up to 10^30 a cell needs more than one 64-bit slot; zeros and small
-# entries next to large ones put slots of different signs side by side
-_BIG_ENTRY = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**30, 10**30))
+@pytest.mark.parametrize("kind", ["monomial", "one per row", "repeated column", "non-square",
+                                  "one column", "zero a", "slot limits"])
+@settings(_PROPERTY, max_examples=30)
+@given(data=st.data())
+def test_mat_mul_matches_triple_loop_by_factor_kind(kind, data):
+    a, b = data.draw(_product_case(kind))
+    product = linalg.mat_mul(a, b)
+    assert product == _triple_loop(a, b)
+    assert all(type(x) is int for row in product for x in row)
 
 
 @_PROPERTY
@@ -336,6 +398,14 @@ def test_packed_product_at_the_slot_limits():
         assert all(type(x) is int for x in linalg.mat_mul(cells, ((1,),))[0])
 
 
+def test_monomial_columns():
+    assert linalg._monomial_columns(((0, -2, 0), (0, 0, 1), (5, 0, 0))) == [1, 2, 0]
+    # a row with two nonzeros, a column with two (and one with none) and a
+    # zero row are not monomial
+    for m in (((1, 1), (0, 1)), ((1, 0), (1, 0)), ((0, 0), (0, 1))):
+        assert linalg._monomial_columns(m) is None, m
+
+
 def test_product_edge_shapes():
     # b with zero columns, inner dimension 0, and no rows in a
     assert linalg.mat_mul(((1, 2), (3, 4)), ((), ())) == ((), ())
@@ -352,13 +422,20 @@ def test_kernels_refuse_non_int_entries():
         for kernel in (linalg.rank, linalg.prefix_ranks, linalg.det):
             with pytest.raises(TypeError, match="int entries"):
                 kernel(m)
-    # the packing refuses a non-int operand: at the cell bound's bit_length
-    # when it is the largest entry, else at a shift or the bias XOR
-    ints = ((1, 2), (3, 4))
-    for bad in (Fraction(1, 2), Fraction(4), 0.5, 4.0):
+    # the product refuses a non-int operand with TypeError on every path,
+    # never struct.error from its packing: as the largest entry or not, in
+    # a or b, against a dense b of 8-byte or of wider slots, a monomial b,
+    # or a zero a; in a monomial b as its nonzero entry or as a zero
+    for bad in (Fraction(1, 2), Fraction(4), Fraction(0), 0.5, 4.0, 0.0):
         for odd in (((bad, 1), (1, 1)), ((bad, 9), (1, 1))):
-            for a, b in ((odd, ints), (ints, odd), (odd, odd)):
-                with pytest.raises((TypeError, AttributeError)):
+            for ints in (((1, 2), (3, 4)), ((1, 0), (0, -1)), ((0, 0), (0, 0)),
+                         ((2**70, 1), (3, 4))):
+                for a, b in ((odd, ints), (ints, odd), (odd, odd)):
+                    with pytest.raises(TypeError, match="int entries"):
+                        linalg.mat_mul(a, b)
+        for b in (((0, bad), (1, 0)), ((bad, 1), (1, 0)), ((0, 0, 1), (0, bad, 0), (1, 0, 0))):
+            for a in (((1,) * len(b),), ((0,) * len(b),)):
+                with pytest.raises(TypeError, match="int entries"):
                     linalg.mat_mul(a, b)
 
 

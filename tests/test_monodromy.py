@@ -325,27 +325,44 @@ def _move(inst: SpecializationInstance, p, p_inv) -> SpecializationInstance:
     )
 
 
+def _interleaving(g: int):
+    """The signed permutation P that reorders e_1..e_g, f_1..f_g as e_1,
+    f_1, e_2, -f_2, e_3, f_3, ..., and its inverse P^T."""
+    rows = [[0] * (2 * g) for _ in range(2 * g)]
+    for i in range(g):
+        rows[2 * i][i] = 1
+        rows[2 * i + 1][g + i] = (-1) ** i
+    p = tuple(map(tuple, rows))
+    return p, linalg.transpose(p)
+
+
 def test_verifiers_on_a_non_standard_form():
     # the verifiers read inst.space.form; every instance above is built on
     # the standard form, so a verifier that assumed it would pass them all.
-    # g starts at 2: the shears have determinant 1, and SL_2 = Sp_2.
+    # Each instance moves to a dense form and to a monomial one, which the
+    # products apply as a column permutation as they do the standard form.
+    # g starts at 2: the shears have determinant 1, and SL_2 = Sp_2; and at
+    # g = 1 the interleaving is the identity.
     rng = random.Random(1729)
     for g in range(2, 7):
         for r in range(1, g + 1):
             for seed in range(2):
                 inst = build_instance(g, r, seed)
-                p, p_inv = _unimodular(2 * g, rng)
-                assert linalg.mat_mul(p, p_inv) == linalg.identity(2 * g)
-                moved = _move(inst, p, p_inv)
-                label = (g, r, seed)
-                assert moved.space.form != inst.space.form, label
-                assert verify_instance(moved) == verify_instance(inst), label
-                if not 2 <= r < g:
-                    continue
-                for defect, (build, failing) in _DEFECTS.items():
-                    results = verify_instance(build(moved))
-                    assert {k for k, ok in results.items() if not ok} == failing, (
-                        defect, label, results)
+                for kind, (p, p_inv) in (("dense", _unimodular(2 * g, rng)),
+                                         ("monomial", _interleaving(g))):
+                    assert linalg.mat_mul(p, p_inv) == linalg.identity(2 * g)
+                    moved = _move(inst, p, p_inv)
+                    label = (g, r, seed, kind)
+                    assert moved.space.form != inst.space.form, label
+                    assert (linalg._monomial_columns(moved.space.form) is not None) == (
+                        kind == "monomial"), label
+                    assert verify_instance(moved) == verify_instance(inst), label
+                    if not 2 <= r < g:
+                        continue
+                    for defect, (build, failing) in _DEFECTS.items():
+                        results = verify_instance(build(moved))
+                        assert {k for k, ok in results.items() if not ok} == failing, (
+                            defect, label, results)
 
 
 def _gram(inst: SpecializationInstance) -> linalg.Matrix:
