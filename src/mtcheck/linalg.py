@@ -11,8 +11,8 @@ scaled column permutation and packs any other into one big-int product
 elimination pass.  ``prefix_ranks`` reads the rank of every leading block
 of rows off the pass, ``rank`` the number of pivots, and ``det`` the last
 pivot, signed by the order of the pivot columns.  A non-int entry raises
-TypeError in both kernels: a ``Fraction`` would make the pass's exact
-divisions floor.
+TypeError in both kernels, by one rule (``_require_ints``): a ``Fraction``
+would make the pass's exact divisions floor.  A bool is an int there.
 
 Only ``rref``, ``inverse`` and ``nullspace`` use ``fractions.Fraction``,
 since a reduced row echelon form and an inverse have intrinsic
@@ -39,8 +39,6 @@ Scalar = int
 Vector = tuple[Scalar, ...]
 Matrix = tuple[Vector, ...]
 
-_INT = frozenset((int,))
-
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -62,15 +60,24 @@ def _lengths_are(n: int, m: Matrix) -> bool:
     return {n}.issuperset(map(len, m))
 
 
+def _require_ints(rows, kernel: str) -> None:
+    """TypeError unless every entry is an int (a bool is one): ``math.gcd``
+    takes integers only, and one call per row costs less than a type scan."""
+    try:
+        for row in rows:
+            gcd(*row)
+    except TypeError:
+        raise TypeError(f"{kernel} needs int entries") from None
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """The product a·b, one row per row of a.
 
-    Every entry of a and b must be an int: each row goes through
-    ``math.gcd``, which takes integers only, so a ``Fraction`` or float
-    raises TypeError before any arithmetic, whichever path follows.  That
-    costs less than a scan of the entries' types.
+    Every entry of a and b must be an int (``_require_ints``), so a
+    ``Fraction`` or float raises TypeError before any arithmetic, whichever
+    path follows.
 
-    A monomial b (see ``_monomial_columns``) is a scaled column
+    A monomial b (see ``monomial_columns``) is a scaled column
     permutation: with src[j] the row of b whose nonzero entry lies in
     column j, cell (i, j) of a·b is a[i][src[j]]·b[src[j]][j], so each row
     is one gather and one elementwise product, with no packing.  A 1 × 1 b
@@ -99,14 +106,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     p = len(b[0]) if b else 0
     if not _lengths_are(p, b):
         raise ValueError("rows of a matrix must have one length")
-    try:
-        for row in chain(a, b):
-            gcd(*row)
-    except TypeError:
-        raise TypeError("matrix product needs int entries") from None
+    _require_ints(chain(a, b), "matrix product")
     if not (a and inner and p):
         return tuple((0,) * p for _ in a)
-    cols = _monomial_columns(b) if inner == p > 1 else None
+    cols = monomial_columns(b) if inner == p > 1 else None
     if cols is not None:
         src = sorted(range(p), key=cols.__getitem__)
         take, scale = itemgetter(*src), [b[k][j] for j, k in enumerate(src)]
@@ -131,7 +134,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                        for j in range(0, len(raw), word_bytes)) for raw in rows)
 
 
-def _monomial_columns(m: Matrix) -> list[int] | None:
+def monomial_columns(m: Matrix) -> list[int] | None:
     """For a square m with exactly one nonzero entry in each row and in each
     column, the column of each row's nonzero entry; None for any other m."""
     n = len(m)
@@ -171,8 +174,7 @@ def _bareiss(m: Matrix) -> tuple[list[int], list[int], int]:
     width = len(m[0]) if m else 0
     if not _lengths_are(width, m):
         raise ValueError("rows of a matrix must have one length")
-    if not _INT.issuperset(map(type, chain.from_iterable(m))):
-        raise TypeError("elimination needs int entries")
+    _require_ints(m, "elimination")
     live = list(range(width))  # the column of m at each place of a row
     steps = []  # pivot row without its pivot column, column, pivot, divisor
     cols = []

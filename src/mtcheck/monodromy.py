@@ -10,26 +10,26 @@ Instances are built in an adapted symplectic basis and conjugated by a
 seeded integer symplectic element, so every entry stays an exact integer
 and runs reproduce bit for bit.
 
-Each invariant is checked once, by a verifier.  SpecializationInstance
-is a record whose toric rank r is the row count of W: on construction it
+Each invariant is checked once, by a verifier.  SpecializationInstance is
+a record whose toric rank r is the row count of W: on construction it
 checks only 1 <= r <= g and the row counts 2g - r of V^I and r of T that
 the verifiers index by, so a defective instance still builds and its
 defects show as False keys of verify_instance.  Each instance computes,
 once and only when a verifier asks, its basis images (tau of each V^I and
-T basis row), the pairing of W with V^I + W, and its rank facts: rank
-V^I = 2g - r, rank W = r and W in V^I, certified by form products where
-their premises hold (SpecializationInstance._rank_facts gives the
-argument) and decided by an exact rank otherwise.  The named theorems are
-*verified*, not assumed: invariant_dim (rank V^I = 2g - r),
-verify_orthogonality (W = (V^I)-perp), verify_filtration (the flag; tau
-kills V^I and maps T onto W), is_form_compatible (tau in sp), and in
-verify_instance tau^2 = 0 and the rank of tau, read off the filtration
-when it holds, and N in Sp, read off form compatibility when tau^2 = 0;
-each is computed by its own product or rank otherwise.  The verifiers
-take any SymplecticSpace form and never read the construction, so a
-construction shortcut cannot vouch for itself.  Every check is a
-statement about integer products and Bareiss ranks, so nothing here needs
-rational elimination.
+T basis row), its Gram matrix (the form on the rows of V^I, T and W) and
+its rank facts: rank V^I = 2g - r, rank W = r and W in V^I, certified by
+blocks of the Gram matrix where their premises hold
+(SpecializationInstance._rank_facts gives the argument) and decided by an
+exact rank otherwise.  The named theorems are *verified*, not assumed:
+invariant_dim (rank V^I = 2g - r), verify_orthogonality (W = (V^I)-perp),
+verify_filtration (the flag; tau kills V^I and maps T onto W),
+is_form_compatible (tau in sp), and in verify_instance tau^2 = 0 and the
+rank of tau, read off the filtration when it holds, and N in Sp, read off
+form compatibility when tau^2 = 0; each is computed by its own product or
+rank otherwise.  The verifiers take any SymplecticSpace form and never
+read the construction, so a construction shortcut cannot vouch for
+itself.  Every check is a statement about integer products and Bareiss
+ranks, so nothing here needs rational elimination.
 """
 
 from __future__ import annotations
@@ -102,51 +102,46 @@ class SpecializationInstance:
                               linalg.transpose(self.tau))
 
     @cached_property
-    def _pairing_vanishes(self) -> tuple[bool, bool]:
-        """Does W pair to zero with V^I, and with itself?  Both blocks come
-        from one product W Theta (V^I + W)^T, computed once per instance."""
+    def _gram(self) -> Matrix:
+        """The Gram matrix G: Theta(b, b') over the rows b, b' of V^I, T and
+        W, in that order, computed once per instance as R Theta R^T, whose
+        R Theta takes the product's permutation path on a monomial form."""
+        rows = self.inertia_invariants + self.lift + self.toric_sub
+        return linalg.mat_mul(linalg.mat_mul(rows, self.space.form), linalg.transpose(rows))
+
+    @property
+    def _orthogonal(self) -> bool:
+        """Does W pair to zero with V^I?  Is the W x V^I block of G 0?"""
         n, r = self.space.dim, self.toric_rank
-        pairing = linalg.mat_mul(linalg.mat_mul(self.toric_sub, self.space.form),
-                                 linalg.transpose(self.inertia_invariants + self.toric_sub))
-        return (not any(any(row[:n - r]) for row in pairing),
-                not any(any(row[n - r:]) for row in pairing))
+        return not any(any(row[:n - r]) for row in self._gram[n:])
 
     @cached_property
     def _rank_facts(self) -> tuple[bool, bool, bool]:
         """rank V^I = 2g - r; rank W = r; W in V^I.
 
-        rank W is an exact rank; two form products certify the rest.
-        The 2g rows B of V^I + T have the Gram matrix G = B Theta B^T, and
-        det G = det(B)^2 det Theta with Theta nondegenerate; so G monomial
-        (one nonzero entry in each row and column) makes B nonsingular,
-        and rank V^I = 2g - r; ``_is_monomial`` is the test by which
-        ``linalg.mat_mul`` takes its permutation path.  Every built
-        instance has G the form in its adapted basis, a signed permutation,
-        and B Theta, with the form on the right, takes that path whenever
-        the form is monomial.  Given that, rank W = r and W
-        pairing to zero with V^I make W the complement (V^I)-perp, of
-        dimension r, and V^I = W-perp; so W lies in V^I exactly when the W
-        block of the pairing, W Theta W^T, is 0.  The cheap premises are
-        read first, so G is built only when they hold.  A failed premise,
-        or any other G, falls back to one prefix-rank pass over V^I + W:
-        W lies in V^I when it adds no rank to V^I.  Computed once per
-        instance.
+        Blocks of the Gram matrix certify all three.  The 2g rows B of
+        V^I + T have the block G = B Theta B^T, and det G = det(B)^2 det
+        Theta with Theta nondegenerate; so G monomial (one nonzero entry in
+        each row and column, ``linalg.monomial_columns``) makes B
+        nonsingular, and rank V^I = 2g - r.  The W x T block W Theta T^T
+        has rank at most rank W, so a monomial one gives rank W = r; W
+        pairing to zero with V^I then makes W the complement (V^I)-perp, of
+        dimension r, and V^I = W-perp, so W lies in V^I exactly when the
+        W x W block is 0.  Once V^I + T is a basis, (V^I)-perp pairs
+        perfectly with T, so the W x T block of W = (V^I)-perp is
+        nonsingular; on every built instance it and G are the form in the
+        adapted basis, signed permutations, in any coordinates.  Where a
+        premise fails, one prefix-rank pass over V^I + W decides (W lies in
+        V^I when it adds no rank to V^I), with an exact rank of W.
         """
         n, r = self.space.dim, self.toric_rank
-        vi, w, t = self.inertia_invariants, self.toric_sub, self.lift
-        independent = linalg.rank(w) == r
-        orthogonal, isotropic = self._pairing_vanishes
-        if independent and orthogonal and _is_monomial(linalg.mat_mul(
-                linalg.mat_mul(vi + t, self.space.form), linalg.transpose(vi + t))):
-            return True, True, isotropic
-        ranks = linalg.prefix_ranks(vi + w)
-        return ranks[n - r - 1] == n - r, independent, ranks[-1] == ranks[n - r - 1]
-
-
-def _is_monomial(m: Matrix) -> bool:
-    """Does the square matrix m have exactly one nonzero entry in each row
-    and in each column?  The product's permutation path asks the same."""
-    return linalg._monomial_columns(m) is not None
+        gram = self._gram
+        blocks = tuple(row[:n] for row in gram[:n]), tuple(row[n - r:n] for row in gram[n:])
+        if self._orthogonal and None not in map(linalg.monomial_columns, blocks):
+            return True, True, not any(any(row[n:]) for row in gram[n:])
+        ranks = linalg.prefix_ranks(self.inertia_invariants + self.toric_sub)
+        return (ranks[n - r - 1] == n - r, linalg.rank(self.toric_sub) == r,
+                ranks[-1] == ranks[n - r - 1])
 
 
 def standard_symplectic_form(g: int) -> Matrix:
@@ -234,11 +229,12 @@ def verify_orthogonality(inst: SpecializationInstance) -> bool:
 
     W pairs to zero with V^I, so it lies in the complement, whose dimension
     is 2g - rank V^I.  With rank V^I = 2g - r that is r, and rank W = r
-    makes the inclusion an equality.  The pairing is the V^I block of the
-    instance's one product W Theta (V^I + W)^T; the rank facts
-    (SpecializationInstance._rank_facts) are read only once it vanishes.
+    makes the inclusion an equality.  The pairing is the W x V^I block of
+    the instance's Gram matrix, read before any rank; the rank facts
+    (SpecializationInstance._rank_facts) are read only once it vanishes,
+    so a W that pairs with V^I costs the two Gram products alone.
     """
-    return inst._pairing_vanishes[0] and all(inst._rank_facts[:2])
+    return inst._orthogonal and all(inst._rank_facts[:2])
 
 
 def verify_filtration(inst: SpecializationInstance) -> bool:
@@ -277,8 +273,8 @@ def is_form_compatible(inst: SpecializationInstance) -> bool:
 def verify_instance(inst: SpecializationInstance) -> dict[str, bool]:
     """All verified invariants by name (used by the CLI and the sweeps).
 
-    invariant_dim is rank V^I = 2g - r, one of the instance's rank facts
-    (see SpecializationInstance._rank_facts).  Three keys are read off
+    invariant_dim is rank V^I = 2g - r, a rank fact that the Gram matrix
+    certifies or a rank decides (SpecializationInstance._rank_facts).  Three keys are read off
     others that imply them, and computed by their own product or rank
     otherwise.  The filtration gives tau^2 = 0 (tau(V) = tau(T) lies in W,
     inside V^I = ker tau) and image tau = tau(T) of rank r.  With

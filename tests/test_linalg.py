@@ -399,11 +399,11 @@ def test_packed_product_at_the_slot_limits():
 
 
 def test_monomial_columns():
-    assert linalg._monomial_columns(((0, -2, 0), (0, 0, 1), (5, 0, 0))) == [1, 2, 0]
+    assert linalg.monomial_columns(((0, -2, 0), (0, 0, 1), (5, 0, 0))) == [1, 2, 0]
     # a row with two nonzeros, a column with two (and one with none) and a
     # zero row are not monomial
     for m in (((1, 1), (0, 1)), ((1, 0), (1, 0)), ((0, 0), (0, 1))):
-        assert linalg._monomial_columns(m) is None, m
+        assert linalg.monomial_columns(m) is None, m
 
 
 def test_product_edge_shapes():
@@ -437,6 +437,21 @@ def test_kernels_refuse_non_int_entries():
             for a in (((1,) * len(b),), ((0,) * len(b),)):
                 with pytest.raises(TypeError, match="int entries"):
                     linalg.mat_mul(a, b)
+    # a bool is an int to both kernels: every result equals the one on the
+    # same matrix written with 1 and 0, dense or monomial, square or not
+    for m in (((True, False), (False, True)), ((False, True), (True, False)),
+              ((True, True), (True, False)), ((True, False, True), (False, True, True)),
+              ((True,),), ((False, False), (False, False))):
+        ints = tuple(tuple(map(int, row)) for row in m)
+        assert linalg.rank(m) == linalg.rank(ints), m
+        assert linalg.prefix_ranks(m) == linalg.prefix_ranks(ints), m
+        if len(m) == len(m[0]):
+            assert linalg.det(m) == linalg.det(ints), m
+        mt, ints_t = linalg.transpose(m), linalg.transpose(ints)
+        for a, b, expected in ((m, mt, linalg.mat_mul(ints, ints_t)),
+                               (mt, m, linalg.mat_mul(ints_t, ints)),
+                               (ints, mt, linalg.mat_mul(ints, ints_t))):
+            assert linalg.mat_mul(a, b) == expected, (a, b)
 
 
 def test_nullspace_returns_primitive_int_vectors():

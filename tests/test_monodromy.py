@@ -16,8 +16,9 @@ construction defect against a key oracle that computes each invariant on
 its own, and the rank, product and identity calls of one build and
 verify are counted.  The Gram-matrix certificates for the rank facts must
 decide as their elimination fallbacks do, and rebased instances, whose
-Gram matrix is not monomial, must verify through the fallbacks alone.  A
-digest pins every seeded instance bit for bit.
+Gram matrix of V^I + T or whose W x T block is not monomial, must verify
+through the fallbacks alone.  A digest pins every seeded instance bit for
+bit.
 """
 
 from __future__ import annotations
@@ -354,7 +355,7 @@ def test_verifiers_on_a_non_standard_form():
                     moved = _move(inst, p, p_inv)
                     label = (g, r, seed, kind)
                     assert moved.space.form != inst.space.form, label
-                    assert (linalg._monomial_columns(moved.space.form) is not None) == (
+                    assert (linalg.monomial_columns(moved.space.form) is not None) == (
                         kind == "monomial"), label
                     assert verify_instance(moved) == verify_instance(inst), label
                     if not 2 <= r < g:
@@ -365,10 +366,15 @@ def test_verifiers_on_a_non_standard_form():
                             defect, label, results)
 
 
+def _pairing(inst: SpecializationInstance, left, right) -> linalg.Matrix:
+    """Theta(b, b') over the rows b of left and b' of right."""
+    return linalg.mat_mul(linalg.mat_mul(left, inst.space.form), linalg.transpose(right))
+
+
 def _gram(inst: SpecializationInstance) -> linalg.Matrix:
     """Theta(b, b') over the rows b, b' of V^I + T."""
     basis = inst.inertia_invariants + inst.lift
-    return linalg.mat_mul(linalg.mat_mul(basis, inst.space.form), linalg.transpose(basis))
+    return _pairing(inst, basis, basis)
 
 
 def _monomial(m: linalg.Matrix) -> bool:
@@ -376,12 +382,13 @@ def _monomial(m: linalg.Matrix) -> bool:
 
 
 def test_certificates_and_fallbacks_decide_alike(monkeypatch):
-    # a built instance's Gram matrix is the form in its adapted basis, in
-    # any coordinates, so the rank facts come from the certificates; with
-    # _is_monomial switched off every rank fact comes from the elimination
-    # pass, and every key and rank fact must come out the same.  Each runs
-    # at the least and the greatest r it allows; the rebased honest case
-    # of _construction_cases takes the fallback at every r.
+    # a built instance's Gram matrix of V^I + T and its W x T block are the
+    # form in its adapted basis, in any coordinates, so the rank facts come
+    # from the certificates.  With linalg.monomial_columns switched off,
+    # every rank fact comes from the elimination pass and every form
+    # product is packed, and every key and rank fact must come out the
+    # same.  Each runs at the least and the greatest r it allows; the
+    # rebased honest cases of _construction_cases take the fallback.
     rng = random.Random(4111)
     cases = []
     for g in range(1, 8):
@@ -390,6 +397,7 @@ def test_certificates_and_fallbacks_decide_alike(monkeypatch):
             moved = [_move(inst, *_unimodular(2 * g, rng))] if g > 1 else []
             for form, base in [("standard", inst)] + [("moved", m) for m in moved]:
                 assert _monomial(_gram(base)), (g, r, form)
+                assert _monomial(_pairing(base, base.toric_sub, base.lift)), (g, r, form)
                 cases.append(((g, r, form, "honest"), base))
                 if r < g:
                     # W moved off (V^I)-perp, inside V^I, or out of it at
@@ -402,7 +410,7 @@ def test_certificates_and_fallbacks_decide_alike(monkeypatch):
                     cases += [((g, r, form, defect), build(base))
                               for defect, (build, _) in _DEFECTS.items()]
     certified = [(verify_instance(case), case._rank_facts) for _, case in cases]
-    monkeypatch.setattr("mtcheck.monodromy._is_monomial", lambda m: False)
+    monkeypatch.setattr("mtcheck.linalg.monomial_columns", lambda m: None)
     for (label, case), (results, facts) in zip(cases, certified):
         fresh = replace(case)  # a new record, without the cached facts
         assert verify_instance(fresh) == results, label
@@ -609,6 +617,9 @@ def _construction_cases(inst: SpecializationInstance) -> dict:
             "last W row outside V^I, T dependent": {
                 "toric_sub": w[:-1] + (t[1],), "lift": (t[0],) * 2 + t[2:]},
             "T dependent": {"lift": (t[0],) * 2 + t[2:]},
+            # the same W in another basis: V^I + T keeps its monomial Gram
+            # matrix, but the W x T block is bidiagonal in the adapted basis
+            "honest, W rebased": {"toric_sub": rebase(w)},
             "T inside V^I, W dependent": {"lift": vi[:r],
                                           "toric_sub": (w[0],) * 2 + w[2:]},
             # V^I with t_2 for v_1 = w_1 has the complement u = hyperbolic:
@@ -647,6 +658,9 @@ def test_construction_cases_match_the_key_oracle():
                         assert bool(failing) is not name.startswith("honest"), label
                         if name == "honest, rebased" and g >= 2:
                             assert not _monomial(_gram(case)), label
+                        if name == "honest, W rebased":
+                            assert _monomial(_gram(case)), label
+                            assert not _monomial(_pairing(case, case.toric_sub, case.lift)), label
                         if name.startswith("V^I dependent"):
                             assert "invariant_dim" in failing, label
                         seen |= failing
@@ -705,19 +719,21 @@ def test_rank_and_product_calls_of_one_build_and_verify(monkeypatch):
     # symplectic element, and two products for tau, which the record holds
     inst, built = count(lambda: build_instance(4, 2, 7))
     assert built == {"rank": 1, "mat_mul": 5, "identity": 1}
-    # rank W and the pass over tau(T) + W; two products each for the Gram
-    # matrix of V^I + T and the pairing of W with V^I + W, the basis
-    # images and Theta tau; no identity, as nothing forms N
+    # the pass over tau(T) + W; two products for the Gram matrix of
+    # V^I + T + W, whose blocks certify every rank fact, one for the basis
+    # images and one for tau^T Theta; no rank of W, and no identity, as
+    # nothing forms N
     results, verified = count(lambda: verify_instance(inst))
     assert all(results.values())
-    assert verified == {"prefix_ranks": 1, "rank": 1, "mat_mul": 6}
-    # a second verify reads the cached rank facts, pairing and basis images
+    assert verified == {"prefix_ranks": 1, "mat_mul": 4}
+    # a second verify reads the cached Gram matrix, rank facts and basis
+    # images
     assert count(lambda: verify_instance(inst))[1] == {"prefix_ranks": 1, "mat_mul": 1}
     # neither construction nor replace runs a rank or a product
     bad, replaced = count(lambda: _perturb_toric(inst))
     assert replaced == {}
-    # the perturbed control stops at its nonzero pairing, before the Gram
-    # matrix or any rank
+    # the perturbed control stops at the nonzero W x V^I block of its Gram
+    # matrix, before any rank
     assert count(lambda: verify_orthogonality(bad)) == (False, {"mat_mul": 2})
 
 
