@@ -8,7 +8,14 @@ tau: T -> W an isomorphism.  The record holds tau, which every verifier
 reads; N = I + tau is formed only where a key cannot be read off tau.
 Instances are built in an adapted symplectic basis and conjugated by a
 seeded integer symplectic element, so every entry stays an exact integer
-and runs reproduce bit for bit.
+and runs reproduce bit for bit.  Each seeded matrix takes its entries from
+one byte string of the seeded generator, with no rank test and no retry
+loop but the rare redraw of a rejected byte (``_uniform_entries``).  The
+monodromy pairing Theta(tau t, t') on T is S = A^T A with A unit upper
+triangular, so it is symmetric, definite and of determinant 1, as the
+monodromy pairing of a polarized abelian variety is definite (SGA 7 I,
+Exp. IX, section 10); the paper needs only S symmetric and invertible,
+so the definiteness is beyond it.
 
 Each invariant is checked once, by a verifier.  SpecializationInstance is
 a record whose toric rank r is the row count of W: on construction it
@@ -20,7 +27,10 @@ T basis row), its Gram matrix (the form on the rows of V^I, T and W) and
 its rank facts: rank V^I = 2g - r, rank W = r and W in V^I, certified by
 blocks of the Gram matrix where their premises hold
 (SpecializationInstance._rank_facts gives the argument) and decided by an
-exact rank otherwise.  The named theorems are *verified*, not assumed:
+exact rank otherwise.  Once those facts hold and W pairs to zero with
+V^I, one r x 2g product of tau(T) with the rows of V^I + T times the form
+decides the filtration (verify_filtration gives the argument).  The named
+theorems are *verified*, not assumed:
 invariant_dim (rank V^I = 2g - r), verify_orthogonality (W = (V^I)-perp),
 verify_filtration (the flag; tau kills V^I and maps T onto W),
 is_form_compatible (tau in sp), and in verify_instance tau^2 = 0 and the
@@ -102,16 +112,24 @@ class SpecializationInstance:
                               linalg.transpose(self.tau))
 
     @cached_property
+    def _rows_by_form(self) -> Matrix:
+        """R Theta over the rows R of V^I, T and W, in that order, computed
+        once per instance; on a monomial form the product takes its
+        permutation path."""
+        return linalg.mat_mul(self.inertia_invariants + self.lift + self.toric_sub,
+                              self.space.form)
+
+    @cached_property
     def _gram(self) -> Matrix:
         """The Gram matrix G: Theta(b, b') over the rows b, b' of V^I, T and
-        W, in that order, computed once per instance as R Theta R^T, whose
-        R Theta takes the product's permutation path on a monomial form."""
+        W, in that order, computed once per instance as (R Theta) R^T."""
         rows = self.inertia_invariants + self.lift + self.toric_sub
-        return linalg.mat_mul(linalg.mat_mul(rows, self.space.form), linalg.transpose(rows))
+        return linalg.mat_mul(self._rows_by_form, linalg.transpose(rows))
 
-    @property
+    @cached_property
     def _orthogonal(self) -> bool:
-        """Does W pair to zero with V^I?  Is the W x V^I block of G 0?"""
+        """Does W pair to zero with V^I?  Is the W x V^I block of G 0?  The
+        rank facts and both verifiers of the pairing read it."""
         n, r = self.space.dim, self.toric_rank
         return not any(any(row[:n - r]) for row in self._gram[n:])
 
@@ -157,15 +175,58 @@ def _standard_space(g: int) -> SymplecticSpace:
     return SymplecticSpace(standard_symplectic_form(g))
 
 
-def _random_symmetric(n: int, rng: random.Random, invertible: bool) -> Matrix:
-    while True:
-        entries = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                entries[i][j] = entries[j][i] = rng.randint(-_ENTRY_BOUND, _ENTRY_BOUND)
-        m = tuple(tuple(row) for row in entries)
-        if not invertible or linalg.rank(m) == n:
-            return m
+def _byte_table(bound: int) -> tuple[tuple[int, ...], bytes]:
+    """The entry of each byte b, b mod (2 bound + 1) - bound in [-bound,
+    bound], and the bytes to reject: the bytes below the largest multiple
+    of 2 bound + 1 that is at most 256 hit every value equally often, and
+    the rest (the 9 bytes from 247 for bound 9, byte 255 for bound 1) are
+    dropped, so each entry stays uniform."""
+    values = 2 * bound + 1
+    return (tuple(b % values - bound for b in range(256)),
+            bytes(range(256 - 256 % values, 256)))
+
+
+# built once at import: a table built per draw costs more than the draw
+_BYTE_TABLES = {bound: _byte_table(bound) for bound in (1, _ENTRY_BOUND)}
+
+
+def _uniform_entries(count: int, bound: int, rng: random.Random) -> list[int]:
+    """count entries drawn uniformly from [-bound, bound], read off rng's
+    bytes through ``_BYTE_TABLES``; a rejected byte is drawn again."""
+    table, rejected = _BYTE_TABLES[bound]
+    raw = b""
+    while len(raw) < count:
+        raw += rng.randbytes(count - len(raw)).translate(None, rejected)
+    return list(map(table.__getitem__, raw))
+
+
+def _random_symmetric(n: int, rng: random.Random) -> Matrix:
+    """A symmetric n x n matrix whose upper triangle, read row by row, is
+    one draw of uniform entries in [-9, 9]."""
+    upper = _uniform_entries(n * (n + 1) // 2, _ENTRY_BOUND, rng)
+    rows: list[list[int]] = []
+    start = 0
+    for i in range(n):
+        # left of the diagonal, row i repeats column i of the rows above
+        row = [above[i] for above in rows]
+        row += upper[start:start + n - i]
+        rows.append(row)
+        start += n - i
+    return tuple(map(tuple, rows))
+
+
+def _definite_unimodular(r: int, rng: random.Random) -> Matrix:
+    """S = A^T A, with A unit upper triangular and its entries above the
+    diagonal drawn uniformly from {-1, 0, 1}.
+
+    det S = det(A)^2 = 1, and x^T S x = |Ax|^2 > 0 for x != 0, so S is
+    symmetric positive definite by construction.  S_jk sums A_ij A_ik over
+    i <= min(j, k), so |S_jk| <= min(j, k) + 1 <= r (0-based j, k).
+    """
+    upper = iter(_uniform_entries(r * (r - 1) // 2, 1, rng))
+    a = tuple(tuple(0 if j < i else 1 if j == i else next(upper) for j in range(r))
+              for i in range(r))
+    return linalg.mat_mul(linalg.transpose(a), a)
 
 
 def _block(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
@@ -184,7 +245,7 @@ def random_symplectic(g: int, rng: random.Random) -> Matrix:
     entry of M is at most 729 g^2 + 18 (the top right block; the others
     are at most 81 g + 1).
     """
-    b, c, d = (_random_symmetric(g, rng, invertible=False) for _ in range(3))
+    b, c, d = (_random_symmetric(g, rng) for _ in range(3))
     eye = linalg.identity(g)
     p = tuple(map(linalg.vec_add, eye, linalg.mat_mul(b, c)))
     return _block(p, tuple(map(linalg.vec_add, linalg.mat_mul(p, d), b)), c,
@@ -196,7 +257,9 @@ def build_instance(g: int, r: int, seed: int) -> SpecializationInstance:
 
     The genus is at most _MAX_GENUS = 64, checked before any draw: one
     instance at the bound takes seconds, and the cost grows as g^3, so an
-    extreme genus fails at once instead of running for hours.
+    extreme genus fails at once instead of running for hours.  The block S
+    of tau is A^T A (``_definite_unimodular``): symmetric, definite and of
+    determinant 1 by construction, so no draw is rank-tested or redrawn.
     """
     if not 1 <= r <= g:
         raise ValueError("need 1 <= r <= g")
@@ -206,9 +269,9 @@ def build_instance(g: int, r: int, seed: int) -> SpecializationInstance:
     space = _standard_space(g)
 
     # adapted picture: W = <e_1..e_r>, V^I = <e_1..e_g, f_{r+1}..f_g>,
-    # T = <f_1..f_r>, tau(f_j) = sum_i S_ij e_i with S symmetric invertible
-    # (symmetry makes N symplectic, invertibility makes tau: T -> W iso)
-    s_block = _random_symmetric(r, rng, invertible=True)
+    # T = <f_1..f_r>, tau(f_j) = sum_i S_ij e_i with S = A^T A, definite,
+    # det 1 (symmetry makes N symplectic, det 1 makes tau: T -> W iso)
+    s_block = _definite_unimodular(r, rng)
     images = linalg.transpose(random_symplectic(g, rng))
     # images are conj e_1..conj e_g, conj f_1..conj f_g
     w_basis = images[:r]
@@ -242,18 +305,37 @@ def verify_filtration(inst: SpecializationInstance) -> bool:
     restricts to an iso T -> W of rank r.
 
     The instance's basis images are tau(v) for the V^I rows and then the r
-    T rows.  One prefix-rank pass over tau(T) + W gives rank tau(T) and
-    rank(tau(T) + W).  V = V^I + T is not checked, because the other
-    clauses imply it: a vector t of span T inside V^I has tau(t) = 0, and
-    rank tau(T) = r makes tau injective on span T, so t = 0; with rank
-    V^I = 2g - r, V = V^I (+) T.  Hence, once the V^I images are zero, the
-    T images tau(T) span the image of tau.  With rank W = r, tau(T) and W
-    together of rank r put the image inside W; tau(T) of rank r makes T
+    T rows.  V = V^I + T is not checked, because the other clauses imply
+    it: a vector t of span T inside V^I has tau(t) = 0, and rank tau(T) = r
+    makes tau injective on span T, so t = 0; with rank V^I = 2g - r,
+    V = V^I (+) T.  Hence, once the rank facts hold and the V^I images are
+    zero, the T images tau(T) span the image of tau, and the flag holds
+    exactly when tau(T) lies in W and has rank r.
+
+    Where W also pairs to zero with V^I, W is (V^I)-perp
+    (verify_orthogonality), so tau(T) lies in W exactly when it pairs to
+    zero with V^I.  One r x 2g product P = tau(T) (R Theta)^T over the
+    instance's cached R Theta, with P_ij = Theta(b_j, tau t_i) for the rows
+    b_j of V^I + T, decides both: its V^I columns are 0 exactly when tau(T)
+    lies in W, and given that, its r x r T block has rank r exactly when
+    tau(T) has.  A block of rank r makes the r rows of tau(T) independent.
+    Conversely, rank tau(T) = r gives V = V^I (+) T as above, so the
+    annihilator W of V^I, of dimension r = dim V / V^I, pairs perfectly
+    with T; tau(T), then a basis of W, gives a nonsingular block.  On a
+    built instance the block is -S, definite of determinant 1.
+
+    Where W does not pair to zero with V^I, one prefix-rank pass over
+    tau(T) + W gives rank tau(T) and rank(tau(T) + W): with rank W = r,
+    both of rank r put the image inside W, and tau(T) of rank r makes T
     map onto W and tau itself of rank r.
     """
-    images, r = inst.basis_images, inst.toric_rank
+    images, n, r = inst.basis_images, inst.space.dim, inst.toric_rank
     if not (all(inst._rank_facts) and linalg.is_zero_matrix(images[:-r])):
         return False
+    if inst._orthogonal:
+        pairing = linalg.mat_mul(images[-r:], linalg.transpose(inst._rows_by_form[:n]))
+        return (not any(any(row[:n - r]) for row in pairing)
+                and linalg.rank(tuple(row[n - r:] for row in pairing)) == r)
     ranks = linalg.prefix_ranks(images[-r:] + inst.toric_sub)
     return ranks[r - 1] == r and ranks[-1] == r
 

@@ -17,8 +17,10 @@ its own, and the rank, product and identity calls of one build and
 verify are counted.  The Gram-matrix certificates for the rank facts must
 decide as their elimination fallbacks do, and rebased instances, whose
 Gram matrix of V^I + T or whose W x T block is not monomial, must verify
-through the fallbacks alone.  A digest pins every seeded instance bit for
-bit.
+through the fallbacks alone.  The byte draws must reject the bytes that
+would bias an entry and cover [-9, 9], and the monodromy pairing on T of
+every built instance must be definite of determinant 1.  A digest pins
+every seeded instance bit for bit.
 """
 
 from __future__ import annotations
@@ -36,16 +38,17 @@ from helpers_oracles import (failing_keys_by_ranks, filtration_by_spans,
                              symplectic_complement, symplectic_inverse)
 from mtcheck import linalg
 from mtcheck.monodromy import (SpecializationInstance, SymplecticSpace,
+                               _random_symmetric, _uniform_entries,
                                build_instance, is_form_compatible,
                                random_symplectic, standard_symplectic_form,
                                verify_filtration, verify_instance,
                                verify_orthogonality)
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 8, 19])
+@pytest.mark.parametrize("g", [1, 2, 3, 8, 19, 23])
 def test_standard_form_pairing(g):
     # form[i][j] is Theta(b_i, b_j) on the basis e_1..e_g, f_1..f_g; g = 1
-    # has 1 x 1 blocks and g = 19 is criterion 7's bound
+    # has 1 x 1 blocks and g = 23 is criterion 7's bound
     form = SymplecticSpace(standard_symplectic_form(g)).form
     for i in range(g):
         for j in range(g):
@@ -97,6 +100,40 @@ def test_random_symplectic_entries_stay_polynomial_in_g():
             assert max(abs(x) for row in m for x in row) <= 729 * g * g + 18
 
 
+class _Bytes:
+    """A generator stand-in whose randbytes hands out the given bytes in
+    order."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def randbytes(self, k: int) -> bytes:
+        out, self.data = self.data[:k], self.data[k:]
+        return out
+
+
+def test_byte_draws_reject_the_uneven_tail():
+    # 247 = 13 * 19 bytes map onto [-9, 9] as b mod 19 - 9; bytes 255 down
+    # to 247 are dropped and drawn again, so the 247 entries are those of
+    # bytes 246 down to 0, each value 13 times
+    entries = _uniform_entries(247, 9, _Bytes(bytes(range(255, -1, -1))))
+    assert entries == [b % 19 - 9 for b in range(246, -1, -1)]
+    assert set(Counter(entries).values()) == {13}
+    # for {-1, 0, 1} only byte 255 is dropped
+    assert _uniform_entries(3, 1, _Bytes(bytes((255, 254, 255, 0, 1)))) == [1, -1, 0]
+
+
+def test_symmetric_draws_cover_the_entry_range():
+    seen = Counter()
+    for seed in range(12):
+        m = _random_symmetric(9, random.Random(seed))
+        assert len(m) == 9 and m == linalg.transpose(m), seed
+        seen.update(x for i, row in enumerate(m) for x in row[i:])
+    # every value in [-9, 9] and nothing else, over 540 upper entries
+    assert set(seen) == set(range(-9, 10))
+    assert _random_symmetric(1, random.Random(0))[0][0] in range(-9, 10)
+
+
 @pytest.mark.parametrize("g, r, seed", [(4, 2, 7), (8, 5, 123)])
 def test_build_instance_examples(g, r, seed):
     inst = build_instance(g, r, seed)
@@ -131,7 +168,25 @@ def test_build_instance_digest():
                 h.update(repr((g, r, seed, inst.inertia_invariants, inst.toric_sub,
                                inst.lift, monodromy(inst))).encode())
     assert h.hexdigest() == (
-        "02a96371aa075dc4a396ebbc5c0a5ec1e199016adeaac3d5bdfb0b2f35b1eafe")
+        "847c82a134ce073c57cfe8f73c226c06226890b3e8a006340e448a97e08eb5e2")
+
+
+def test_monodromy_pairing_on_t_is_definite_and_unimodular():
+    # Theta(tau t_i, t_j) over the rows of T is S = A^T A: symmetric, of
+    # determinant 1, and definite, so every leading principal minor is
+    # positive (Sylvester); its entries stay at most r
+    for g in range(1, 7):
+        for r in range(1, g + 1):
+            for seed in range(5):
+                inst = build_instance(g, r, seed)
+                tau_t = linalg.mat_mul(inst.lift, linalg.transpose(inst.tau))
+                block = _pairing(inst, tau_t, inst.lift)
+                label = (g, r, seed, block)
+                assert block == linalg.transpose(block), label
+                assert linalg.det(block) == 1, label
+                assert all(linalg.det(tuple(row[:k] for row in block[:k])) > 0
+                           for k in range(1, r + 1)), label
+                assert max(abs(x) for row in block for x in row) <= r, label
 
 
 def test_build_instance_bounds(monkeypatch):
@@ -195,16 +250,17 @@ def _log_on(inst: SpecializationInstance, basis, block) -> SpecializationInstanc
     return replace(inst, tau=_log(inst, images, basis))
 
 
-def _log_leaving_toric(inst: SpecializationInstance) -> SpecializationInstance:
+def _log_leaving_toric(inst: SpecializationInstance, k: int = -1) -> SpecializationInstance:
     """Replace tau by sum_i u_i (x) Theta(w_i, .) with u_1 = w_1 + v, v the
-    last V^I basis vector (outside W), and u_i = w_i otherwise.
+    V^I basis vector of index k (the last by default; outside W), and
+    u_i = w_i otherwise.
 
     Theta(w_i, .) kills V^I = W-perp, which holds every u_j, so the new log
     squares to zero, kills V^I and maps T onto span(u) with rank r; only
     its image leaves W.  Requires r < g.
     """
     w = inst.toric_sub
-    u = (linalg.vec_add(w[0], inst.inertia_invariants[-1]),) + w[1:]
+    u = (linalg.vec_add(w[0], inst.inertia_invariants[k]),) + w[1:]
     return replace(inst, tau=_log(inst, u, w))
 
 
@@ -418,12 +474,15 @@ def test_certificates_and_fallbacks_decide_alike(monkeypatch):
 
 
 def test_image_defect_fails_only_the_image_clause():
+    # v the last V^I row pairs with V^I at e_g alone; v = e_g (V^I row
+    # g - 1) pairs with the last V^I row f_g alone, so tau(T) pairs with
+    # V^I in the last column only
     for g in range(2, 8):
         for r in range(1, g):
-            for seed in range(2):
-                bad = _log_leaving_toric(build_instance(g, r, seed))
+            for seed, k in ((0, -1), (1, -1), (0, g - 1), (1, g - 1)):
+                bad = _log_leaving_toric(build_instance(g, r, seed), k)
                 tau_t = linalg.transpose(bad.tau)
-                label = (g, r, seed)
+                label = (g, r, seed, k)
                 # tau kills V^I and T maps onto an r-dimensional image ...
                 assert linalg.is_zero_matrix(
                     linalg.mat_mul(bad.inertia_invariants, tau_t)), label
@@ -715,20 +774,22 @@ def test_rank_and_product_calls_of_one_build_and_verify(monkeypatch):
         return value, dict(calls)
 
     build_instance(4, 2, 7)  # validates the shared space of genus 4 once
-    # the rank of S; three products and the g x g identity for the
-    # symplectic element, and two products for tau, which the record holds
+    # one product for S = A^T A, which needs no rank; three products and
+    # the g x g identity for the symplectic element, and two products for
+    # tau, which the record holds
     inst, built = count(lambda: build_instance(4, 2, 7))
-    assert built == {"rank": 1, "mat_mul": 5, "identity": 1}
-    # the pass over tau(T) + W; two products for the Gram matrix of
-    # V^I + T + W, whose blocks certify every rank fact, one for the basis
-    # images and one for tau^T Theta; no rank of W, and no identity, as
+    assert built == {"mat_mul": 6, "identity": 1}
+    # two products for the Gram matrix of V^I + T + W, whose blocks certify
+    # every rank fact, one for the basis images, one for the pairing of
+    # tau(T) with V^I + T and the rank of its T block, and one for
+    # tau^T Theta; no prefix-rank pass, no rank of W, and no identity, as
     # nothing forms N
     results, verified = count(lambda: verify_instance(inst))
     assert all(results.values())
-    assert verified == {"prefix_ranks": 1, "mat_mul": 4}
-    # a second verify reads the cached Gram matrix, rank facts and basis
-    # images
-    assert count(lambda: verify_instance(inst))[1] == {"prefix_ranks": 1, "mat_mul": 1}
+    assert verified == {"rank": 1, "mat_mul": 5}
+    # a second verify reads the cached R Theta, Gram matrix, rank facts
+    # and basis images
+    assert count(lambda: verify_instance(inst))[1] == {"rank": 1, "mat_mul": 2}
     # neither construction nor replace runs a rank or a product
     bad, replaced = count(lambda: _perturb_toric(inst))
     assert replaced == {}
