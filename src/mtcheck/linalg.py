@@ -151,7 +151,7 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def is_zero_matrix(m: Matrix) -> bool:
-    return all(x == 0 for row in m for x in row)
+    return not any(map(any, m))
 
 
 def _bareiss(m: Matrix) -> tuple[list[int], list[int], int]:

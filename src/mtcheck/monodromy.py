@@ -10,9 +10,10 @@ Instances are built in an adapted symplectic basis and conjugated by a
 seeded integer symplectic element, so every entry stays an exact integer
 and runs reproduce bit for bit.  Each seeded matrix takes its entries from
 one byte string of the seeded generator, with no rank test and no retry
-loop but the rare redraw of a rejected byte (``_uniform_entries``).  The
-monodromy pairing Theta(tau t, t') on T is S = A^T A with A unit upper
-triangular, so it is symmetric, definite and of determinant 1, as the
+loop but the rare redraw of a rejected byte (``_uniform_entries``).  A is
+drawn unit upper triangular; S = A^T A is the monodromy pairing
+Theta(tau t, t') on T, not a factor the build forms (tau = Y^T (Y Theta)
+with Y = A W).  S is symmetric, definite and of determinant 1, as the
 monodromy pairing of a polarized abelian variety is definite (SGA 7 I,
 Exp. IX, section 10); the paper needs only S symmetric and invertible,
 so the definiteness is beyond it.
@@ -47,6 +48,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import add
 
 from . import linalg
 from .linalg import Matrix
@@ -164,8 +166,8 @@ class SpecializationInstance:
 
 def standard_symplectic_form(g: int) -> Matrix:
     """Theta(e_i, f_j) = delta_ij on the ordered basis e_1..e_g, f_1..f_g."""
-    zero, eye = ((0,) * g,) * g, linalg.identity(g)
-    return _block(zero, eye, linalg.mat_sub(zero, eye), zero)
+    n = 2 * g
+    return tuple(tuple((j == i + g) - (i == j + g) for j in range(n)) for i in range(n))
 
 
 @cache
@@ -215,24 +217,17 @@ def _random_symmetric(n: int, rng: random.Random) -> Matrix:
     return tuple(map(tuple, rows))
 
 
-def _definite_unimodular(r: int, rng: random.Random) -> Matrix:
-    """S = A^T A, with A unit upper triangular and its entries above the
-    diagonal drawn uniformly from {-1, 0, 1}.
+def _unit_upper(r: int, rng: random.Random) -> Matrix:
+    """A unit upper triangular r x r A, its entries above the diagonal
+    drawn uniformly from {-1, 0, 1}.
 
-    det S = det(A)^2 = 1, and x^T S x = |Ax|^2 > 0 for x != 0, so S is
-    symmetric positive definite by construction.  S_jk sums A_ij A_ik over
+    For S = A^T A, det S = det(A)^2 = 1 and x^T S x = |Ax|^2 > 0 for
+    x != 0, so S is symmetric positive definite.  S_jk sums A_ij A_ik over
     i <= min(j, k), so |S_jk| <= min(j, k) + 1 <= r (0-based j, k).
     """
     upper = iter(_uniform_entries(r * (r - 1) // 2, 1, rng))
-    a = tuple(tuple(0 if j < i else 1 if j == i else next(upper) for j in range(r))
-              for i in range(r))
-    return linalg.mat_mul(linalg.transpose(a), a)
-
-
-def _block(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
-    top = [tuple(ra) + tuple(rb) for ra, rb in zip(a, b)]
-    bottom = [tuple(rc) + tuple(rd) for rc, rd in zip(c, d)]
-    return tuple(top + bottom)
+    return tuple(tuple(0 if j < i else 1 if j == i else next(upper) for j in range(r))
+                 for i in range(r))
 
 
 def random_symplectic(g: int, rng: random.Random) -> Matrix:
@@ -240,16 +235,18 @@ def random_symplectic(g: int, rng: random.Random) -> Matrix:
 
     M = [[I, B], [0, I]] [[I, 0], [C, I]] [[I, D], [0, I]] with B, C and D
     symmetric, so each shear is in Sp_2g and no factor is inverted;
-    multiplied out by g x g blocks, M = [[P, PD + B], [C, CD + I]] with
-    P = I + BC.  With entries of B, C, D at most 9 in absolute value, every
-    entry of M is at most 729 g^2 + 18 (the top right block; the others
-    are at most 81 g + 1).
+    multiplied out by g x g blocks, M = [[P, PD + B], [C, X]] with
+    P = I + BC and X = CD + I.  As PD + B = D + BX, the top half is
+    [I | D] + B [C | X], so two products form M.  With entries of B, C, D
+    at most 9 in absolute value, every entry of M is at most 729 g^2 + 18
+    (the top right block; the others are at most 81 g + 1).
     """
     b, c, d = (_random_symmetric(g, rng) for _ in range(3))
-    eye = linalg.identity(g)
-    p = tuple(map(linalg.vec_add, eye, linalg.mat_mul(b, c)))
-    return _block(p, tuple(map(linalg.vec_add, linalg.mat_mul(p, d), b)), c,
-                  tuple(map(linalg.vec_add, linalg.mat_mul(c, d), eye)))
+    bottom = tuple(rc + rx[:i] + (rx[i] + 1,) + rx[i + 1:]
+                   for i, (rc, rx) in enumerate(zip(c, linalg.mat_mul(c, d))))
+    top = tuple(rb[:i] + (rb[i] + 1,) + rb[i + 1:g] + tuple(map(add, rb[g:], rd))
+                for i, (rb, rd) in enumerate(zip(linalg.mat_mul(b, bottom), d)))
+    return top + bottom
 
 
 def build_instance(g: int, r: int, seed: int) -> SpecializationInstance:
@@ -257,9 +254,9 @@ def build_instance(g: int, r: int, seed: int) -> SpecializationInstance:
 
     The genus is at most _MAX_GENUS = 64, checked before any draw: one
     instance at the bound takes seconds, and the cost grows as g^3, so an
-    extreme genus fails at once instead of running for hours.  The block S
-    of tau is A^T A (``_definite_unimodular``): symmetric, definite and of
-    determinant 1 by construction, so no draw is rank-tested or redrawn.
+    extreme genus fails at once instead of running for hours.  A is drawn
+    (``_unit_upper``); S = A^T A is the pairing, not a factor the build
+    forms, and is definite of determinant 1, so no draw is rank-tested.
     """
     if not 1 <= r <= g:
         raise ValueError("need 1 <= r <= g")
@@ -271,19 +268,20 @@ def build_instance(g: int, r: int, seed: int) -> SpecializationInstance:
     # adapted picture: W = <e_1..e_r>, V^I = <e_1..e_g, f_{r+1}..f_g>,
     # T = <f_1..f_r>, tau(f_j) = sum_i S_ij e_i with S = A^T A, definite,
     # det 1 (symmetry makes N symplectic, det 1 makes tau: T -> W iso)
-    s_block = _definite_unimodular(r, rng)
+    a = _unit_upper(r, rng)
     images = linalg.transpose(random_symplectic(g, rng))
     # images are conj e_1..conj e_g, conj f_1..conj f_g
     w_basis = images[:r]
-    # conjugated, tau = sum_ij S_ij (conj e_i) (x) Theta(conj e_j, .); the
-    # standard form gives x Theta = (-x[g:], x[:g]) for a row x
-    duals = tuple(tuple(-x for x in w[g:]) + w[:g] for w in w_basis)
+    # conjugated, tau = W^T S (W Theta) = Y^T (Y Theta) with Y = A W; the
+    # standard form gives y Theta = (-y[g:], y[:g]) for a row y
+    y = linalg.mat_mul(a, w_basis)
+    y_theta = tuple(tuple(-x for x in row[g:]) + row[:g] for row in y)
     return SpecializationInstance(
         space=space,
         inertia_invariants=images[:g] + images[g + r:],
         toric_sub=w_basis,
         lift=images[g:g + r],
-        tau=linalg.mat_mul(linalg.mat_mul(linalg.transpose(w_basis), s_block), duals),
+        tau=linalg.mat_mul(linalg.transpose(y), y_theta),
     )
 
 

@@ -8,6 +8,8 @@ library's own closed forms against them, one line each:
 - ``orthogonality_by_nullspace``: W as the complement of V^I, by a rational nullspace;
 - ``symplectic_inverse``: the signed-transpose inverse of a standard-form symplectic matrix;
 - ``preserves_form``: N^T Theta N = Theta by full products, with N = I + tau;
+- ``symplectic_by_three_products``, ``tau_by_pairing``: the seeded symplectic element
+  and tau of a built instance, by the block formula and with S = A^T A formed;
 - ``filtration_by_spans``: the filtration clauses, one vector at a time;
 - ``failing_keys_by_ranks``: every key of ``verify_instance``, each on its own;
 - ``transvection_constraint``, ``rank2_constraint``: the shapes with a rank-1 or rank-2
@@ -27,6 +29,7 @@ that only tests use.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -38,7 +41,8 @@ from helpers_roots import (Weight, ambient_weight, coroot_pairings, fundamental_
 from mtcheck import linalg
 from mtcheck.catalog import IrrepDescriptor, descriptor, enumerate_minuscule, standard_module
 from mtcheck.exclusion import check_pair, minuscule_candidates
-from mtcheck.monodromy import SpecializationInstance, SymplecticSpace
+from mtcheck.monodromy import (SpecializationInstance, SymplecticSpace, _random_symmetric,
+                               _unit_upper, standard_symplectic_form)
 from mtcheck.quadratic import quadratic_rank_profile
 from mtcheck.roots import FormClass, LieType
 
@@ -167,6 +171,27 @@ def preserves_form(inst: SpecializationInstance) -> bool:
     n_mat = monodromy(inst)
     lhs = linalg.mat_mul(linalg.transpose(n_mat), linalg.mat_mul(inst.space.form, n_mat))
     return linalg.is_zero_matrix(linalg.mat_sub(lhs, inst.space.form))
+
+
+def symplectic_by_three_products(g: int, rng: random.Random) -> linalg.Matrix:
+    """M = [[P, PD + B], [C, CD + I]] with P = I + BC, by three g x g
+    products, from the same seeded B, C and D as ``random_symplectic``."""
+    b, c, d = (_random_symmetric(g, rng) for _ in range(3))
+    eye = linalg.identity(g)
+    p = mat_add(eye, linalg.mat_mul(b, c))
+    halves = (p, mat_add(linalg.mat_mul(p, d), b)), (c, mat_add(linalg.mat_mul(c, d), eye))
+    return tuple(left + right for pair in halves for left, right in zip(*pair))
+
+
+def tau_by_pairing(g: int, r: int, seed: int) -> linalg.Matrix:
+    """tau of ``build_instance(g, r, seed)`` as W^T S (W Theta), with
+    S = A^T A formed and W Theta a full product with the standard form."""
+    rng = random.Random(seed)
+    a = _unit_upper(r, rng)
+    w = linalg.transpose(symplectic_by_three_products(g, rng))[:r]
+    s = linalg.mat_mul(linalg.transpose(a), a)
+    w_theta = linalg.mat_mul(w, standard_symplectic_form(g))
+    return linalg.mat_mul(linalg.mat_mul(linalg.transpose(w), s), w_theta)
 
 
 def filtration_by_spans(inst: SpecializationInstance) -> bool:

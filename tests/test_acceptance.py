@@ -40,7 +40,7 @@ BOUNDS = {
     4: {"n": SWEEP_BOUND},
     5: {"n": SWEEP_BOUND},
     6: {"n": 200},
-    7: {"g": 23, "instances": 1000, "controls": 100},
+    7: {"g": 24, "instances": 1000, "controls": 100},
     9: {"n": 100, "rank": 50},
 }
 

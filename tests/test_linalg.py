@@ -406,6 +406,24 @@ def test_monomial_columns():
         assert linalg.monomial_columns(m) is None, m
 
 
+def test_is_zero_matrix():
+    def by_generator(m):  # compares every entry with 0
+        return all(x == 0 for row in m for x in row)
+
+    cases = {
+        (): True,
+        ((), ()): True,
+        ((0, 0, 0), (0, 0, 0)): True,
+        ((0, 0, 0), (0, 0, 1)): False,
+        ((0, -3), (0, 0)): False,
+        ((-1,),): False,
+        ((False, False), (False, False)): True,
+        ((False, False), (False, True)): False,
+    }
+    for m, expected in cases.items():
+        assert linalg.is_zero_matrix(m) is by_generator(m) is expected
+
+
 def test_product_edge_shapes():
     # b with zero columns, inner dimension 0, and no rows in a
     assert linalg.mat_mul(((1, 2), (3, 4)), ((), ())) == ((), ())

@@ -20,7 +20,9 @@ Gram matrix of V^I + T or whose W x T block is not monomial, must verify
 through the fallbacks alone.  The byte draws must reject the bytes that
 would bias an entry and cover [-9, 9], and the monodromy pairing on T of
 every built instance must be definite of determinant 1.  A digest pins
-every seeded instance bit for bit.
+every seeded instance bit for bit up to g = 6; past it the symplectic
+element and tau of a build must equal the block formula in three products
+and W^T (A^T A) (W Theta), oracles in helpers_oracles.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ import pytest
 from helpers_oracles import (failing_keys_by_ranks, filtration_by_spans,
                              mat_add, mat_vec, monodromy,
                              orthogonality_by_nullspace, preserves_form,
-                             symplectic_complement, symplectic_inverse)
+                             symplectic_by_three_products, symplectic_complement,
+                             symplectic_inverse, tau_by_pairing)
 from mtcheck import linalg
 from mtcheck.monodromy import (SpecializationInstance, SymplecticSpace,
                                _random_symmetric, _uniform_entries,
@@ -98,6 +101,17 @@ def test_random_symplectic_entries_stay_polynomial_in_g():
         for seed in range(3):
             m = random_symplectic(g, random.Random(seed))
             assert max(abs(x) for row in m for x in row) <= 729 * g * g + 18
+
+
+@pytest.mark.parametrize("g", [7, 12, 20, 40])
+def test_build_matches_the_three_product_oracle(g):
+    # past the digest's g <= 6: M in two products against the block
+    # formula, and tau = Y^T (Y Theta) against W^T (A^T A) (W Theta)
+    for seed in range(3):
+        m = random_symplectic(g, random.Random(seed))
+        assert m == symplectic_by_three_products(g, random.Random(seed))
+        for r in (1, 2, g // 2, g):
+            assert build_instance(g, r, seed).tau == tau_by_pairing(g, r, seed)
 
 
 class _Bytes:
@@ -774,11 +788,12 @@ def test_rank_and_product_calls_of_one_build_and_verify(monkeypatch):
         return value, dict(calls)
 
     build_instance(4, 2, 7)  # validates the shared space of genus 4 once
-    # one product for S = A^T A, which needs no rank; three products and
-    # the g x g identity for the symplectic element, and two products for
-    # tau, which the record holds
+    # two products for the symplectic element (X = CD + I, then B [C | X]),
+    # one for Y = A W and one for tau = Y^T (Y Theta), which the record
+    # holds; S = A^T A is never formed, and no draw needs a rank or an
+    # identity
     inst, built = count(lambda: build_instance(4, 2, 7))
-    assert built == {"mat_mul": 6, "identity": 1}
+    assert built == {"mat_mul": 4}
     # two products for the Gram matrix of V^I + T + W, whose blocks certify
     # every rank fact, one for the basis images, one for the pairing of
     # tau(T) with V^I + T and the rank of its T block, and one for
