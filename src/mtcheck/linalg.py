@@ -7,12 +7,16 @@ Two kernels do the work, and each one's docstring gives its scheme:
 ``mat_mul``, which applies a monomial right factor (one nonzero entry in
 each row and column, as in every form the monodromy models build) as a
 scaled column permutation and packs any other into one big-int product
-(Kronecker substitution), and ``_bareiss``, one row-ordered fraction-free
+(Kronecker substitution) in the narrowest of 16-, 32- and 64-bit slots
+that holds every cell, and ``_bareiss``, one row-ordered fraction-free
 elimination pass.  ``prefix_ranks`` reads the rank of every leading block
 of rows off the pass, ``rank`` the number of pivots, and ``det`` the last
 pivot, signed by the order of the pivot columns.  A non-int entry raises
-TypeError in both kernels, by one rule (``_require_ints``): a ``Fraction``
-would make the pass's exact divisions floor.  A bool is an int there.
+TypeError in both kernels, by one rule: every entry is an int, and a
+bool is one.  The packed product checks it by the ``int.bit_length`` scan
+that sizes its slots, the permutation path and the elimination by
+``_require_ints``, one row sum at a time; a ``Fraction`` would make the
+pass's exact divisions floor.
 
 Only ``rref``, ``inverse`` and ``nullspace`` use ``fractions.Fraction``,
 since a reduced row echelon form and an inverse have intrinsic
@@ -24,14 +28,15 @@ No runtime module calls ``rref``, ``inverse``, ``nullspace``, ``det``,
 ``same_span`` or ``row_space_contains``; the root-system oracle and the
 tests do.  They stay in the package because the benchmark's traced run
 binds each of them by name on this module, so moving them out needs a
-benchmark change first.
+benchmark change first; ``identity`` stays because ``inverse`` calls it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, compress, count
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter, lshift, mul
 from struct import Struct
 
@@ -48,56 +53,75 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def _lengths_are(n: int, m: Matrix) -> bool:
     return {n}.issuperset(map(len, m))
 
 
 def _require_ints(rows, kernel: str) -> None:
-    """TypeError unless every entry is an int (a bool is one): ``math.gcd``
-    takes integers only, and one call per row costs less than a type scan."""
+    """TypeError unless every entry is an int (a bool is one).
+
+    One ``sum`` per row: the sum of a row of ints is an int, a ``Fraction``
+    or a float in the row makes the sum one too, and a type with no
+    arithmetic on ints (one with ``__index__`` alone, say) makes it raise.
+    A ``math.gcd`` per row costs a little less but takes any ``__index__``
+    type, which the bit-length scan of ``mat_mul``'s packed path refuses.
+    """
     try:
-        for row in rows:
-            gcd(*row)
+        if {int}.issuperset(map(type, map(sum, rows))):
+            return
     except TypeError:
-        raise TypeError(f"{kernel} needs int entries") from None
+        pass
+    raise TypeError(f"{kernel} needs int entries")
+
+
+@lru_cache(maxsize=64)
+def _packing(p: int, word_bytes: int) -> tuple[Struct | None, int]:
+    """The plan for p slots of ``word_bytes`` bytes: a ``Struct`` of p
+    little-endian signed words (None past 8 bytes, which shifts pack) and
+    the bias, bit 8·word_bytes - 1 of every slot."""
+    code = {2: "h", 4: "i", 8: "q"}.get(word_bytes)
+    words = Struct(f"<{p}{code}") if code else None
+    return words, int.from_bytes((bytes(word_bytes - 1) + b"\x80") * p, "little")
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """The product a·b, one row per row of a.
 
-    Every entry of a and b must be an int (``_require_ints``), so a
-    ``Fraction`` or float raises TypeError before any arithmetic, whichever
-    path follows.
+    Every entry of a and b must be an int (a bool is one), on every path,
+    so a ``Fraction``, a float or an ``__index__``-only object raises
+    TypeError before any arithmetic.
 
     A monomial b (see ``monomial_columns``) is a scaled column
     permutation: with src[j] the row of b whose nonzero entry lies in
     column j, cell (i, j) of a·b is a[i][src[j]]·b[src[j]][j], so each row
-    is one gather and one elementwise product, with no packing.  A 1 × 1 b
-    takes the packed path, as an ``itemgetter`` of one index returns an
-    entry, not a tuple.
+    is one gather and one elementwise product, with no packing and no
+    bound; ``_require_ints`` checks the entries, one call per row.  A
+    1 × 1 b takes the packed path, as an ``itemgetter`` of one index
+    returns an entry, not a tuple.
 
     Any other b is packed (Kronecker substitution): row k of b becomes the
-    int sum_j b[k][j]·2^(w·j), with one slot width w = 64·s bits
-    (``word_bytes`` = 8·s) for all cells, chosen so that every cell c of
-    the product has |c| <= max(max|a|, 1)·max|b|·inner < 2^(w - 1).  Row i
-    of a·b is then sum_k a[i][k]·packed[k], a dot product of big ints at C
-    level.  With 8-byte slots one ``Struct`` packs a row of b as signed
-    words, and ``from_bytes`` reads them as one unsigned int U.  That
-    counts each negative word 2^64 too high, one unit of the next slot;
-    its bit 63 is set, so U - ((U & bias) << 1), with ``bias`` the sum of
-    2^(64·j + 63), takes exactly those units off.  The correction needs
-    |b| < 2^63, which the bound gives only because it counts max|a| as at
-    least 1.  Wider slots are packed by shifts.  Adding ``bias`` to each
-    row of the product makes every slot a digit in [0, 2^w) with no borrow
-    between slots, and XOR-ing it back out leaves each slot in w-bit two's
+    int sum_j b[k][j]·2^(w·j), with one slot width w = 8·``word_bytes``
+    bits for all cells.  Row i of a·b is then sum_k a[i][k]·packed[k], a
+    dot product of big ints at C level, whose cost follows w.  One
+    ``int.bit_length`` scan per factor gives its largest bit length, ba
+    for a (counted as at least 1) and bb for b; it is also the int check,
+    as ``int.bit_length`` takes ints alone.  An int of bit length L has
+    |x| <= 2^L - 1, so every cell c of the product has
+    |c| <= sum_k |a[i][k]|·|b[k][j]| <= (2^ba - 1)·(2^bb - 1)·inner = B,
+    and B >= max|b| because 2^ba - 1 >= 1, so each entry of b fits the
+    slot that the cells fit, as ``Struct`` packing needs.  A slot of w
+    bits holds [-2^(w - 1), 2^(w - 1)), so w = 16, 32 or 64, the narrowest
+    with B < 2^(w - 1) (B of at most w - 1 bits); past 63 bits, the least
+    multiple of 64 that is wide enough.
+
+    Slots of 2, 4 or 8 bytes are packed by one cached ``Struct`` (codes
+    h, i, q) as signed words, and ``from_bytes`` reads a row as one
+    unsigned int U.  That counts each negative word 2^w too high, one unit
+    of the next slot; its bit w - 1 is set, so U - ((U & bias) << 1), with
+    ``bias`` the sum of 2^(w·j + w - 1), takes exactly those units off.
+    Wider slots are packed by shifts.  Adding ``bias`` to each row of the
+    product makes every slot a digit in [0, 2^w) with no borrow between
+    slots, and XOR-ing it back out leaves each slot in w-bit two's
     complement, which is read as little-endian signed words.
     """
     inner = len(b)
@@ -106,21 +130,24 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     p = len(b[0]) if b else 0
     if not _lengths_are(p, b):
         raise ValueError("rows of a matrix must have one length")
-    _require_ints(chain(a, b), "matrix product")
-    if not (a and inner and p):
-        return tuple((0,) * p for _ in a)
     cols = monomial_columns(b) if inner == p > 1 else None
     if cols is not None:
+        _require_ints(chain(a, b), "matrix product")
         src = sorted(range(p), key=cols.__getitem__)
         take, scale = itemgetter(*src), [b[k][j] for j, k in enumerate(src)]
         # a list first: a tuple built from the map is resized as it grows
         return tuple(tuple(list(map(mul, take(row), scale))) for row in a)
-    bound = (max(max(map(abs, chain.from_iterable(a))), 1)
-             * max(map(abs, chain.from_iterable(b))) * inner)
-    word_bytes = 8 * (bound.bit_length() // 64 + 1)
-    bias = int.from_bytes((bytes(word_bytes - 1) + b"\x80") * p, "little")
-    if word_bytes == 8:
-        words = Struct(f"<{p}q")
+    try:
+        ba = max(map(int.bit_length, chain.from_iterable(a)), default=0)
+        bb = max(map(int.bit_length, chain.from_iterable(b)), default=0)
+    except TypeError:
+        raise TypeError("matrix product needs int entries") from None
+    if not (a and inner and p):
+        return tuple((0,) * p for _ in a)
+    bits = (((1 << max(ba, 1)) - 1) * ((1 << bb) - 1) * inner).bit_length()
+    word_bytes = 2 if bits < 16 else 4 if bits < 32 else 8 * (bits // 64 + 1)
+    words, bias = _packing(p, word_bytes)
+    if words:
         unsigned = (int.from_bytes(words.pack(*row), "little") for row in b)
         packed = [u - ((u & bias) << 1) for u in unsigned]
     else:
@@ -128,7 +155,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         packed = [sum(map(lshift, row, shifts)) for row in b]
     rows = [((sum(map(mul, row, packed)) + bias) ^ bias).to_bytes(word_bytes * p, "little")
             for row in a]
-    if word_bytes == 8:
+    if words:
         return tuple(map(words.unpack, rows))
     return tuple(tuple(int.from_bytes(raw[j:j + word_bytes], "little", signed=True)
                        for j in range(0, len(raw), word_bytes)) for raw in rows)
@@ -144,10 +171,6 @@ def monomial_columns(m: Matrix) -> list[int] | None:
             return None
         cols.append(next(compress(count(), row)))
     return cols if len(set(cols)) == n else None
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_sub(r, s) for r, s in zip(a, b, strict=True))
 
 
 def is_zero_matrix(m: Matrix) -> bool:

@@ -23,8 +23,8 @@ library's own closed forms against them, one line each:
 - ``fundamental_index_by_scan``, ``label_by_weight``: a weight's index and label, read off
   its coordinates.
 
-``mat_add`` and ``mat_vec`` are a plain matrix sum and matrix-vector product
-that only tests use.
+``vec_add``, ``vec_sub``, ``mat_add``, ``mat_sub`` and ``mat_vec`` are plain
+sums, differences and a matrix-vector product that only tests use.
 """
 
 from __future__ import annotations
@@ -98,8 +98,20 @@ def split_orthogonal_form(n: int) -> linalg.Matrix:
     return tuple(tuple(1 if i + j == n - 1 else 0 for j in range(n)) for i in range(n))
 
 
+def vec_add(u: linalg.Vector, v: linalg.Vector) -> linalg.Vector:
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vec_sub(u: linalg.Vector, v: linalg.Vector) -> linalg.Vector:
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
 def mat_add(a: linalg.Matrix, b: linalg.Matrix) -> linalg.Matrix:
-    return tuple(linalg.vec_add(r, s) for r, s in zip(a, b, strict=True))
+    return tuple(vec_add(r, s) for r, s in zip(a, b, strict=True))
+
+
+def mat_sub(a: linalg.Matrix, b: linalg.Matrix) -> linalg.Matrix:
+    return tuple(vec_sub(r, s) for r, s in zip(a, b, strict=True))
 
 
 def mat_vec(m: linalg.Matrix, v: linalg.Vector) -> linalg.Vector:
@@ -170,7 +182,7 @@ def preserves_form(inst: SpecializationInstance) -> bool:
     """N^T Theta N = Theta, computed as two full products."""
     n_mat = monodromy(inst)
     lhs = linalg.mat_mul(linalg.transpose(n_mat), linalg.mat_mul(inst.space.form, n_mat))
-    return linalg.is_zero_matrix(linalg.mat_sub(lhs, inst.space.form))
+    return linalg.is_zero_matrix(mat_sub(lhs, inst.space.form))
 
 
 def symplectic_by_three_products(g: int, rng: random.Random) -> linalg.Matrix:

@@ -98,20 +98,25 @@ def _unit(n: int, i: int, value=1) -> Vector:
     return tuple(value if j == i else 0 for j in range(n))
 
 
+def _pair(n: int, i: int, j: int, sign: int = -1, value: int = 1) -> Vector:
+    """value·(e_i + sign·e_j) in Q^n, for i != j."""
+    return tuple(value if k == i else sign * value if k == j else 0 for k in range(n))
+
+
 @lru_cache(maxsize=None)
 def simple_roots(t: LieType) -> Matrix:
     f, m = t.family, t.rank
     if f == "A":
         n = m + 1
-        return tuple(linalg.vec_sub(_unit(n, i), _unit(n, i + 1)) for i in range(m))
+        return tuple(_pair(n, i, i + 1) for i in range(m))
     if f in ("B", "C", "D"):
-        chain = [linalg.vec_sub(_unit(m, i), _unit(m, i + 1)) for i in range(m - 1)]
+        chain = [_pair(m, i, i + 1) for i in range(m - 1)]
         if f == "B":
             chain.append(_unit(m, m - 1))
         elif f == "C":
             chain.append(_unit(m, m - 1, 2))
         else:
-            chain.append(linalg.vec_add(_unit(m, m - 2), _unit(m, m - 1)))
+            chain.append(_pair(m, m - 2, m - 1, 1))
         return tuple(chain)
     return _e_simple_roots(m)
 
@@ -121,10 +126,7 @@ def _e_simple_roots(rank: int) -> Matrix:
     # alpha2 = 2(e1 + e2), alpha_k = 2(e_{k-2+1} - e_{k-2}) for k >= 3.
     alpha1 = (1, -1, -1, -1, -1, -1, -1, 1)
     alpha2 = (2, 2, 0, 0, 0, 0, 0, 0)
-    chain = [
-        tuple(linalg.vec_sub(_unit(8, i, 2), _unit(8, i - 1, 2)))
-        for i in range(1, 7)
-    ]
+    chain = [_pair(8, i, i - 1, value=2) for i in range(1, 7)]
     return tuple([alpha1, alpha2] + chain)[:rank]
 
 
@@ -165,17 +167,13 @@ def positive_roots(t: LieType) -> Matrix:
     f, m = t.family, t.rank
     if f == "A":
         n = m + 1
-        return tuple(
-            linalg.vec_sub(_unit(n, i), _unit(n, j))
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        return tuple(_pair(n, i, j) for i in range(n) for j in range(i + 1, n))
     if f in ("B", "C", "D"):
         roots = []
         for i in range(m):
             for j in range(i + 1, m):
-                roots.append(linalg.vec_sub(_unit(m, i), _unit(m, j)))
-                roots.append(linalg.vec_add(_unit(m, i), _unit(m, j)))
+                roots.append(_pair(m, i, j))
+                roots.append(_pair(m, i, j, 1))
         if f == "B":
             roots.extend(_unit(m, i) for i in range(m))
         elif f == "C":
@@ -236,7 +234,7 @@ def weyl_dim(t: LieType, w: Weight) -> int:
     """
     _check_weight(t, w)
     rho = tuple(sum(col) for col in zip(*fundamental_weights(t)))
-    lam = linalg.vec_add(ambient_weight(t, w), rho)
+    lam = tuple(x + y for x, y in zip(ambient_weight(t, w), rho, strict=True))
     d = prod(
         Fraction(vec_dot(lam, a), 1) / vec_dot(rho, a)
         for a in positive_roots(t)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_oracles import mat_vec
+from helpers_oracles import mat_vec, vec_add
 from helpers_roots import solve
 from mtcheck import linalg
 
@@ -133,7 +133,7 @@ def test_rank_matches_rref_sparse_and_low_rank(seed):
 def test_rank_additivity_of_row_sums(seed):
     rng = random.Random(4000 + seed)
     m = _random_matrix(rng, rng.randint(2, 6), rng.randint(2, 6))
-    summed = m + (linalg.vec_add(m[0], m[-1]),)
+    summed = m + (vec_add(m[0], m[-1]),)
     assert linalg.rank(summed) == linalg.rank(m)
 
 
@@ -305,6 +305,11 @@ def _with_entry(draw, matrices, entries):
     return tuple(map(tuple, m))
 
 
+# cell bounds at and one past the limits of the 16- and 32-bit slots
+_CELL_BOUNDS = {"bound 2^15 - 1": 2**15 - 1, "bound 2^15": 2**15,
+                "bound 2^31 - 1": 2**31 - 1, "bound 2^31": 2**31}
+
+
 @st.composite
 def _product_case(draw, kind):
     """(a, b) of one of the factor shapes the product tells apart."""
@@ -323,13 +328,21 @@ def _product_case(draw, kind):
             for row in b:
                 row[j] = row[i]
         return draw(_matrices(n_rows, n)), tuple(map(tuple, b))
-    if kind == "slot limits":
-        # the cell bound max(max|a|, 1)·max|b|·inner lands on 2^63 - 1 (the
-        # last 8-byte slot) or just past it: 2^63 at one inner term, 2^63 + 6
-        # at seven, with 2^63 - 1 = 7·top exactly; a and b trade roles
-        inner = draw(st.sampled_from((1, 7)))
-        top = (2**63 - 1) // inner
-        edges = (top, -top, top + 1, -top - 1)
+    if kind == "slot limits" or kind in _CELL_BOUNDS:
+        if kind == "slot limits":
+            # the cell bound max(max|a|, 1)·max|b|·inner lands on 2^63 - 1
+            # (the last 8-byte slot) or just past it: 2^63 at one inner
+            # term, 2^63 + 6 at seven, with 2^63 - 1 = 7·top exactly
+            inner = draw(st.sampled_from((1, 7)))
+            top = (2**63 - 1) // inner
+            edges = (top, -top, top + 1, -top - 1)
+        else:
+            # that cell bound exactly, over an inner dimension dividing it
+            bound = _CELL_BOUNDS[kind]
+            inner = draw(st.sampled_from([k for k in (1, 2, 7, 8) if bound % k == 0]))
+            top = bound // inner
+            edges = (top, -top)
+        # a and b trade roles
         p = draw(st.integers(1, 4))
         big_b = draw(st.booleans())
         big_shape, small_shape = (inner, p), (n_rows, inner)
@@ -357,7 +370,7 @@ def test_mat_mul_matches_triple_loop(factors):
 
 
 @pytest.mark.parametrize("kind", ["monomial", "one per row", "repeated column", "non-square",
-                                  "one column", "zero a", "slot limits"])
+                                  "one column", "zero a", "slot limits", *_CELL_BOUNDS])
 @settings(_PROPERTY, max_examples=30)
 @given(data=st.data())
 def test_mat_mul_matches_triple_loop_by_factor_kind(kind, data):
@@ -377,25 +390,42 @@ def test_packed_product_matches_triple_loop_on_large_entries(factors):
     assert all(type(x) is int for row in product for x in row)
 
 
+def _product_and_slot(a, b):
+    """a·b, checked to hold ints only, and the slot width in bytes that its
+    packed path chose (None where the permutation path ran)."""
+    widths = []
+    plan = linalg._packing
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_packing", lambda p, w: widths.append(w) or plan(p, w))
+        product = linalg.mat_mul(a, b)
+    assert all(type(x) is int for row in product for x in row)
+    return product, (widths or [None])[0]
+
+
 def test_packed_product_at_the_slot_limits():
-    top = 2**63 - 1
-    # one 64-bit slot: +-(2^63 - 1) side by side, and next to 0 and -1
-    assert linalg.mat_mul(((top,), (-top,), (1,)), ((1, -1, 0, -1),)) == (
-        (top, -top, 0, -top), (-top, top, 0, top), (1, -1, 0, -1))
-    # -2^63 needs a bound of 2^63, so two words; the cells are exact
-    bottom = -2**63
-    assert linalg.mat_mul(((bottom,), (top,)), ((1, -1, 1),)) == (
-        (bottom, -bottom, bottom), (top, -top, top))
-    # a sum that lands exactly on the limits
-    assert linalg.mat_mul(((2**62, 2**62 - 1), (-2**62, -2**62)), ((1, 0), (1, 1))) == (
-        (top, 2**62 - 1), (bottom, -2**62))
-    # each term fits one slot but the sum does not, so the bound counts
-    # the inner dimension
-    assert linalg.mat_mul(((2**62, 2**62), (-2**62, -2**62 - 1)), ((1,), (1,))) == (
-        (2**63,), (bottom - 1,))
-    for cells in (((top,),), ((-top,),), ((bottom,),)):
-        assert linalg.mat_mul(cells, ((1,),)) == cells
-        assert all(type(x) is int for x in linalg.mat_mul(cells, ((1,),))[0])
+    # a w-bit slot holds [-2^(w - 1), 2^(w - 1)), and the product takes the
+    # narrowest of 16, 32 and 64 bits whose limit the cell bound stays
+    # under, else the next multiple of 64; so the width is pinned too
+    for w in (16, 32, 64):
+        top, bottom, half, word = 2**(w - 1) - 1, -2**(w - 1), 2**(w - 2), w // 8
+        # +-top side by side, and next to 0 and -1, in the w-bit slot
+        assert _product_and_slot(((top,), (-top,), (1,)), ((1, -1, 0, -1),)) == (
+            ((top, -top, 0, -top), (-top, top, 0, top), (1, -1, 0, -1)), word)
+        # bottom has w bits, so its bound needs the next slot; the cells are exact
+        assert _product_and_slot(((bottom,), (top,)), ((1, -1, 1),)) == (
+            ((bottom, -bottom, bottom), (top, -top, top)), 2 * word)
+        # a sum that lands exactly on the limits
+        assert _product_and_slot(((half, half - 1), (-half, -half)), ((1, 0), (1, 1))) == (
+            ((top, half - 1), (bottom, -half)), 2 * word)
+        # each term fits the w-bit slot but the sum does not, so the bound
+        # counts the inner dimension
+        assert _product_and_slot(((half, half), (-half, -half - 1)), ((1,), (1,))) == (
+            ((2**(w - 1),), (bottom - 1,)), 2 * word)
+        for cells, slot in ((((top,),), word), (((-top,),), word), (((bottom,),), 2 * word)):
+            assert _product_and_slot(cells, ((1,),)) == (cells, slot)
+        # a zero a counts as max|a| = 1, so b's own entries fit their slots
+        assert _product_and_slot(((0, 0),), ((top, bottom), (-top, 0))) == (((0, 0),), 2 * word)
+        assert _product_and_slot(((0,),), ((top, -top),)) == (((0, 0),), word)
 
 
 def test_monomial_columns():
@@ -442,19 +472,23 @@ def test_kernels_refuse_non_int_entries():
                 kernel(m)
     # the product refuses a non-int operand with TypeError on every path,
     # never struct.error from its packing: as the largest entry or not, in
-    # a or b, against a dense b of 8-byte or of wider slots, a monomial b,
-    # or a zero a; in a monomial b as its nonzero entry or as a zero
+    # a or b, against a dense b of each slot width, a monomial b, or a zero
+    # a; in a monomial b as its nonzero entry or as a zero
+    slots = set()  # the slot widths of the same products with 1 in place
     for bad in (Fraction(1, 2), Fraction(4), Fraction(0), 0.5, 4.0, 0.0):
         for odd in (((bad, 1), (1, 1)), ((bad, 9), (1, 1))):
             for ints in (((1, 2), (3, 4)), ((1, 0), (0, -1)), ((0, 0), (0, 0)),
-                         ((2**70, 1), (3, 4))):
+                         ((2**20, 1), (3, 4)), ((2**40, 1), (3, 4)), ((2**70, 1), (3, 4))):
                 for a, b in ((odd, ints), (ints, odd), (odd, odd)):
                     with pytest.raises(TypeError, match="int entries"):
                         linalg.mat_mul(a, b)
+                    slots.add(_product_and_slot(*(_put(m, 0, 0, 1) if m is odd else m
+                                                  for m in (a, b)))[1])
         for b in (((0, bad), (1, 0)), ((bad, 1), (1, 0)), ((0, 0, 1), (0, bad, 0), (1, 0, 0))):
             for a in (((1,) * len(b),), ((0,) * len(b),)):
                 with pytest.raises(TypeError, match="int entries"):
                     linalg.mat_mul(a, b)
+    assert slots == {None, 2, 4, 8, 16}
     # a bool is an int to both kernels: every result equals the one on the
     # same matrix written with 1 and 0, dense or monomial, square or not
     for m in (((True, False), (False, True)), ((False, True), (True, False)),
@@ -470,6 +504,51 @@ def test_kernels_refuse_non_int_entries():
                                (mt, m, linalg.mat_mul(ints_t, ints)),
                                (ints, mt, linalg.mat_mul(ints, ints_t))):
             assert linalg.mat_mul(a, b) == expected, (a, b)
+
+
+def _put(m, i, j, x):
+    """m with x in place of its entry (i, j)."""
+    return tuple(row[:j] + (x,) + row[j + 1:] if k == i else row for k, row in enumerate(m))
+
+
+class _IndexOnly:
+    """An integer stand-in with ``__index__`` alone: ``math.gcd`` and
+    ``struct`` take it, ``int.bit_length`` and arithmetic do not."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("kind", ["Fraction", "float", "bool", "index only"])
+def test_one_int_rule_on_every_path(kind):
+    # one entry of the kind, in place of a 1 or of a 0 of a or of b, on the
+    # permutation path, in slots of every width and in the elimination: a
+    # bool is an int, and every other kind is refused alike
+    one, zero = {"Fraction": (Fraction(1), Fraction(0)), "float": (1.0, 0.0),
+                 "bool": (True, False), "index only": (_IndexOnly(1), _IndexOnly(0))}[kind]
+    slots = set()
+    for big in (None, 1, 2**20, 2**40, 2**70):  # None: a monomial b
+        factors = ((1, 6), (0, 8)), ((0, 1), (1, 0)) if big is None else ((big, 1), (0, 4))
+        expected, slot = _product_and_slot(*factors)
+        slots.add(slot)
+        for side, i, j in ((s, i, j) for s in (0, 1) for i in (0, 1) for j in (0, 1)
+                           if factors[s][i][j] in (0, 1)):
+            odd = list(factors)
+            odd[side] = _put(odd[side], i, j, one if factors[side][i][j] else zero)
+            if kind == "bool":
+                assert _product_and_slot(*odd) == (expected, slot)
+                assert linalg.rank(odd[side]) == linalg.rank(factors[side])
+                assert linalg.det(odd[side]) == linalg.det(factors[side])
+                continue
+            with pytest.raises(TypeError, match="matrix product needs int entries"):
+                linalg.mat_mul(*odd)
+            for kernel in (linalg.rank, linalg.prefix_ranks, linalg.det):
+                with pytest.raises(TypeError, match="elimination needs int entries"):
+                    kernel(odd[side])
+    assert slots == {None, 2, 4, 8, 16}
 
 
 def test_nullspace_returns_primitive_int_vectors():
