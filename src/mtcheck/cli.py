@@ -4,19 +4,18 @@ Subcommands: catalog, pair, survivors, lemma, exceptions, monodromy, check.
 ``check`` exits 0 on any verdict and 2 on inconsistent input; its machine
 format emits one JSON object per descriptor with keys "conclusion",
 "citations" and "notes".  Usage errors and bad values, also in one batch
-row, print ``error: ...`` and count as status 1.  ``check --file`` splits
-each row by POSIX shell quoting (``shlex``); a row may not set ``--format``
-or ``--file``.
+row, print ``error: ...`` and count as status 1.  A ``check --file`` row is
+the ``str.split`` tokens of its line, every flag written in full; a row may
+not set ``--file`` or another ``--format`` (see ``_row_reader``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import shlex
 import sys
-from contextlib import redirect_stdout
 from functools import cache, partial
+from types import SimpleNamespace
 
 from .catalog import (IrrepDescriptor, descriptor, enumerate_minuscule,
                       minuscule_weight_indices)
@@ -158,30 +157,69 @@ def _check_one(args) -> int:
     return status
 
 
-def _parse_row(parser, check, fmt: str, line: str):
-    """One batch row's flags, parsed by the ``check`` subparser alone.
-    Leftover tokens get the top-level parser's "unrecognized arguments"
-    error, the text a whole ``mtcheck check ...`` parse gives.  A help flag
-    prints the usage to stderr, so stdout keeps one record per row, and
-    rejects the row; so does a row that sets ``--file`` or another
-    ``--format``."""
-    try:
-        with redirect_stdout(sys.stderr):
-            args, extras = check.parse_known_args(["--format", fmt] + shlex.split(line))
-    except SystemExit:
-        raise ValueError("a help flag is not a descriptor") from None
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    if args.file is not None:
-        raise ValueError("a batch row may not set --file")
-    if args.format != fmt:
-        raise ValueError(f"a batch row may not set --format {args.format} in a {fmt} batch")
-    return args
+def _row_reader(parser, check, flags, fmt: str):
+    """The reader of the rows of one ``fmt`` batch, read off ``flags``, the
+    actions of the ``check`` subparser, each a switch (nargs 0) or a flag
+    with one value: their dests, types, choices and consts, and the
+    defaults of one ``check --format FMT`` parse.
+
+    A row is its line's ``str.split`` tokens.  A flag is written in full as
+    ``check --help`` lists it.  A valued flag takes the next token as its
+    value, whatever that token is, so ``--g -5`` means g = -5; a switch
+    takes none; a repeated flag keeps its last value.  Any other token gets
+    the "unrecognized arguments" error of a whole ``mtcheck check ...``
+    parse, so an abbreviated flag or ``--flag=value`` refuses the row; a
+    quoted or escaped value is a bad value.  A bad or missing value gets
+    argparse's own error text, at the first such flag.  A help flag prints
+    the usage to stderr, so stdout keeps one record per row, and refuses the
+    row; so does a row that sets ``--file`` or another ``--format``."""
+    defaults = vars(check.parse_args(["--format", fmt]))
+    table = {option: action for action in flags for option in action.option_strings}
+
+    def refuse(action, message):
+        check.error(f"argument {'/'.join(action.option_strings)}: {message}")
+
+    def read(line: str) -> SimpleNamespace:
+        values = defaults.copy()
+        extras = []
+        tokens = iter(line.split())
+        for token in tokens:
+            action = table.get(token)
+            if action is None:
+                extras.append(token)
+            elif action.nargs == 0:
+                if action.default is argparse.SUPPRESS:  # the help flag stores nothing
+                    check.print_help(sys.stderr)
+                    raise ValueError("a help flag is not a descriptor")
+                values[action.dest] = action.const
+            else:
+                if (value := next(tokens, None)) is None:
+                    refuse(action, "expected one argument")
+                if action.type is not None:
+                    try:
+                        value = action.type(value)
+                    except (TypeError, ValueError):
+                        refuse(action, f"invalid {action.type.__name__} value: {value!r}")
+                if action.choices is not None and value not in action.choices:
+                    refuse(action, f"invalid choice: {value!r} "
+                                   f"(choose from {', '.join(map(repr, action.choices))})")
+                values[action.dest] = value
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        if values["file"] is not None:
+            raise ValueError("a batch row may not set --file")
+        if values["format"] != fmt:
+            raise ValueError(f"a batch row may not set --format {values['format']} "
+                             f"in a {fmt} batch")
+        return SimpleNamespace(**values)
+
+    return read
 
 
-def _cmd_check(args, parser, check) -> int:
+def _cmd_check(args, parser, check, flags) -> int:
     if args.file is None:
         return _check_one(args)
+    read = _row_reader(parser, check, flags, args.format)
     status = 0
     # surrogateescape keeps an undecodable byte in its row, whose own strict
     # decode below then fails; utf-8-sig drops a leading byte-order mark
@@ -191,7 +229,7 @@ def _cmd_check(args, parser, check) -> int:
                 line = line.encode("utf-8", "surrogateescape").decode("utf-8").strip()
                 if not line or line.startswith("#"):
                     continue
-                row_status = _check_one(_parse_row(parser, check, args.format, line))
+                row_status = _check_one(read(line))
             except ValueError as exc:
                 print(f"error: line {number}: {exc}", file=sys.stderr)
                 row_status = 1
@@ -245,20 +283,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.set_defaults(func=_cmd_monodromy)
 
-    p = sub.add_parser("check", help="decide a descriptor (or a batch file)")
-    p.add_argument("--g", type=int, default=1)
-    p.add_argument("--endo", choices=sorted(e.value for e in EndoType), default="Q")
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--signature", default=None, metavar="A,B")
-    p.add_argument("--toric-rank", type=int, default=0)
-    p.add_argument("--bad-semistable-split", action="store_true")
-    p.add_argument("--simple", action="store_true")
-    p.add_argument("--simple-lie", action="store_true",
-                   help="assert simplicity of the Lie parts directly")
-    p.add_argument("--format", choices=["text", "machine"], default="text")
-    p.add_argument("--file", default=None,
-                   help="batch mode: one flag set per line")
-    p.set_defaults(func=partial(_cmd_check, parser=parser, check=p))
+    # the help flag is declared here, not by add_help, so that every flag of
+    # a batch row has the Action that add_argument returns
+    p = sub.add_parser("check", add_help=False, help="decide a descriptor (or a batch file)")
+    flags = (
+        p.add_argument("-h", "--help", action="help", help="show this help message and exit"),
+        p.add_argument("--g", type=int, default=1),
+        p.add_argument("--endo", choices=sorted(e.value for e in EndoType), default="Q"),
+        p.add_argument("--degree", type=int, default=1),
+        p.add_argument("--signature", default=None, metavar="A,B"),
+        p.add_argument("--toric-rank", type=int, default=0),
+        p.add_argument("--bad-semistable-split", action="store_true"),
+        p.add_argument("--simple", action="store_true"),
+        p.add_argument("--simple-lie", action="store_true",
+                       help="assert simplicity of the Lie parts directly"),
+        p.add_argument("--format", choices=["text", "machine"], default="text"),
+        p.add_argument("--file", default=None,
+                       help="batch mode: one flag set per line"),
+    )
+    p.set_defaults(func=partial(_cmd_check, parser=parser, check=p, flags=flags))
     return parser
 
 

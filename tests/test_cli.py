@@ -10,18 +10,22 @@ every ``$ mtcheck`` line and the Python session.
 from __future__ import annotations
 
 import doctest
+import io
 import json
 import re
 import shlex
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtcheck.catalog import _least_m, descriptor, minuscule_candidates
-from mtcheck.cli import _descriptor_from_args, _parse_row, build_parser, main
+from mtcheck.cli import _descriptor_from_args, _row_reader, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -263,8 +267,8 @@ def test_candidate_search_refuses_past_its_bound(tmp_path, capsys, monkeypatch):
             assert (code, out, searched) == (1, "", []), argv
             assert err == f"error: {error}\n", argv
     batch = tmp_path / "batch.txt"
-    batch.write_text(shlex.join(["--g", "511"] + rational) + "\n"
-                     + shlex.join(["--g", "512"] + rational) + "\n", encoding="utf-8")
+    batch.write_text(" ".join(["--g", "511"] + rational) + "\n"
+                     + " ".join(["--g", "512"] + rational) + "\n", encoding="utf-8")
     code, out, err = _run(capsys, ["check", "--file", str(batch), "--format", "machine"])
     assert (code, out.count("\n")) == (1, 1)
     assert err == f"error: line 2: Thm 6.5 searches at 2g: {refused}\n"
@@ -289,9 +293,9 @@ def test_check_names_the_dimension_its_route_searches(tmp_path, capsys):
     ]:
         assert _run(capsys, argv) == (1, "", f"error: {error}\n")
     batch = tmp_path / "batch.txt"
-    batch.write_text(shlex.join(["--g", "5", "--endo", "Q", "--toric-rank", "1",
-                                 "--bad-semistable-split"]) + "\n"
-                     + shlex.join(rational) + "\n", encoding="utf-8")
+    batch.write_text(" ".join(["--g", "5", "--endo", "Q", "--toric-rank", "1",
+                               "--bad-semistable-split"]) + "\n"
+                     + " ".join(rational) + "\n", encoding="utf-8")
     code, out, err = _run(capsys, ["check", "--file", str(batch), "--format", "machine"])
     assert (code, out.count("\n")) == (1, 1)
     assert err == f"error: line 2: Thm 6.5 searches at 2g: dimension {too_big}\n"
@@ -563,9 +567,10 @@ def test_check_bad_endo_is_an_error(capsys):
 
 
 def _whole_command_parse(fmt, line):
-    """A batch row parsed as the whole command line ``mtcheck check
-    --format FMT ROW``, the way batch rows were parsed before the ``check``
-    subparser took them alone."""
+    """A batch row as argparse reads it: split by POSIX shell quoting and
+    parsed as the whole command line ``mtcheck check --format FMT ROW``, the
+    way batch rows were read before the row format was fixed.  The oracle
+    for what an in-format row means."""
     try:
         with redirect_stdout(sys.stderr):
             return build_parser().parse_args(["check", "--format", fmt] + shlex.split(line))
@@ -573,37 +578,140 @@ def _whole_command_parse(fmt, line):
         raise ValueError("a help flag is not a descriptor") from None
 
 
-def _parse_outcome(parse, fmt, line, capsys):
-    try:
-        args = parse(fmt, line)
-    except ValueError as exc:
-        outcome = ("error", str(exc))
-    else:
-        outcome = ("descriptor", _descriptor_from_args(args), args.format)
-    captured = capsys.readouterr()
-    return outcome, captured.out, captured.err
+def _reader(fmt):
+    """The row reader of a ``fmt`` batch, built as ``check --file`` builds it."""
+    return _row_reader(fmt=fmt, **build_parser().parse_args(["check"]).func.keywords)
 
 
-MALFORMED_ROWS = [
-    "--g 3 --bogus 1", "--g 3 stray", "check --g 3", "--g 3 -- --simple",
-    "--g 3 --", "-h", "--help", "--g 3 --help", "--g abc", "--endo X",
-    "--toric 2 --g 4 --bad-semistable-split", "--f x", '--signature "2,3" --g 5',
-    "--g 3 --bogus=1 extra --simple",
+def _outcome(parse, line):
+    """What ``parse`` makes of a row, with what it printed: the descriptor
+    and format it reads, or the text of its refusal."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args = parse(line)
+            outcome = ("descriptor", _descriptor_from_args(args), args.format)
+        except ValueError as exc:
+            outcome = ("error", str(exc))
+    return outcome, out.getvalue(), err.getvalue()
+
+
+_GOOD_ROW = "--g 4 --endo Q --toric-rank 2 --bad-semistable-split --simple"
+_HELP_REFUSAL = "a help flag is not a descriptor"
+
+# in-format rows at the edges of the format, which the reader and argparse
+# must read alike ("#" is no comment in mid-row, so both refuse that row)
+IN_FORMAT_ROWS = [
+    "--g 5 --g 6", "--simple --g 4 --simple", "--g -5", "--g 5_0", "--g +7",
+    "--g\t5\t--endo Q --toric-rank\t3", "--g  5   --toric-rank 3  --bad-semistable-split",
+    "--g 5 # not a comment", "--g 5 --signature 2,3#",
+    *(f"--g 4 --endo {e} --degree 2" for e in ("I", "II", "III", "IV", "Q", "k")),
 ]
+
+# malformed rows that argparse refused too, for the same reason: a machine
+# batch prints their error lines byte for byte as before
+REFUSED_AS_BEFORE = {
+    "--g abc": "mtcheck check: argument --g: invalid int value: 'abc'",
+    "--g " + "7" * 5000: f"mtcheck check: argument --g: invalid int value: '{'7' * 5000}'",
+    "--endo X": "mtcheck check: argument --endo: invalid choice: 'X' "
+                "(choose from 'I', 'II', 'III', 'IV', 'Q', 'k')",
+    "--g": "mtcheck check: argument --g: expected one argument",
+    "--g 5 --format text": "a batch row may not set --format text in a machine batch",
+    "--g 5 --file other.txt": "a batch row may not set --file",
+    "-h": _HELP_REFUSAL, "--help": _HELP_REFUSAL, "--g 3 --help": _HELP_REFUSAL,
+}
+
+# rows outside the format: argparse read the first three as descriptors
+# (an abbreviated flag, --flag=value, a quoted value) and refused the rest,
+# the two "--" rows and "--f x" with other texts than these
+REFUSED_BY_FORMAT = {
+    "--toric 2 --g 4 --bad-semistable-split": "mtcheck: unrecognized arguments: --toric 2",
+    "--g=5": "mtcheck: unrecognized arguments: --g=5",
+    '--signature "2,3" --g 5': "invalid literal for int() with base 10: '\"2'",
+    "--g 3 -- --simple": "mtcheck: unrecognized arguments: --",
+    "--g 3 --": "mtcheck: unrecognized arguments: --",
+    "--f x": "mtcheck: unrecognized arguments: --f x",
+    "check --g 3": "mtcheck: unrecognized arguments: check",
+    "--g 3 stray": "mtcheck: unrecognized arguments: stray",
+    "--g 3 --bogus 1": "mtcheck: unrecognized arguments: --bogus 1",
+    "--g 3 --bogus=1 extra --simple": "mtcheck: unrecognized arguments: --bogus=1 extra",
+}
 
 
 @pytest.mark.parametrize("fmt", ["text", "machine"])
-def test_row_parse_matches_whole_command_parse(capsys, fmt):
+def test_row_parse_matches_whole_command_parse(fmt):
     corpus = (DATA / "golden_descriptors.txt").read_text(encoding="utf-8")
     rows = [line.strip() for line in corpus.splitlines()
             if line.strip() and not line.startswith("#")]
-    parser = build_parser()
-    check = parser.parse_args(["check"]).func.keywords["check"]
-    for line in rows + MALFORMED_ROWS:
-        new = _parse_outcome(lambda f, row: _parse_row(parser, check, f, row),
-                             fmt, line, capsys)
-        old = _parse_outcome(_whole_command_parse, fmt, line, capsys)
-        assert new == old, line
+    # the whole command line may set --format and --file; a row may not
+    refused = [row for row in REFUSED_AS_BEFORE if "--f" not in row]
+    read = _reader(fmt)
+    for line in rows + IN_FORMAT_ROWS + refused:
+        assert _outcome(read, line) == _outcome(partial(_whole_command_parse, fmt), line), line
+
+
+@pytest.mark.parametrize("rows", [REFUSED_AS_BEFORE, REFUSED_BY_FORMAT],
+                         ids=["as-before", "by-format"])
+def test_check_batch_refusal_texts(tmp_path, capsys, rows):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("".join(row + "\n" for row in rows) + _GOOD_ROW + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["check", "--file", str(batch), "--format", "machine"])
+    assert code == 1
+    assert [json.loads(line)["conclusion"] for line in out.splitlines()] == ["MT_and_divisorial"]
+    usage = build_parser().parse_args(["check"]).func.keywords["check"].format_help()
+    assert err == "".join((usage if text == _HELP_REFUSAL else "") + f"error: line {n}: {text}\n"
+                          for n, text in enumerate(rows.values(), start=1))
+
+
+def test_a_valued_flag_takes_the_next_token_whatever_it_is():
+    # argparse took each of these values for a flag and so refused the row;
+    # the format reads them as values, to a descriptor or a value error
+    read = _reader("machine")
+    assert read("--g -5_0").g == -50
+    assert read("--signature -1,2 --g 1").signature == "-1,2"
+    for line, text in [
+        ("--g --simple", "mtcheck check: argument --g: invalid int value: '--simple'"),
+        ("--endo -h", "mtcheck check: argument --endo: invalid choice: '-h' "
+                      "(choose from 'I', 'II', 'III', 'IV', 'Q', 'k')"),
+    ]:
+        assert _outcome(read, line) == (("error", text), "", ""), line
+
+
+_ENDO_CHOICES = ("I", "II", "III", "IV", "Q", "k")
+# valid ints in argparse's sense of a value: not a flag, so a minus sign
+# only before plain digits; invalid ones never begin with "-" but one
+_INT_TOKENS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.integers(0, 10**6).map(lambda n: f"{n:_}"),
+    st.integers(0, 99).map(lambda n: f"+{n}"),
+    st.sampled_from(["abc", "1.5", "0x10", "-", "5__0", "_5", "5_", "+-1", "1e3", "7" * 5000]),
+)
+_SIGNATURE_TOKENS = st.one_of(
+    st.tuples(st.integers(0, 60), st.integers(-3, 60)).map(lambda ab: f"{ab[0]},{ab[1]}"),
+    st.sampled_from(["1", "1,2,3", "a,b", ",", "1,"]),
+)
+_VALUES = {"--g": _INT_TOKENS, "--degree": _INT_TOKENS, "--toric-rank": _INT_TOKENS,
+           "--signature": _SIGNATURE_TOKENS,
+           "--endo": st.sampled_from(_ENDO_CHOICES + ("X", "q"))}
+_SWITCHES = ("--bad-semistable-split", "--simple", "--simple-lie")
+
+
+@st.composite
+def _rows(draw):
+    """A row of descriptor flags, repeats allowed, sometimes ending in a
+    flag without its value, a stray token or a help flag."""
+    tokens = []
+    for _ in range(draw(st.integers(0, 8))):
+        flag = draw(st.sampled_from(sorted(_VALUES) + list(_SWITCHES)))
+        tokens += [flag, draw(_VALUES[flag])] if flag in _VALUES else [flag]
+    tokens += draw(st.sampled_from([[], ["--g"], ["--signature"], ["stray"], ["-h"]]))
+    return draw(st.sampled_from([" ", "  ", "\t"])).join(tokens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row=_rows(), fmt=st.sampled_from(["text", "machine"]))
+def test_row_reader_agrees_with_argparse(row, fmt):
+    assert _outcome(_reader(fmt), row) == _outcome(partial(_whole_command_parse, fmt), row)
 
 
 def _calls(tmp_path):
@@ -617,12 +725,18 @@ def _calls(tmp_path):
     helped = tmp_path / "help.txt"
     helped.write_text("--help\n--g 7 --endo k --degree 2 --signature 3,4\n",
                       encoding="utf-8")
+    # every switch, a signature and a toric rank, then a row of --g alone
+    every = tmp_path / "every.txt"
+    every.write_text("--g 6 --endo I --degree 2 --signature 2,4 --toric-rank 2 "
+                     "--bad-semistable-split --simple --simple-lie\n--g 3\n", encoding="utf-8")
     return [["check", "--file", str(machine), "--format", "machine"],
             ["check", "--file", str(text)],
             ["check", "--g", "56", "--endo", "k", "--degree", "2",
              "--signature", "28,28", "--toric-rank", "30",
              "--bad-semistable-split", "--simple"],
-            ["check", "--file", str(helped), "--format", "machine"]]
+            ["check", "--file", str(helped), "--format", "machine"],
+            ["check", "--file", str(every), "--format", "machine"],
+            ["check", "--g", "3", "--format", "machine"]]
 
 
 def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
@@ -634,6 +748,10 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
     build_parser.cache_clear()
     assert [_run(capsys, argv) for argv in calls] == first
     assert build_parser() is build_parser()
+    # the row of --g alone gets every default back, as a lone check --g 3 does
+    (_, every, _), (_, alone, _) = first[-2:]
+    assert every.splitlines()[1] + "\n" == alone
+    assert json.loads(alone)["conclusion"] != json.loads(every.splitlines()[0])["conclusion"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,8 +17,9 @@ and exits 1 if any does.
 
 The set covers every subcommand, each ``$ mtcheck`` example of the README,
 the golden batch through ``check --file`` in both formats, a batch of
-malformed rows, usage and value errors, specs at the printable dimension
-bound, and dimensions at the candidate-search bound and one past it.
+malformed rows and rows at the edges of the row format, usage and value
+errors, specs at the printable dimension bound, and dimensions at the
+candidate-search bound and one past it.
 ``{golden}`` in an argv stands for the tree's
 ``tests/data/golden_descriptors.txt``; the other files are written to a
 temporary working directory shared by both trees.  Standard library only;
@@ -138,6 +139,12 @@ _ROWS_WITH_ERRORS = """\
 --help
 --g 3 --endo k --degree 2 --signature "1,2"
 --g 2 --toric-rank 5 --bad-semistable-split
+# rows at the edges of the row format
+--g\t5\t--endo Q\t--toric-rank 3\t--bad-semistable-split
+--g 4 --g 5 --endo Q --toric-rank 3 --bad-semistable-split --simple --simple
+--g -3
+--g=5
+--g 4 --endo Q --toric-rank 2 --bad-semistable-split --sim
 """
 
 _CHILD = """
