@@ -51,8 +51,11 @@ class Conclusion(Enum):
     INPUT_INCONSISTENT = "InputInconsistent"
 
 
-# Conclusion is declared strongest first; a larger value is stronger.
-_STRENGTH = {c: -i for i, c in enumerate(Conclusion)}
+# Conclusion is declared strongest first; a larger strength is stronger.  It
+# is a plain attribute, as a dict keyed by members hashes each one in Python
+for _rank, _member in enumerate(Conclusion):
+    _member.strength = -_rank
+del _rank, _member
 
 
 class InputInconsistentError(ValueError):
@@ -105,11 +108,12 @@ def validate(d: AVDescriptor) -> None:
                 f"signature {d.signature} must sum to g = {d.g}")
     if d.toric_rank < 0 or d.toric_rank > d.g:
         raise InputInconsistentError("toric rank must lie in 0..g")
-    if d.bad and d.toric_rank == 0:
+    bad = d.bad
+    if bad and d.toric_rank == 0:
         raise InputInconsistentError("bad semistable reduction forces toric rank >= 1")
-    if not d.bad and d.toric_rank != 0:
+    if not bad and d.toric_rank != 0:
         raise InputInconsistentError("toric rank is only meaningful for bad reduction")
-    if d.bad and d.simple and d.toric_rank % d.endo_degree != 0:
+    if bad and d.simple and d.toric_rank % d.endo_degree != 0:
         raise InputInconsistentError(
             f"endomorphism degree {d.endo_degree} must divide toric rank "
             f"{d.toric_rank} for a simple variety")
@@ -214,7 +218,7 @@ def _simple_lie_parts(d: AVDescriptor, strongest: Conclusion) -> _Outcome:
     if not (d.lie_parts_simple or _thm64_hypothesis(d) or _thm65_hypothesis(d)):
         return ("simplicity of the Lie parts is not inferable (no coprime "
                 "toric rank and no explicit flag)")
-    if _STRENGTH[strongest] >= _STRENGTH[Conclusion.MT_OR_HODGE_DIVISORIAL]:
+    if strongest.strength >= Conclusion.MT_OR_HODGE_DIVISORIAL.strength:
         return "a stronger conclusion already fired"
     return Conclusion.MT_OR_HODGE_DIVISORIAL, None
 
@@ -247,20 +251,21 @@ def decide(d: AVDescriptor) -> Verdict:
     strongest = Conclusion.NOT_COVERED
     citations: list[str] = []
     notes: list[str] = []
-    misses: list[tuple[str, str, str]] = []
-    for rule_id, tag, _, evaluate in _RULES:
+    misses: list[str] = []
+    for _, tag, _, evaluate in _RULES:
         outcome = evaluate(d, strongest)
         if isinstance(outcome, str):
-            misses.append((rule_id, tag, outcome))
+            misses.append(outcome)
             continue
         conclusion, note = outcome
         citations.append(tag)
         if note:
             notes.append(note)
-        if _STRENGTH[conclusion] > _STRENGTH[strongest]:
+        if conclusion.strength > strongest.strength:
             strongest = conclusion
-    if not citations:
-        notes = [f"{rule_id} ({tag}) did not fire: {why}" for rule_id, tag, why in misses]
+    if not citations:  # then every rule missed, in table order
+        notes = [f"{rule_id} ({tag}) did not fire: {why}"
+                 for (rule_id, tag, _, _), why in zip(_RULES, misses)]
     if (d.endo_type is EndoType.IV_IMAG_QUAD and 0 in d.signature and d.g >= 2):
         notes.append("signature has a zero entry: CM type, settled classically "
                      "outside this rule set")

@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from functools import cache, partial
-from types import SimpleNamespace
 
 from .catalog import (IrrepDescriptor, descriptor, enumerate_minuscule,
                       minuscule_weight_indices)
@@ -120,23 +119,34 @@ def _cmd_monodromy(args) -> int:
     return 0 if all(good == args.trials for good in counts.values()) else 1
 
 
-def _descriptor_from_args(args) -> AVDescriptor:
-    signature = None
-    if args.signature:
-        parts = args.signature.split(",")
+# the --endo token of each endomorphism type, looked up without a call to
+# the enum class, which runs in Python
+_ENDO_TYPES = {e.value: e for e in EndoType}
+
+
+def _descriptor_from_args(values: dict) -> AVDescriptor:
+    """The descriptor of one ``check`` flag set, keyed by dest: ``vars`` of
+    a command's parse or one batch row."""
+    text, signature = values["signature"], None
+    if text:
+        parts = text.split(",")
         if len(parts) != 2:
             raise InputInconsistentError("signature must be two comma-separated integers")
-        signature = (int(parts[0]), int(parts[1]))
+        try:
+            signature = (int(parts[0]), int(parts[1]))
+        except ValueError:
+            raise ValueError(f"argument --signature: expected integers A,B, "
+                             f"got {text!r}") from None
     return AVDescriptor(
-        g=args.g,
-        endo_type=EndoType(args.endo),
-        endo_degree=args.degree,
+        g=values["g"],
+        endo_type=_ENDO_TYPES[values["endo"]],
+        endo_degree=values["degree"],
         signature=signature,
-        toric_rank=args.toric_rank,
-        reduction=(Reduction.BAD_SEMISTABLE_SPLIT if args.bad_semistable_split
+        toric_rank=values["toric_rank"],
+        reduction=(Reduction.BAD_SEMISTABLE_SPLIT if values["bad_semistable_split"]
                    else Reduction.GOOD_OR_UNKNOWN),
-        simple=args.simple,
-        lie_parts_simple=args.simple_lie,
+        simple=values["simple"],
+        lie_parts_simple=values["simple_lie"],
     )
 
 
@@ -148,20 +158,20 @@ def _machine_record(v: Verdict) -> str:
     })
 
 
-def _check_one(args) -> int:
+def _check_one(values: dict) -> int:
     try:
-        verdict, status = decide(_descriptor_from_args(args)), 0
+        verdict, status = decide(_descriptor_from_args(values)), 0
     except InputInconsistentError as exc:
         verdict, status = Verdict(Conclusion.INPUT_INCONSISTENT, (), (str(exc),)), 2
-    print(_machine_record(verdict) if args.format == "machine" else explain(verdict))
+    print(_machine_record(verdict) if values["format"] == "machine" else explain(verdict))
     return status
 
 
 def _row_reader(parser, check, flags, fmt: str):
     """The reader of the rows of one ``fmt`` batch, read off ``flags``, the
     actions of the ``check`` subparser, each a switch (nargs 0) or a flag
-    with one value: their dests, types, choices and consts, and the
-    defaults of one ``check --format FMT`` parse.
+    with one value: their dests, types, choices, consts and defaults, with
+    ``fmt`` as the format.  A row reads as a dict keyed by dest.
 
     A row is its line's ``str.split`` tokens.  A flag is written in full as
     ``check --help`` lists it.  A valued flag takes the next token as its
@@ -173,13 +183,15 @@ def _row_reader(parser, check, flags, fmt: str):
     argparse's own error text, at the first such flag.  A help flag prints
     the usage to stderr, so stdout keeps one record per row, and refuses the
     row; so does a row that sets ``--file`` or another ``--format``."""
-    defaults = vars(check.parse_args(["--format", fmt]))
+    defaults = {action.dest: action.default for action in flags
+                if action.default is not argparse.SUPPRESS}
+    defaults["format"] = fmt
     table = {option: action for action in flags for option in action.option_strings}
 
     def refuse(action, message):
         check.error(f"argument {'/'.join(action.option_strings)}: {message}")
 
-    def read(line: str) -> SimpleNamespace:
+    def read(line: str) -> dict:
         values = defaults.copy()
         extras = []
         tokens = iter(line.split())
@@ -211,14 +223,14 @@ def _row_reader(parser, check, flags, fmt: str):
         if values["format"] != fmt:
             raise ValueError(f"a batch row may not set --format {values['format']} "
                              f"in a {fmt} batch")
-        return SimpleNamespace(**values)
+        return values
 
     return read
 
 
 def _cmd_check(args, parser, check, flags) -> int:
     if args.file is None:
-        return _check_one(args)
+        return _check_one(vars(args))
     read = _row_reader(parser, check, flags, args.format)
     status = 0
     # surrogateescape keeps an undecodable byte in its row, whose own strict
@@ -289,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     flags = (
         p.add_argument("-h", "--help", action="help", help="show this help message and exit"),
         p.add_argument("--g", type=int, default=1),
-        p.add_argument("--endo", choices=sorted(e.value for e in EndoType), default="Q"),
+        p.add_argument("--endo", choices=sorted(_ENDO_TYPES), default="Q"),
         p.add_argument("--degree", type=int, default=1),
         p.add_argument("--signature", default=None, metavar="A,B"),
         p.add_argument("--toric-rank", type=int, default=0),

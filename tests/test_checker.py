@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers_oracles import is_exception_pair
+from mtcheck import checker
 from mtcheck.checker import (_RULES, AVDescriptor, Conclusion, EndoType,
                              InputInconsistentError, Reduction, Verdict,
                              decide, explain, validate)
@@ -162,6 +163,38 @@ def test_weil_signature_blocks_disjunction():
     verdict = decide(_k(56, (28, 28), toric=30, reduction=BAD, simple=True))
     assert "Thm 7.1" not in verdict.citations
     assert verdict.conclusion is Conclusion.EXCEPTION_PAIR_HIT
+
+
+_VERDICTS = [c for c in Conclusion if c is not Conclusion.INPUT_INCONSISTENT]
+
+
+@pytest.mark.parametrize("a, b", list(product(_VERDICTS, repeat=2)),
+                         ids=lambda c: c.value)
+def test_strength_is_declaration_order(monkeypatch, a, b):
+    # two stub rules fire a and then b; decide keeps the one declared first,
+    # and the second stub and R8 see the strongest conclusion so far
+    seen = []
+
+    def spy(evaluate):
+        def wrapped(d, strongest):
+            seen.append(strongest)
+            return evaluate(d, strongest)
+        return wrapped
+
+    r8 = _RULES[-1]
+    monkeypatch.setattr(checker, "_RULES", (
+        ("S1", "Stub a", "", spy(lambda d, _: (a, None))),
+        ("S2", "Stub b", "", spy(lambda d, _: (b, None))),
+        (*r8[:3], spy(r8[3]))))
+    order = list(Conclusion)
+    first = min(a, b, key=order.index)
+    d = _q(5, simple=True, lie_parts_simple=True)  # R8's other hypotheses hold
+    verdict = decide(d)
+    assert seen == [Conclusion.NOT_COVERED, a, first]
+    suppressed = order.index(first) <= order.index(Conclusion.MT_OR_HODGE_DIVISORIAL)
+    assert (r8[3](d, first) == "a stronger conclusion already fired") is suppressed
+    assert verdict.citations == ("Stub a", "Stub b") + (() if suppressed else ("Thm 7.1",))
+    assert verdict.conclusion is (first if suppressed else Conclusion.MT_OR_HODGE_DIVISORIAL)
 
 
 def test_cm_note():
