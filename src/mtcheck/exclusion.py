@@ -64,6 +64,11 @@ def theorem61_outer_shapes(n: int, form: FormClass) -> tuple[IrrepDescriptor, ..
     return (outer,) if outer else ()
 
 
+# the classical-w1 rigidity rung's text per family
+_RIGID = {fam: f"({fam}_m, w1) admits no proper overalgebra of equal dimension [Prop 6.3]"
+          for fam in "BCD"}
+
+
 def _ladder(inner: IrrepDescriptor, outer: IrrepDescriptor,
             r: int) -> tuple[bool, str]:
     """The rung walk behind ``check_pair`` and ``surviving_inners``:
@@ -87,9 +92,8 @@ def _ladder(inner: IrrepDescriptor, outer: IrrepDescriptor,
                            "[Prop 6.3]")
         return False, ("half-spin quadratic ranks 2^(m-3), 2^(m-2) share a factor > 2 "
                        "with 2^(m-1) [Lem 6.3]")
-    if fam in ("B", "C", "D"):
-        return False, (f"({fam}_m, w1) admits no proper overalgebra of equal "
-                       "dimension [Prop 6.3]")
+    if fam in _RIGID:
+        return False, _RIGID[fam]
     if inner.form != outer.form:
         return False, "inner and outer duality classes must agree [6.2]"
 
@@ -149,5 +153,5 @@ def surviving_inners(n: int, form: FormClass, r: int) -> tuple[IrrepDescriptor, 
     outer = _outer(n, form, candidates)
     if outer is None:
         return ()
-    return tuple(inner for inner in candidates
-                 if inner is not outer and _ladder(inner, outer, r)[0])
+    return tuple([inner for inner in candidates
+                  if inner is not outer and _ladder(inner, outer, r)[0]])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 E_RANKS = (6, 7, 8)
-_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 
 class FormClass(Enum):
@@ -46,9 +46,9 @@ class LieType:
         if self.family == "E":
             if self.rank not in E_RANKS:
                 raise ValueError(f"E requires rank in {E_RANKS}, got {self.rank}")
-        elif self.rank < _MIN_RANK[self.family]:
+        elif self.rank < MIN_RANK[self.family]:
             raise ValueError(
-                f"{self.family} requires rank >= {_MIN_RANK[self.family]}, got {self.rank}"
+                f"{self.family} requires rank >= {MIN_RANK[self.family]}, got {self.rank}"
             )
 
     def __str__(self) -> str:

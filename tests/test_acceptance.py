@@ -30,7 +30,7 @@ from mtcheck.roots import FormClass, LieType
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
-SWEEP_BOUND = 35_000  # the largest n of the criterion 4, 5 and orthogonal sweeps
+SWEEP_BOUND = 10**5  # the largest n of the criterion 4, 5 and orthogonal sweeps
 # every criterion's bounds; the loops and the PASS lines read them, and
 # test_readme_states_the_bounds pins the README list against them
 BOUNDS = {
@@ -158,7 +158,7 @@ def test_criterion_4_exception_closure():
             expected[(m * (m + 1) // 2, m - 1)] = [f"A{m}:w2"]
         m += 1
     assert survivors[FormClass.NON_SELF_DUAL] == expected
-    assert queries[FormClass.NON_SELF_DUAL] == 52_691  # at SWEEP_BOUND = 35000
+    assert queries[FormClass.NON_SELF_DUAL] == 150_328  # at SWEEP_BOUND = 10^5
     _passed(f"criterion 4: non-self-dual survivors over n <= {top} occur "
             f"exactly at (56, 15) and the triangular family "
             f"({len(expected)} pairs)")
@@ -169,7 +169,7 @@ def test_criterion_5_symplectic_closure():
     queries, survivors, _ = _closure_walk()
     assert survivors[FormClass.SYMPLECTIC] == {}
     checked = queries[FormClass.SYMPLECTIC]
-    assert checked == 35_063  # at SWEEP_BOUND = 35000
+    assert checked == 100_108  # at SWEEP_BOUND = 10^5
     _passed(f"criterion 5: symplectic survivors are empty for every even "
             f"n <= {top} ({checked} (n, r) queries)")
 
@@ -179,7 +179,7 @@ def test_orthogonal_closure():
     # sweep, to the same bound as criteria 4 and 5, with no PASS line
     queries, survivors, _ = _closure_walk()
     assert survivors[FormClass.ORTHOGONAL] == {}
-    assert queries[FormClass.ORTHOGONAL] == 87_687  # at SWEEP_BOUND = 35000
+    assert queries[FormClass.ORTHOGONAL] == 250_324  # at SWEEP_BOUND = 10^5
 
 
 def test_closure_walk_builds_each_dimension_once():

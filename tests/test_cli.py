@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtcheck import catalog
 from mtcheck.catalog import _least_m, descriptor, minuscule_candidates
 from mtcheck.cli import _descriptor_from_args, _row_reader, build_parser, main
 
@@ -237,36 +238,47 @@ def test_candidate_search_refuses_past_its_bound(tmp_path, capsys, monkeypatch):
     # route into it takes 1023 and refuses 1024 before it searches: ``survivors --dim``, ``check``
     # at 2g (the rational route) and at g (the imaginary quadratic route), and
     # a batch row; the memo is cleared before each query, so that it neither
-    # hands back 1024 from another test nor 1023 from the query before
+    # hands back 1024 from another test nor 1023 from the query before.  Both
+    # search paths are spied on, the s >= 3 table and, with its cap lowered
+    # to 2, the bisection
     code, out, err = _run(capsys, ["survivors", "--dim", str(2**2048), "--form", "nsd",
                                    "--rank-tau", "1"])
     assert (code, out, err) == (1, "", "error: dimension must be below 2^2048\n")
     monkeypatch.setattr("mtcheck.catalog._MAX_CANDIDATE_BITS", 10)
     searched = []
 
+    class TableSpy(dict):
+        def get(self, n, default=None):
+            searched.append(("table", n))
+            return super().get(n, default)
+
     def spy(n, s, hi):
-        searched.append(n)
+        searched.append(("bisection", n))
         return _least_m(n, s, hi)
 
     monkeypatch.setattr("mtcheck.catalog._least_m", spy)
+    monkeypatch.setattr("mtcheck.catalog._S3_BY_DIM", TableSpy(catalog._S3_BY_DIM))
     rational = ["--endo", "Q", "--toric-rank", "1", "--bad-semistable-split"]
     refused = "dimension must be below 2^10"
-    for argv, fits, error in [
-        (["survivors", "--dim", "1023", "--form", "orth", "--rank-tau", "1"], True, ""),
-        (["survivors", "--dim", "1024", "--form", "nsd", "--rank-tau", "1"], False, refused),
-        (["check", "--g", "511"] + rational, True, ""),
-        (["check", "--g", "512"] + rational, False, f"Thm 6.5 searches at 2g: {refused}"),
-        (_quadratic_check(1023), True, ""),
-        (_quadratic_check(1024), False, f"Thm 6.4 searches at g: {refused}"),
-    ]:
-        searched.clear()
-        minuscule_candidates.cache_clear()
-        code, out, err = _run(capsys, argv)
-        if fits:
-            assert (code, err, bool(out), bool(searched)) == (0, "", True, True), argv
-        else:
-            assert (code, out, searched) == (1, "", []), argv
-            assert err == f"error: {error}\n", argv
+    for path, cap in (("table", catalog._S3_CAP), ("bisection", 2)):
+        monkeypatch.setattr("mtcheck.catalog._S3_CAP", cap)
+        for argv, fits, error in [
+            (["survivors", "--dim", "1023", "--form", "orth", "--rank-tau", "1"], True, ""),
+            (["survivors", "--dim", "1024", "--form", "nsd", "--rank-tau", "1"], False, refused),
+            (["check", "--g", "511"] + rational, True, ""),
+            (["check", "--g", "512"] + rational, False, f"Thm 6.5 searches at 2g: {refused}"),
+            (_quadratic_check(1023), True, ""),
+            (_quadratic_check(1024), False, f"Thm 6.4 searches at g: {refused}"),
+        ]:
+            searched.clear()
+            minuscule_candidates.cache_clear()
+            code, out, err = _run(capsys, argv)
+            if fits:
+                assert (code, err, bool(out)) == (0, "", True), argv
+                assert searched and {p for p, _ in searched} == {path}, (path, argv)
+            else:
+                assert (code, out, searched) == (1, "", []), argv
+                assert err == f"error: {error}\n", argv
     batch = tmp_path / "batch.txt"
     batch.write_text(" ".join(["--g", "511"] + rational) + "\n"
                      + " ".join(["--g", "512"] + rational) + "\n", encoding="utf-8")

@@ -22,7 +22,6 @@ from mtcheck.roots import FormClass, LieType
 from helpers_oracles import (candidate_min_ranks, minuscule_candidates_by_descriptor,
                              minuscule_candidates_by_scan, surviving_inners_by_pairs,
                              theorem61_family)
-from test_acceptance import SWEEP_BOUND
 
 
 def _labels(entries) -> list[str]:
@@ -94,10 +93,54 @@ def test_candidates_match_brute_force_scan():
 
 
 def test_candidates_match_stepping_scan():
-    # s = 2 is read off isqrt(8n + 1) and m is bisected for s >= 3; the
-    # scan steps m for every s
+    # s = 2 is read off isqrt(8n + 1) and the s >= 3 entries off the table;
+    # the scan steps m for every s
     for n in range(2, 10**4 + 1):
         assert minuscule_candidates(n) == minuscule_candidates_by_scan(n), n
+
+
+def test_s3_table_matches_a_stepping_enumeration():
+    # the table carries each binomial by its ratio; this steps m with comb
+    cap, table = catalog._S3_CAP, {}
+    s = 3
+    while comb(2 * s, s) < cap:
+        m = 2 * s - 1
+        while comb(m + 1, s) < cap:
+            table.setdefault(comb(m + 1, s), []).append((m, s))
+            m += 1
+        s += 1
+    assert catalog._S3_BY_DIM == {n: tuple(sorted(hits)) for n, hits in table.items()}
+    assert sum(map(len, table.values())) == 333
+
+
+def _dims_at_the_table_cap() -> list[int]:
+    """b - 1, b and b + 1 for b the cap and, for each s >= 3, the last
+    binom(m + 1, s) below the cap (2s <= m + 1) and the first at or above it."""
+    cap = catalog._S3_CAP
+    near = {cap}
+    s = 3
+    while True:
+        m = 2 * s - 1
+        while comb(m + 1, s) < cap:
+            m += 1
+        near.add(comb(m + 1, s))
+        if m == 2 * s - 1:  # binom(2s, s) >= cap: no s from here has a table entry
+            return sorted(b + d for b in near for d in (-1, 0, 1))
+        near.add(comb(m, s))
+        s += 1
+
+
+def test_candidates_at_the_table_cap(monkeypatch):
+    # the table serves dimensions below the cap and the bisection the rest;
+    # both match the stepping scan across it, and so does the bisection alone
+    dims = _dims_at_the_table_cap()
+    assert len(dims) > 40
+    for cap in (catalog._S3_CAP, 2):
+        monkeypatch.setattr(catalog, "_S3_CAP", cap)
+        for n in dims:
+            built = minuscule_candidates.__wrapped__(n)
+            assert built == minuscule_candidates_by_scan(n), (cap, n)
+            assert built == minuscule_candidates_by_descriptor(n), (cap, n)
 
 
 _DIM_CAP = 10**30
@@ -125,11 +168,16 @@ def test_bisection_finds_every_a_entry(sm):
     assert descriptor(LieType("A", m), s) in minuscule_candidates(comb(m + 1, s))
 
 
+# the descriptor oracle's reach, below the acceptance sweeps' 10^5: the
+# oracle costs about 50 us per n, so at 10^5 this test would take about 5 s
+ORACLE_BOUND = 35_000
+
+
 def test_candidates_match_descriptor_oracle():
     # the build emits its entries in sort order and makes its w1 entries
     # without descriptor; the oracle checks every entry and sorts, so ==
     # compares the order too
-    for n in range(2, SWEEP_BOUND + 1):
+    for n in range(2, ORACLE_BOUND + 1):
         assert minuscule_candidates(n) == minuscule_candidates_by_descriptor(n), n
 
 
